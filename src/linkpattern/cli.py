@@ -25,10 +25,10 @@ from .exceptions import (ConfigError, DataConflictError, DegenerateSplitError,
                          DimensionMismatchError, DivergenceError, FormatError,
                          NotPositiveDefiniteError, StallError,
                          UndefinedMetricError)
-from .gibbs import ChainConfig, HyperPriors, SampleSet, predictive_mean, run_chain
+from .gibbs import ChainConfig, HyperPriors, SampleSet, predictive_scores, run_chain
 from .io import (SynthSpec, generate_synthetic, load_factors, load_triples,
                  save_factors, save_triples)
-from .model import ModelConfig, predict_fiber
+from .model import ModelConfig, predict_entries
 from .optimize import MapConfig, fit_map
 
 
@@ -248,25 +248,23 @@ def _load_pairs(path):
 def cmd_predict(args) -> int:
     loaded = load_factors(args.factors)
     pairs = _load_pairs(args.pairs)
-    if isinstance(loaded, SampleSet):
-        config = ModelConfig(loaded.draws[0].rank, use_logistic=False)
-        n_objects = loaded.draws[0].n_objects
-
-        def score_fn(key):
-            return predictive_mean(loaded, key, config)
-    else:
-        config = ModelConfig(loaded.rank, use_logistic=not args.identity_link)
-        n_objects = loaded.n_objects
-
-        def score_fn(key):
-            return np.clip(predict_fiber(loaded, key, config), 0.0, 1.0)
+    factors = loaded.draws[0] if isinstance(loaded, SampleSet) else loaded
+    n_objects, T = factors.n_objects, factors.n_relations
     for i, j in pairs:
         if not (0 <= i < n_objects and 0 <= j < n_objects):
             raise FormatError(f"pair ({i}, {j}) out of range for N={n_objects}")
+    keys = np.array(pairs, dtype=np.int64)
+    ii, jj = np.repeat(keys[:, 0], T), np.repeat(keys[:, 1], T)
+    tt = np.tile(np.arange(T), len(pairs))
+    if isinstance(loaded, SampleSet):
+        config = ModelConfig(factors.rank, use_logistic=False)
+        scores = predictive_scores(loaded, ii, jj, tt, config)
+    else:
+        config = ModelConfig(factors.rank, use_logistic=not args.identity_link)
+        scores = np.clip(predict_entries(loaded, ii, jj, tt, config), 0.0, 1.0)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        for key in pairs:
-            scores = " ".join(f"{s:.6f}" for s in score_fn(key))
-            fh.write(f"{key[0]} {key[1]} {scores}\n")
+        for (i, j), row in zip(pairs, scores.reshape(len(pairs), T)):
+            fh.write(f"{i} {j} " + " ".join(f"{s:.6f}" for s in row) + "\n")
     _write_manifest(args.out, "predict", args, [args.factors, args.pairs], [args.out])
     print(f"predict: {len(pairs)} pairs -> {args.out}")
     return 0

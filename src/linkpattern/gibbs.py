@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .exceptions import ConfigError, DimensionMismatchError, NotPositiveDefiniteError
 from .model import (LatentFactors, ModelConfig, log_likelihood, predict_entries,
@@ -175,11 +174,29 @@ def _sample_wishart(rng: np.random.Generator, scale: np.ndarray, df: float) -> n
     return M @ M.T
 
 
-def _sample_mvn_from_precision(rng: np.random.Generator, mean: np.ndarray,
-                               prec_chol: np.ndarray) -> np.ndarray:
-    """Draw from N(mean, P^-1) given the lower Cholesky factor of P."""
-    z = rng.standard_normal(mean.shape[0])
-    return mean + solve_triangular(prec_chol, z, trans="T", lower=True)
+def _sample_gaussian_stack(rng: np.random.Generator, precision: np.ndarray,
+                          rhs: np.ndarray) -> np.ndarray:
+    """One draw per row k from N(P_k^-1 b_k, P_k^-1), rows drawn together.
+
+    ``precision`` is a (rows, D, D) stack (or anything that broadcasts to
+    it) and ``rhs`` the (rows, D) right-hand sides b_k.  The whole stack is
+    factorised by one Cholesky; only if that fails does each row go through
+    :func:`_chol_jitter`, which raises :class:`NotPositiveDefiniteError` for
+    a row it cannot repair.  The noise is one ``standard_normal((rows, D))``
+    call, the same numbers in the same order as one call per row.  Callers
+    that know the mean pass zero right-hand sides and add it afterwards,
+    which keeps the rounding of P^-1 (P mu) out of ill-conditioned draws.
+    """
+    precision = np.broadcast_to(precision, rhs.shape + rhs.shape[-1:])
+    sym = 0.5 * (precision + np.swapaxes(precision, -1, -2))
+    try:
+        chol = np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        chol = np.stack([_chol_jitter(p) for p in sym])
+    z = rng.standard_normal(rhs.shape)
+    # mean + L^-T z == L^-T (L^-1 b + z) for P = L L^T
+    half = np.linalg.solve(chol, rhs[..., None])
+    return np.linalg.solve(np.swapaxes(chol, -1, -2), half + z[..., None])[..., 0]
 
 
 def gaussian_wishart_posterior(rows: np.ndarray, priors: HyperPriors, kappa: float):
@@ -209,8 +226,8 @@ def sample_factor_hypers(rows: np.ndarray, priors: HyperPriors, kappa: float,
     """Draw (mu, precision) for one factor from its Gaussian-Wishart conditional."""
     mu_star, kappa_star, nu_star, w_star = gaussian_wishart_posterior(rows, priors, kappa)
     precision = _sample_wishart(rng, w_star, nu_star)
-    chol = _chol_jitter(kappa_star * precision)
-    mu = _sample_mvn_from_precision(rng, mu_star, chol)
+    noise = _sample_gaussian_stack(rng, kappa_star * precision, np.zeros((1, mu_star.size)))
+    mu = mu_star + noise[0]
     return FactorHyperState(mu, precision)
 
 
@@ -256,9 +273,6 @@ class _AxisGroups:
         counts = np.bincount(axis, minlength=n_groups)
         self.offsets = np.concatenate([[0], np.cumsum(counts)])
 
-    def segment(self, k: int) -> slice:
-        return slice(self.offsets[k], self.offsets[k + 1])
-
 
 def _draw_factor_rows(groups: _AxisGroups, left: np.ndarray, right: np.ndarray,
                       hyper: FactorHyperState, alpha: float,
@@ -266,24 +280,24 @@ def _draw_factor_rows(groups: _AxisGroups, left: np.ndarray, right: np.ndarray,
     """Draw every row of one factor from its Gaussian conditional.
 
     Row k sees design vectors ``left[o1] * right[o2]`` over its observed
-    entries; rows with no observations fall back to the hyperprior.
+    entries; rows with no observations keep the hyperprior's precision and
+    right-hand side.  Rows are conditionally independent, so the per-row
+    Gram matrices are stacked and drawn by :func:`_sample_gaussian_stack`.
     """
-    d = left.shape[1]
-    prior_term = hyper.precision @ hyper.mu
-    prior_chol = _chol_jitter(hyper.precision)
-    out = np.empty((groups.n_groups, d))
-    for k in range(groups.n_groups):
-        seg = groups.segment(k)
-        if seg.start == seg.stop:
-            out[k] = _sample_mvn_from_precision(rng, hyper.mu, prior_chol)
+    n, d = groups.n_groups, left.shape[1]
+    gram = np.zeros((n, d, d))
+    xty = np.zeros((n, d))
+    bounds = groups.offsets.tolist()
+    for k in range(n):
+        start, stop = bounds[k], bounds[k + 1]
+        if start == stop:
             continue
-        design = left[groups.o1[seg]] * right[groups.o2[seg]]
-        lam_star = hyper.precision + alpha * design.T @ design
-        b = prior_term + alpha * design.T @ groups.y[seg]
-        chol = _chol_jitter(lam_star)
-        mu_star = cho_solve((chol, True), b)
-        out[k] = _sample_mvn_from_precision(rng, mu_star, chol)
-    return out
+        design = (left.take(groups.o1[start:stop], axis=0)
+                  * right.take(groups.o2[start:stop], axis=0))
+        gram[k] = np.dot(design.T, design)
+        xty[k] = np.dot(groups.y[start:stop], design)
+    return _sample_gaussian_stack(rng, hyper.precision + alpha * gram,
+                                  hyper.precision @ hyper.mu + alpha * xty)
 
 
 def sample_u_rows(factors: LatentFactors, tensor: RelationalTensor,

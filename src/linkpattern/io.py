@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import FormatError, TripleParseError
-from .gibbs import HyperPriors, SampleSet, _sample_mvn_from_precision, _sample_wishart, _chol_jitter
+from .gibbs import HyperPriors, SampleSet, _sample_gaussian_stack, _sample_wishart
 from .model import LatentFactors
 from .rng import substream
 from .tensor import RelationalTensor
@@ -230,12 +230,8 @@ def _generate(spec: SynthSpec):
 
     def factor_rows(count, kappa):
         precision = _sample_wishart(rng, priors.w0, priors.nu0)
-        mu = _sample_mvn_from_precision(rng, priors.mu0, _chol_jitter(kappa * precision))
-        chol = _chol_jitter(precision)
-        rows = np.empty((count, d))
-        for k in range(count):
-            rows[k] = _sample_mvn_from_precision(rng, mu, chol)
-        return rows
+        mu = priors.mu0 + _sample_gaussian_stack(rng, kappa * precision, np.zeros((1, d)))[0]
+        return mu + _sample_gaussian_stack(rng, precision, np.zeros((count, d)))
 
     n, T = spec.n_objects, spec.n_relations
     U = factor_rows(n, priors.kappa0)

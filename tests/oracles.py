@@ -6,6 +6,7 @@ updates, then compared against binned empirical draws by total variation.
 """
 
 import numpy as np
+from scipy.linalg import cho_solve, solve_triangular
 
 from linkpattern.gibbs import FactorHyperState, HyperPriors
 from linkpattern.model import LatentFactors, reconstruct_entries
@@ -92,3 +93,27 @@ def v_row_designs(factors, tensor, j):
 def r_row_designs(factors, tensor, t):
     return ([factors.U[i, 0] * factors.V[j, 0] for (i, j, c, _v) in TRIPLES if c == t],
             [v for (_i, _j, c, v) in TRIPLES if c == t])
+
+
+def reference_factor_rows(factors, tensor, hyper, block, rng):
+    """Row-at-a-time draw of factor block ``"u"``, ``"v"`` or ``"r"``.
+
+    Each row gets its own precision ``lam`` and right-hand side ``b``, one
+    Cholesky, ``cho_solve`` for the mean, ``solve_triangular`` for the
+    noise, and one ``standard_normal(D)`` call, rows in index order.
+    """
+    ii, jj, tt, yy = tensor.entry_arrays()
+    U, V, R = factors.U, factors.V, factors.R
+    axis, designs, n_rows = {"u": (ii, V[jj] * R[tt], U.shape[0]),
+                             "v": (jj, U[ii] * R[tt], V.shape[0]),
+                             "r": (tt, U[ii] * V[jj], R.shape[0])}[block]
+    d = hyper.mu.shape[0]
+    out = np.empty((n_rows, d))
+    for k in range(n_rows):
+        design, y = designs[axis == k], yy[axis == k]
+        lam = hyper.precision + factors.alpha * design.T @ design
+        b = hyper.precision @ hyper.mu + factors.alpha * design.T @ y
+        chol = np.linalg.cholesky(lam)
+        mean = cho_solve((chol, True), b)
+        out[k] = mean + solve_triangular(chol, rng.standard_normal(d), trans="T", lower=True)
+    return out

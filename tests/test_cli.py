@@ -6,7 +6,7 @@ import pytest
 from linkpattern.cli import build_parser, main
 from linkpattern.gibbs import predictive_mean, SampleSet
 from linkpattern.io import load_factors, save_triples
-from linkpattern.model import ModelConfig
+from linkpattern.model import ModelConfig, predict_fiber
 from linkpattern.tensor import RelationalTensor
 
 
@@ -105,6 +105,37 @@ def test_predict_map_factors_logistic_scores(data_file, tmp_path):
     assert run_cli(["predict", "--factors", model, "--pairs", pairs, "--out", preds]) == 0
     scores = [float(s) for s in preds.read_text().split()[2:]]
     assert all(0.0 < s < 1.0 for s in scores)
+
+
+@pytest.mark.parametrize("kind,flags", [("samples", []), ("map", []),
+                                        ("map", ["--identity-link"])])
+def test_predict_file_matches_per_pair_scores(data_file, tmp_path, kind, flags):
+    factors_file = tmp_path / "m.pltf"
+    assert run_cli(["fit-map", "--input", data_file, "--rank", 2, "--out", factors_file]) == 0
+    if kind == "samples":
+        factors_file = tmp_path / "s.pltf"
+        assert run_cli(["sample", "--input", data_file, "--init", "random", "--rank", 2,
+                        "--samples", 30, "--burn-in", 5, "--seed", 2,
+                        "--out", factors_file]) == 0
+    keys = [(i, j) for i in range(8) for j in range(8)]
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("".join(f"{i} {j}\n" for i, j in keys))
+    out = tmp_path / "p.txt"
+    assert run_cli(["predict", "--factors", factors_file, "--pairs", pairs,
+                    "--out", out, *flags]) == 0
+
+    loaded = load_factors(factors_file)
+    if kind == "samples":
+        def score(key):
+            return predictive_mean(loaded, key, ModelConfig(2, use_logistic=False))
+    else:
+        config = ModelConfig(2, use_logistic=not flags)
+
+        def score(key):
+            return np.clip(predict_fiber(loaded, key, config), 0.0, 1.0)
+    expected = "".join(f"{i} {j} " + " ".join(f"{s:.6f}" for s in score((i, j))) + "\n"
+                       for i, j in keys)
+    assert out.read_bytes() == expected.encode("utf-8")
 
 
 def test_fit_map_rerun_reproduces_artifacts(data_file, tmp_path):

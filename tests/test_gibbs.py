@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from linkpattern.exceptions import ConfigError, DimensionMismatchError
+from linkpattern import gibbs
+from linkpattern.exceptions import (ConfigError, DimensionMismatchError,
+                                    NotPositiveDefiniteError)
 from linkpattern.gibbs import (ChainConfig, FactorHyperState, GibbsState,
                                HyperPriors, SampleSet, gaussian_wishart_posterior,
                                gibbs_sweep, predictive_mean, predictive_scores,
@@ -13,8 +15,9 @@ from linkpattern.model import LatentFactors, ModelConfig
 from linkpattern.optimize import MapConfig, fit_map
 from linkpattern.tensor import RelationalTensor
 
-from oracles import (alpha_log_posterior, conjugacy_instance, grid_posterior_mean,
-                     r_row_designs, row_log_posterior, tv_binned, u_row_designs)
+from oracles import (TRIPLES, alpha_log_posterior, conjugacy_instance, grid_posterior_mean,
+                     r_row_designs, reference_factor_rows, row_log_posterior, tv_binned,
+                     u_row_designs)
 
 IDENTITY1 = ModelConfig(1, use_logistic=False)
 
@@ -119,6 +122,52 @@ def test_sample_v_rows_matches_u_update_on_transposed_data():
     v_draw = sample_v_rows(factors, tensor, hyper, np.random.default_rng(11))
     u_draw = sample_u_rows(swapped, transposed, hyper, np.random.default_rng(11))
     assert np.array_equal(v_draw, u_draw)
+
+
+@pytest.mark.parametrize("n,t,d,fill", [(50, 5, 5, 0.2), (20, 4, 11, 0.6)])
+def test_factor_rows_match_per_row_reference(n, t, d, fill):
+    # sender 0, receiver 1 and the last relation have no observations
+    rng = np.random.default_rng(d)
+    triples = [(i, j, k, int(rng.random() < 0.5))
+               for i in range(n) for j in range(n) for k in range(t)
+               if rng.random() < fill and i != 0 and j != 1 and k != t - 1]
+    tensor = RelationalTensor.build(n, t, triples)
+    factors = LatentFactors(*(0.5 * rng.standard_normal((m, d)) for m in (n, n, t)), alpha=2.0)
+    a = rng.standard_normal((d, d))
+    hyper = FactorHyperState(rng.standard_normal(d), a @ a.T / d + np.eye(d))
+    for block, sampler in (("u", sample_u_rows), ("v", sample_v_rows), ("r", sample_r_rows)):
+        drawn = sampler(factors, tensor, hyper, np.random.default_rng(5))
+        expected = reference_factor_rows(factors, tensor, hyper, block,
+                                         np.random.default_rng(5))
+        np.testing.assert_allclose(drawn, expected, rtol=0, atol=1e-12)
+
+
+def four_object_instance():
+    """conjugacy_instance's data with a fourth, unobserved object."""
+    factors = LatentFactors(np.array([[0.5], [-0.3], [0.8], [0.1]]),
+                            np.array([[1.0], [0.4], [-0.6], [0.2]]),
+                            np.array([[0.7], [-1.1]]), alpha=2.0)
+    return factors, RelationalTensor.build(4, 2, TRIPLES)
+
+
+def test_factor_rows_jitter_fallback_on_singular_stack(monkeypatch):
+    # zero hyper precision leaves the unobserved row singular, so the
+    # stacked Cholesky fails and every row takes the jittered per-row path
+    factors, tensor = four_object_instance()
+    calls = []
+    chol_jitter = gibbs._chol_jitter
+    monkeypatch.setattr(gibbs, "_chol_jitter", lambda m: calls.append(m) or chol_jitter(m))
+    hyper = FactorHyperState(np.zeros(1), np.zeros((1, 1)))
+    draws = sample_u_rows(factors, tensor, hyper, np.random.default_rng(0))
+    assert len(calls) == 4
+    assert draws.shape == (4, 1) and np.all(np.isfinite(draws))
+
+
+def test_factor_rows_indefinite_row_raises_typed_error():
+    factors, tensor = four_object_instance()
+    hyper = FactorHyperState(np.zeros(1), -np.eye(1))
+    with pytest.raises(NotPositiveDefiniteError):
+        sample_u_rows(factors, tensor, hyper, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("sampler,designs_of,row", [
