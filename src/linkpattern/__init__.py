@@ -7,22 +7,22 @@ by a fully conjugate hierarchical Bayesian Gibbs sampler.
 """
 
 from .evaluate import (ExperimentResult, SplitSpec, TrainSettings, auc,
-                       baseline_per_slice, dimension_sweep, evaluate_method,
-                       relation_ablation, split_fibers, write_results_csv)
+                       dimension_sweep, evaluate_method, relation_ablation,
+                       split_fibers, write_results_csv)
 from .exceptions import (ConfigError, DataConflictError, DegenerateSplitError,
                          DimensionMismatchError, DivergenceError, FormatError,
                          LinkPatternError, NotPositiveDefiniteError, StallError,
                          TripleParseError, UndefinedMetricError)
 from .gibbs import (ChainConfig, FactorHyperState, GibbsState, HyperPriors,
-                    SampleSet, gibbs_sweep, predictive_mean, predictive_scores,
+                    SampleSet, gibbs_sweep, predictive_scores,
                     run_chain, sample_alpha, sample_factor_hypers, sample_r_rows,
                     sample_u_rows, sample_v_rows)
 from .io import (SynthSpec, generate_synthetic, load_factors, load_triples,
                  save_factors, save_triples, synthetic_reals)
 from .model import (LatentFactors, ModelConfig, log_likelihood, logistic,
-                    predict_entry, predict_fiber, reconstruct_entry)
+                    predict_entries, reconstruct_entries)
 from .optimize import MapConfig, OptTrace, fit_map, gradients, objective
-from .tensor import RelationalTensor, TensorSlice, build
+from .tensor import RelationalTensor, TensorSlice
 
 __version__ = "0.1.0"
 
@@ -33,13 +33,12 @@ __all__ = [
     "LatentFactors", "LinkPatternError", "MapConfig", "ModelConfig",
     "NotPositiveDefiniteError", "OptTrace", "RelationalTensor", "SampleSet",
     "SplitSpec", "StallError", "SynthSpec", "TensorSlice", "TrainSettings",
-    "TripleParseError", "UndefinedMetricError", "auc", "baseline_per_slice",
-    "build", "dimension_sweep", "evaluate_method", "fit_map",
-    "generate_synthetic", "gibbs_sweep", "gradients", "load_factors",
-    "load_triples", "log_likelihood", "logistic", "objective",
-    "predict_entry", "predict_fiber", "predictive_mean", "predictive_scores",
-    "reconstruct_entry", "relation_ablation", "run_chain", "sample_alpha",
-    "sample_factor_hypers", "sample_r_rows", "sample_u_rows", "sample_v_rows",
-    "save_factors", "save_triples", "split_fibers", "synthetic_reals",
-    "write_results_csv", "__version__",
+    "TripleParseError", "UndefinedMetricError", "auc", "dimension_sweep",
+    "evaluate_method", "fit_map", "generate_synthetic", "gibbs_sweep",
+    "gradients", "load_factors", "load_triples", "log_likelihood", "logistic",
+    "objective", "predict_entries", "predictive_scores", "reconstruct_entries",
+    "relation_ablation", "run_chain", "sample_alpha", "sample_factor_hypers",
+    "sample_r_rows", "sample_u_rows", "sample_v_rows", "save_factors",
+    "save_triples", "split_fibers", "synthetic_reals", "write_results_csv",
+    "__version__",
 ]

@@ -242,16 +242,6 @@ def evaluate_method(method: Union[str, Callable], train: RelationalTensor,
                             auc=value, wall_time_s=wall, repeat_index=repeat_index)
 
 
-def baseline_per_slice(train: RelationalTensor, test: RelationalTensor, *,
-                       rank: int, seed: int,
-                       settings: Optional[TrainSettings] = None,
-                       split: Optional[SplitSpec] = None,
-                       repeat_index: int = 0) -> ExperimentResult:
-    """The per-slice mono-relational baseline as a standalone run."""
-    return evaluate_method("baseline", train, test, rank=rank, seed=seed,
-                           settings=settings, split=split, repeat_index=repeat_index)
-
-
 def dimension_sweep(tensor: RelationalTensor, ranks: Sequence[int], *,
                     methods: Sequence[str] = ("pltf", "hb-t"),
                     split_spec: SplitSpec,
@@ -269,11 +259,10 @@ def dimension_sweep(tensor: RelationalTensor, ranks: Sequence[int], *,
 
 def _restore_relation(original_test: RelationalTensor, train: RelationalTensor, t: int):
     """Move every test observation of relation ``t`` back into training."""
-    cells = original_test.slice(t)
-    extra = [(i, j, t, cells[i, j]) for (i, j) in
-             sorted((i, j) for i in range(cells.n_objects) for j in range(cells.n_objects)
-                    if cells[i, j] is not None)]
-    restored = RelationalTensor.build(train.n_objects, train.n_relations, extra)
+    ii, jj, tt, yy = original_test.entry_arrays()
+    mask = tt == t
+    restored = RelationalTensor.build(train.n_objects, train.n_relations,
+                                      zip(ii[mask], jj[mask], tt[mask], yy[mask]))
     return train.merged_with(restored), original_test.without_relation(t)
 
 

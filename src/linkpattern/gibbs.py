@@ -428,13 +428,3 @@ def predictive_scores(samples: SampleSet, ii, jj, tt,
     for factors in samples.draws:
         total += np.clip(predict_entries(factors, ii, jj, tt, model_config), 0.0, 1.0)
     return total / len(samples)
-
-
-def predictive_mean(samples: SampleSet, key, model_config: ModelConfig) -> np.ndarray:
-    """Length-T predictive score vector for one ordered pair."""
-    if len(samples) == 0:
-        raise ValueError("empty sample set")
-    i, j = key
-    T = samples.draws[0].n_relations
-    return predictive_scores(samples, np.full(T, i), np.full(T, j), np.arange(T),
-                             model_config)

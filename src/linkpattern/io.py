@@ -13,7 +13,7 @@ Two on-disk formats are owned here:
       n_objects   u32
       n_relations u32
       rank        u32
-      n_draws     u32
+      n_draws     u32     draws that follow (1 for kind 0)
       n_diag      u32     per-sweep log-likelihood count (0 for kind 0)
       diag        f64 * n_diag
       draws       n_draws records of: alpha f64, then U, V, R as
@@ -22,6 +22,7 @@ Two on-disk formats are owned here:
 Both formats round-trip losslessly (bitwise for float payloads).
 """
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -155,8 +156,20 @@ def load_factors(path):
         if kind not in (_KIND_FACTORS, _KIND_SAMPLES):
             raise FormatError(f"unknown payload kind {kind}")
         n, T, d, n_draws, n_diag = struct.unpack("<IIIII", _read_exact(fh, 20, "header"))
+        if min(n, T, d) < 1:
+            raise FormatError(f"factor file declares empty factors: N={n}, T={T}, D={d}")
         if n_draws < 1:
             raise FormatError("factor file holds no draws")
+        if kind == _KIND_FACTORS and (n_draws, n_diag) != (1, 0):
+            raise FormatError(f"single factor file declares {n_draws} draws and "
+                              f"{n_diag} diagnostics, expected 1 and 0")
+        payload = 8 * n_diag + n_draws * 8 * (1 + (2 * n + T) * d)
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+        if payload > remaining:
+            raise FormatError(f"truncated factor file: header declares {payload} payload "
+                              f"bytes, {remaining} remain")
+        if payload < remaining:
+            raise FormatError("trailing bytes after factor payload")
         diag = []
         if n_diag:
             diag = list(np.frombuffer(_read_exact(fh, 8 * n_diag, "diagnostics"), dtype="<f8"))
@@ -167,9 +180,6 @@ def load_factors(path):
             V = _read_matrix(fh, n, d, f"V of draw {k}")
             R = _read_matrix(fh, T, d, f"R of draw {k}")
             draws.append(LatentFactors(U, V, R, alpha))
-        trailing = fh.read(1)
-        if trailing:
-            raise FormatError("trailing bytes after factor payload")
     if kind == _KIND_FACTORS:
         return draws[0]
     return SampleSet(draws=draws, log_likelihoods=diag)

@@ -84,43 +84,15 @@ def logistic(x):
     return out if out.ndim else float(out)
 
 
-def _check_indices(factors: LatentFactors, i: int, j: int, t: int) -> None:
-    n, T = factors.n_objects, factors.n_relations
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"object index out of range: ({i}, {j}) with N={n}")
-    if not (0 <= t < T):
-        raise IndexError(f"relation index out of range: {t} with T={T}")
-
-
-def reconstruct_entry(factors: LatentFactors, i: int, j: int, t: int) -> float:
-    """Triple inner product sum_d U[i,d] V[j,d] R[t,d]."""
-    _check_indices(factors, i, j, t)
-    return float(np.dot(factors.U[i] * factors.V[j], factors.R[t]))
-
-
 def reconstruct_entries(factors: LatentFactors, ii, jj, tt) -> np.ndarray:
-    """Vectorized :func:`reconstruct_entry` over coordinate arrays."""
+    """Triple inner products sum_d U[i,d] V[j,d] R[t,d] over coordinate arrays."""
     return np.einsum("nd,nd->n", factors.U[ii] * factors.V[jj], factors.R[tt])
 
 
-def predict_entry(factors: LatentFactors, i: int, j: int, t: int,
-                  config: ModelConfig) -> float:
-    """Model mean for one entry under the configured link."""
-    s = reconstruct_entry(factors, i, j, t)
-    return logistic(s) if config.use_logistic else s
-
-
 def predict_entries(factors: LatentFactors, ii, jj, tt, config: ModelConfig) -> np.ndarray:
+    """Model means under the configured link over coordinate arrays."""
     s = reconstruct_entries(factors, ii, jj, tt)
     return logistic(s) if config.use_logistic else s
-
-
-def predict_fiber(factors: LatentFactors, key, config: ModelConfig) -> np.ndarray:
-    """Length-T prediction vector for the ordered pair ``key``."""
-    i, j = key
-    _check_indices(factors, i, j, 0)
-    T = factors.n_relations
-    return predict_entries(factors, np.full(T, i), np.full(T, j), np.arange(T), config)
 
 
 def _check_tensor(factors: LatentFactors, tensor: RelationalTensor) -> None:

@@ -208,8 +208,3 @@ class TensorSlice:
     def __repr__(self) -> str:
         return (f"TensorSlice(n_objects={self.n_objects}, relation={self.relation}, "
                 f"observed={self.observed_count})")
-
-
-def build(n_objects: int, n_relations: int, triples) -> RelationalTensor:
-    """Module-level alias for :meth:`RelationalTensor.build`."""
-    return RelationalTensor.build(n_objects, n_relations, triples)

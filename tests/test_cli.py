@@ -1,12 +1,13 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from linkpattern.cli import build_parser, main
-from linkpattern.gibbs import predictive_mean, SampleSet
+from linkpattern.gibbs import SampleSet, predictive_scores
 from linkpattern.io import load_factors, save_triples
-from linkpattern.model import ModelConfig, predict_fiber
+from linkpattern.model import ModelConfig, predict_entries
 from linkpattern.tensor import RelationalTensor
 
 
@@ -64,7 +65,8 @@ def test_synth_fit_sample_predict_flow(tmp_path):
     assert len(lines) == 2
     fields = lines[0].split()
     assert fields[:2] == ["0", "1"] and len(fields) == 2 + 5
-    expected = predictive_mean(samples, (0, 1), ModelConfig(2, use_logistic=False))
+    expected = predictive_scores(samples, [0] * 5, [1] * 5, range(5),
+                                 ModelConfig(2, use_logistic=False))
     assert [f"{s:.6f}" for s in expected] == fields[2:]
     assert all(0.0 <= float(s) <= 1.0 for s in fields[2:])
 
@@ -93,6 +95,16 @@ def test_malformed_pairs_exits_1(data_file, tmp_path):
     pairs = tmp_path / "pairs.txt"
     pairs.write_text("0 1 junk\n")
     assert run_cli(["predict", "--factors", model, "--pairs", pairs,
+                    "--out", tmp_path / "p.txt"]) == 1
+
+
+def test_predict_oversized_factor_header_exits_1(tmp_path):
+    factors = tmp_path / "m.pltf"
+    factors.write_bytes(b"PLTF" + struct.pack("<BBIIIII", 1, 0, 2 ** 31, 1, 2 ** 31, 1, 0)
+                        + bytes(64))
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("0 1\n")
+    assert run_cli(["predict", "--factors", factors, "--pairs", pairs,
                     "--out", tmp_path / "p.txt"]) == 1
 
 
@@ -125,14 +137,17 @@ def test_predict_file_matches_per_pair_scores(data_file, tmp_path, kind, flags):
                     "--out", out, *flags]) == 0
 
     loaded = load_factors(factors_file)
+    fiber = np.arange(2)
     if kind == "samples":
         def score(key):
-            return predictive_mean(loaded, key, ModelConfig(2, use_logistic=False))
+            return predictive_scores(loaded, np.full(2, key[0]), np.full(2, key[1]), fiber,
+                                     ModelConfig(2, use_logistic=False))
     else:
         config = ModelConfig(2, use_logistic=not flags)
 
         def score(key):
-            return np.clip(predict_fiber(loaded, key, config), 0.0, 1.0)
+            return np.clip(predict_entries(loaded, np.full(2, key[0]), np.full(2, key[1]),
+                                           fiber, config), 0.0, 1.0)
     expected = "".join(f"{i} {j} " + " ".join(f"{s:.6f}" for s in score((i, j))) + "\n"
                        for i, j in keys)
     assert out.read_bytes() == expected.encode("utf-8")

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from linkpattern.evaluate import (METHOD_SCORERS, ExperimentResult, SplitSpec,
-                                  TrainSettings, auc, baseline_per_slice,
-                                  dimension_sweep, evaluate_method,
-                                  relation_ablation, split_fibers,
-                                  write_results_csv)
+                                  TrainSettings, auc, dimension_sweep,
+                                  evaluate_method, relation_ablation,
+                                  split_fibers, write_results_csv)
 from linkpattern.exceptions import DegenerateSplitError, UndefinedMetricError
 from linkpattern.gibbs import HyperPriors
 from linkpattern.io import SynthSpec, generate_synthetic
@@ -184,7 +183,7 @@ def test_baseline_per_slice_covers_all_test_entries():
     # drop one relation from the test side: that slice contributes nothing
     test_partial = test.without_relation(1)
     settings = TrainSettings(num_samples=30, burn_in=5)
-    res = baseline_per_slice(train, test_partial, rank=2, seed=0, settings=settings)
+    res = evaluate_method("baseline", train, test_partial, rank=2, seed=0, settings=settings)
     assert res.method == "baseline"
     assert res.auc is not None
     per_slice_counts = sum(test_partial.slice(t).observed_count for t in range(3))

@@ -7,7 +7,7 @@ from linkpattern.exceptions import (ConfigError, DimensionMismatchError,
                                     NotPositiveDefiniteError)
 from linkpattern.gibbs import (ChainConfig, FactorHyperState, GibbsState,
                                HyperPriors, SampleSet, gaussian_wishart_posterior,
-                               gibbs_sweep, predictive_mean, predictive_scores,
+                               gibbs_sweep, predictive_scores,
                                run_chain, sample_alpha, sample_factor_hypers,
                                sample_r_rows, sample_u_rows, sample_v_rows)
 from linkpattern.io import SynthSpec, generate_synthetic
@@ -360,14 +360,16 @@ def make_sample_set(r_values):
 
 
 def test_predictive_mean_examples():
+    def score(samples):
+        return predictive_scores(samples, [0], [0], [0], IDENTITY1)
+
     single = make_sample_set([0.3])
-    assert predictive_mean(single, (0, 0), IDENTITY1)[0] == pytest.approx(0.3)
+    assert score(single)[0] == pytest.approx(0.3)
     pair = make_sample_set([0.2, 0.8])
-    assert predictive_mean(pair, (0, 0), IDENTITY1)[0] == pytest.approx(0.5)
+    assert score(pair)[0] == pytest.approx(0.5)
     flipped = make_sample_set([0.8, 0.2])
-    assert np.array_equal(predictive_mean(pair, (0, 0), IDENTITY1),
-                          predictive_mean(flipped, (0, 0), IDENTITY1))
+    assert np.array_equal(score(pair), score(flipped))
     clamped = make_sample_set([-3.0, 5.0])  # per-sample clamp, then average
-    assert predictive_mean(clamped, (0, 0), IDENTITY1)[0] == pytest.approx(0.5)
+    assert score(clamped)[0] == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        predictive_mean(SampleSet(), (0, 0), IDENTITY1)
+        score(SampleSet())

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,38 @@ def test_factor_file_trailing_bytes_error(tmp_path):
     path = tmp_path / "f.pltf"
     save_factors(random_factors(), path)
     path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(FormatError):
+        load_factors(path)
+
+
+def write_factor_header(path, kind, n, t, d, n_draws, n_diag, payload=b""):
+    path.write_bytes(b"PLTF" + struct.pack("<BB", 1, kind)
+                     + struct.pack("<IIIII", n, t, d, n_draws, n_diag) + payload)
+
+
+def test_factor_file_kind0_with_many_draws_error(tmp_path):
+    # a sample set relabelled as a single factor set must not silently
+    # drop every draw but the first
+    path = tmp_path / "f.pltf"
+    save_factors(SampleSet(draws=[random_factors(seed=k) for k in range(2)],
+                           log_likelihoods=[-1.0, -2.0]), path)
+    data = bytearray(path.read_bytes())
+    data[5] = 0
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError):
+        load_factors(path)
+
+
+def test_factor_file_oversized_header_error(tmp_path):
+    path = tmp_path / "f.pltf"
+    write_factor_header(path, 0, 2 ** 31, 1, 2 ** 31, 1, 0, payload=bytes(64))
+    with pytest.raises(FormatError):
+        load_factors(path)
+
+
+def test_factor_file_empty_dimensions_error(tmp_path):
+    path = tmp_path / "f.pltf"
+    write_factor_header(path, 0, 0, 0, 0, 1, 0, payload=struct.pack("<d", 1.0))
     with pytest.raises(FormatError):
         load_factors(path)
 

@@ -5,14 +5,21 @@ import pytest
 
 from linkpattern.exceptions import DimensionMismatchError
 from linkpattern.model import (LatentFactors, ModelConfig, log_likelihood,
-                               logistic, predict_entry, predict_fiber,
-                               reconstruct_entry)
+                               logistic, predict_entries, reconstruct_entries)
 from linkpattern.tensor import RelationalTensor
 
 
 def factors_from_rows(u_rows, v_rows, r_rows, alpha=1.0):
     return LatentFactors(np.asarray(u_rows, float), np.asarray(v_rows, float),
                          np.asarray(r_rows, float), alpha)
+
+
+def reconstruct_one(factors, i, j, t):
+    return reconstruct_entries(factors, [i], [j], [t])[0]
+
+
+def predict_one(factors, i, j, t, config):
+    return predict_entries(factors, [i], [j], [t], config)[0]
 
 
 def test_latent_factors_validation():
@@ -28,13 +35,13 @@ def test_latent_factors_validation():
 
 def test_reconstruct_entry_examples():
     f = factors_from_rows([[1.0, 0.0]], [[0.5, 2.0]], [[2.0, 1.0]])
-    assert reconstruct_entry(f, 0, 0, 0) == pytest.approx(1.0)
+    assert reconstruct_one(f, 0, 0, 0) == pytest.approx(1.0)
     f = factors_from_rows([[0.0, 0.0]], [[0.5, 2.0]], [[2.0, 1.0]])
-    assert reconstruct_entry(f, 0, 0, 0) == 0.0
+    assert reconstruct_one(f, 0, 0, 0) == 0.0
     f = factors_from_rows([[2.0]], [[3.0]], [[-1.0]])
-    assert reconstruct_entry(f, 0, 0, 0) == pytest.approx(-6.0)
+    assert reconstruct_one(f, 0, 0, 0) == pytest.approx(-6.0)
     with pytest.raises(IndexError):
-        reconstruct_entry(f, 0, 1, 0)
+        reconstruct_one(f, 0, 1, 0)
 
 
 def test_logistic_properties():
@@ -50,25 +57,12 @@ def test_logistic_properties():
 
 def test_predict_entry_examples():
     zero = factors_from_rows([[0.0]], [[0.0]], [[0.0]])
-    assert predict_entry(zero, 0, 0, 0, ModelConfig(1, use_logistic=True)) == 0.5
+    assert predict_one(zero, 0, 0, 0, ModelConfig(1, use_logistic=True)) == 0.5
     one = factors_from_rows([[1.0]], [[1.0]], [[1.0]])
-    assert predict_entry(one, 0, 0, 0, ModelConfig(1, use_logistic=True)) == pytest.approx(0.7310585786)
+    assert predict_one(one, 0, 0, 0, ModelConfig(1, use_logistic=True)) == pytest.approx(0.7310585786)
     f = factors_from_rows([[2.0]], [[3.0]], [[-1.0]])
-    assert (predict_entry(f, 0, 0, 0, ModelConfig(1, use_logistic=False))
-            == reconstruct_entry(f, 0, 0, 0))
-
-
-def test_predict_fiber_matches_elementwise():
-    rng = np.random.default_rng(0)
-    f = LatentFactors(rng.normal(size=(4, 3)), rng.normal(size=(4, 3)),
-                      rng.normal(size=(5, 3)), 1.0)
-    config = ModelConfig(3, use_logistic=True)
-    fiber = predict_fiber(f, (1, 2), config)
-    assert len(fiber) == 5
-    for t in range(5):
-        assert fiber[t] == pytest.approx(predict_entry(f, 1, 2, t, config))
-    zero = factors_from_rows([[0.0]] * 2, [[0.0]] * 2, [[0.0]] * 3)
-    assert np.allclose(predict_fiber(zero, (0, 1), ModelConfig(1, use_logistic=True)), 0.5)
+    assert (predict_one(f, 0, 0, 0, ModelConfig(1, use_logistic=False))
+            == reconstruct_one(f, 0, 0, 0))
 
 
 def test_log_likelihood_examples():
@@ -113,13 +107,13 @@ def test_cp_multilinearity():
 
     def recon(u_row):
         f = LatentFactors(u_row[None, :], v[None, :], r[None, :], 1.0)
-        return reconstruct_entry(f, 0, 0, 0)
+        return reconstruct_one(f, 0, 0, 0)
 
     combined = recon(a * u1 + b * u2)
     assert combined == pytest.approx(a * recon(u1) + b * recon(u2))
 
     def recon_r(r_row):
         f = LatentFactors(u1[None, :], v[None, :], r_row[None, :], 1.0)
-        return reconstruct_entry(f, 0, 0, 0)
+        return reconstruct_one(f, 0, 0, 0)
 
     assert recon_r(a * r + b * u2) == pytest.approx(a * recon_r(r) + b * recon_r(u2))

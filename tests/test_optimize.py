@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from linkpattern import optimize
 from linkpattern.exceptions import StallError
 from linkpattern.model import LatentFactors, ModelConfig, log_likelihood
-from linkpattern.optimize import MapConfig, fit_map, gradients, line_search, objective
+from linkpattern.optimize import MapConfig, fit_map, gradients, objective
 from linkpattern.tensor import RelationalTensor
 
 IDENTITY = ModelConfig(1, use_logistic=False)
@@ -96,10 +97,15 @@ def test_gradients_match_central_differences(use_logistic):
     assert max_rel_error(analytic, numeric) <= 1e-5
 
 
+def backtrack_along(current, direction, grad, f_current, evaluate):
+    return optimize._backtrack(float(np.dot(grad, direction)),
+                               lambda step: evaluate(current + step * direction), f_current)
+
+
 def test_line_search_quadratic_accepts():
     current = np.array([2.0])
     grad = np.array([4.0])
-    step = line_search(current, -grad, grad, 4.0, lambda x: float(x @ x), MapConfig())
+    step = backtrack_along(current, -grad, grad, 4.0, lambda x: float(x @ x))
     assert step > 0
     assert float((current - step * grad)[0] ** 2) < 4.0
 
@@ -108,7 +114,26 @@ def test_line_search_rejects_ascent_direction():
     current = np.array([2.0])
     grad = np.array([4.0])
     with pytest.raises(StallError):
-        line_search(current, grad, grad, 4.0, lambda x: float(x @ x), MapConfig())
+        backtrack_along(current, grad, grad, 4.0, lambda x: float(x @ x))
+
+
+@pytest.mark.parametrize("use_logistic", [False, True])
+def test_line_objective_matches_objective_along_direction(use_logistic):
+    # fit_map's line search scores trial steps with the kernel's polynomial
+    # form; it must agree with the objective the oracles check
+    model_cfg = ModelConfig(2, use_logistic=use_logistic)
+    map_cfg = MapConfig(gamma_u=0.05, gamma_v=0.02, gamma_r=0.08)
+    tensor, factors = random_instance(seed=5)
+    rng = np.random.default_rng(21)
+    direction = tuple(rng.normal(0, 0.5, block.shape)
+                      for block in (factors.U, factors.V, factors.R))
+    at = optimize._Loss(tensor, model_cfg, map_cfg).line(
+        (factors.U, factors.V, factors.R), direction)
+    for step in (0.0, 1e-3, 0.37, 1.0):
+        moved = LatentFactors(factors.U + step * direction[0], factors.V + step * direction[1],
+                              factors.R + step * direction[2], 1.0)
+        assert at(step) == pytest.approx(objective(moved, tensor, model_cfg, map_cfg),
+                                         rel=1e-12, abs=0.0)
 
 
 def planted_rank1_tensor():

@@ -3,44 +3,44 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkpattern.exceptions import DataConflictError
-from linkpattern.tensor import build
+from linkpattern.tensor import RelationalTensor
 
 
 def test_build_single_entry():
-    tensor = build(2, 1, [(0, 1, 0, 1)])
+    tensor = RelationalTensor.build(2, 1, [(0, 1, 0, 1)])
     assert tensor.observed_count == 1
     assert tensor.value_at(0, 1, 0) == 1
 
 
 def test_build_empty():
-    tensor = build(2, 1, [])
+    tensor = RelationalTensor.build(2, 1, [])
     assert tensor.observed_count == 0
     assert tensor.value_at(0, 1, 0) is None
 
 
 def test_build_conflicting_duplicate():
     with pytest.raises(DataConflictError):
-        build(2, 1, [(0, 1, 0, 1), (0, 1, 0, 0)])
+        RelationalTensor.build(2, 1, [(0, 1, 0, 1), (0, 1, 0, 0)])
 
 
 def test_build_agreeing_duplicate_deduplicated():
-    tensor = build(2, 1, [(0, 1, 0, 1), (0, 1, 0, 1)])
+    tensor = RelationalTensor.build(2, 1, [(0, 1, 0, 1), (0, 1, 0, 1)])
     assert tensor.observed_count == 1
 
 
 @pytest.mark.parametrize("triple", [(2, 0, 0, 1), (0, 2, 0, 1), (0, 1, 1, 1), (-1, 0, 0, 1)])
 def test_build_rejects_out_of_range(triple):
     with pytest.raises(IndexError):
-        build(2, 1, [triple])
+        RelationalTensor.build(2, 1, [triple])
 
 
 def test_build_rejects_bad_value():
     with pytest.raises(ValueError):
-        build(2, 1, [(0, 1, 0, 2)])
+        RelationalTensor.build(2, 1, [(0, 1, 0, 2)])
 
 
 def test_value_at_observed_missing_and_errors():
-    tensor = build(2, 1, [(0, 1, 0, 1)])
+    tensor = RelationalTensor.build(2, 1, [(0, 1, 0, 1)])
     assert tensor.value_at(0, 1, 0) == 1
     assert tensor.value_at(1, 0, 0) is None
     with pytest.raises(IndexError):
@@ -48,7 +48,7 @@ def test_value_at_observed_missing_and_errors():
 
 
 def test_fiber_patterns():
-    tensor = build(3, 2, [(0, 1, 0, 1), (1, 2, 0, 1), (1, 2, 1, 0)])
+    tensor = RelationalTensor.build(3, 2, [(0, 1, 0, 1), (1, 2, 0, 1), (1, 2, 1, 0)])
     assert tensor.fiber((0, 1)) == (1, None)
     assert tensor.fiber((2, 0)) == (None, None)
     assert tensor.fiber((1, 2)) == (1, 0)
@@ -57,7 +57,7 @@ def test_fiber_patterns():
 
 
 def test_slice_exposes_single_relation():
-    tensor = build(2, 2, [(0, 1, 0, 1)])
+    tensor = RelationalTensor.build(2, 2, [(0, 1, 0, 1)])
     sl = tensor.slice(0)
     assert sl.observed_count == 1
     assert sl[0, 1] == 1
@@ -82,14 +82,14 @@ def test_slice_to_tensor_roundtrip(tiny_tensor):
 
 
 def test_hide_fibers_moves_whole_patterns():
-    tensor = build(2, 3, [(0, 1, t, 1) for t in range(3)])
+    tensor = RelationalTensor.build(2, 3, [(0, 1, t, 1) for t in range(3)])
     train, test = tensor.hide_fibers([(0, 1)])
     assert test.observed_count == 3
     assert train.observed_count == 0
 
 
 def test_hide_fibers_identity_and_total():
-    tensor = build(2, 2, [(0, 1, 0, 1), (1, 0, 1, 0)])
+    tensor = RelationalTensor.build(2, 2, [(0, 1, 0, 1), (1, 0, 1, 0)])
     train, test = tensor.hide_fibers([])
     assert train == tensor and test.observed_count == 0
     train, test = tensor.hide_fibers([(0, 1), (1, 0)])
@@ -102,7 +102,7 @@ def test_merged_with_and_without_relation(tiny_tensor):
     dropped = tiny_tensor.without_relation(0)
     assert dropped.observed_count == tiny_tensor.slice(1).observed_count
     with pytest.raises(DataConflictError):
-        build(2, 1, [(0, 1, 0, 1)]).merged_with(build(2, 1, [(0, 1, 0, 0)]))
+        RelationalTensor.build(2, 1, [(0, 1, 0, 1)]).merged_with(RelationalTensor.build(2, 1, [(0, 1, 0, 0)]))
 
 
 def test_entry_arrays_sorted_and_consistent(tiny_tensor):
@@ -121,7 +121,7 @@ triples_strategy = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(triples=triples_strategy)
 def test_mask_value_consistency(triples):
-    tensor = build(4, 3, triples)
+    tensor = RelationalTensor.build(4, 3, triples)
     observed = {(i, j, t): v for (i, j, t, v) in triples}
     for i in range(4):
         for j in range(4):
@@ -133,7 +133,7 @@ def test_mask_value_consistency(triples):
 @given(triples=triples_strategy,
        hidden=st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=6))
 def test_hide_fibers_partition_property(triples, hidden):
-    tensor = build(4, 3, triples)
+    tensor = RelationalTensor.build(4, 3, triples)
     train, test = tensor.hide_fibers(hidden)
     train_keys = set(train.observed_keys())
     test_keys = set(test.observed_keys())
@@ -147,7 +147,7 @@ def test_hide_fibers_partition_property(triples, hidden):
 @settings(max_examples=40, deadline=None)
 @given(triples=triples_strategy)
 def test_slice_fiber_consistency(triples):
-    tensor = build(4, 3, triples)
+    tensor = RelationalTensor.build(4, 3, triples)
     slices = [tensor.slice(t) for t in range(3)]
     for i in range(4):
         for j in range(4):
