@@ -18,8 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import ConfigError, DimensionMismatchError, NotPositiveDefiniteError
-from .model import (LatentFactors, ModelConfig, log_likelihood, predict_entries,
-                    reconstruct_entries)
+from .model import (LatentFactors, ModelConfig, _coordinates, _inner, log_likelihood,
+                    logistic, reconstruct_entries)
 from .rng import substream
 from .tensor import RelationalTensor
 
@@ -243,7 +243,7 @@ def sample_alpha(factors: LatentFactors, tensor: RelationalTensor,
     shape = priors.gamma_shape + 0.5 * yy.size
     if yy.size:
         resid = yy - reconstruct_entries(factors, ii, jj, tt)
-        scale = 1.0 / (1.0 / priors.gamma_scale + 0.5 * float(np.dot(resid, resid)))
+        scale = 1.0 / (1.0 / priors.gamma_scale + 0.5 * _inner(resid, resid))
     else:
         scale = priors.gamma_scale
     return float(rng.gamma(shape, scale))
@@ -420,11 +420,18 @@ def predictive_scores(samples: SampleSet, ii, jj, tt,
     """Monte-Carlo predictive mean over retained draws for coordinate arrays.
 
     Each draw's prediction is clamped into [0, 1] before averaging, so the
-    result is a valid score even under the identity link.
+    result is a valid score even under the identity link.  Raises
+    IndexError for a coordinate outside [0, N) or [0, T).
+
+    Each draw is evaluated on gathered factor rows, not through the CP
+    kernels of ``model._Entries``; ROADMAP item 2 says why.
     """
     if len(samples) == 0:
         raise ValueError("empty sample set")
-    total = np.zeros(len(np.atleast_1d(ii)), dtype=np.float64)
+    first = samples.draws[0]
+    ii, jj, tt = _coordinates(ii, jj, tt, first.n_objects, first.n_relations)
+    total = np.zeros(ii.size, dtype=np.float64)
     for factors in samples.draws:
-        total += np.clip(predict_entries(factors, ii, jj, tt, model_config), 0.0, 1.0)
+        s = np.einsum("nd,nd->n", factors.U[ii] * factors.V[jj], factors.R[tt])
+        total += np.clip(logistic(s) if model_config.use_logistic else s, 0.0, 1.0)
     return total / len(samples)

@@ -84,9 +84,154 @@ def logistic(x):
     return out if out.ndim else float(out)
 
 
+# The CP kernels evaluate on the masked-dense N x N x T form when the tensor
+# has at most this many cells per coordinate, and on gathered coordinate rows
+# otherwise.  Whole fit_map times, 10 logistic iterations on random tensors,
+# coordinate / dense (one BLAS thread, 2-vCPU Xeon VM, numpy 2.4):
+#   cells per entry           1.25   2.5    5     10    20    40    80
+#   N=50,  T=5,  D=5          1.65   1.60  0.93  0.67  0.52  0.43
+#   N=104, T=26, D=11         2.85   3.10  2.33  1.17  0.62  0.33  0.17
+#   N=200, T=10, D=10                2.88  2.25  1.13  0.62  0.32  0.17
+#   N=300, T=20, D=11                            1.47  1.11  0.51  0.18
+# The forms break even between about 5 (N=50) and 20 (N=300) cells per
+# entry, near 11 at the kinship data's size.
+DENSE_CELLS_PER_ENTRY = 10
+
+
+def _inner(a, b) -> float:
+    """<a, b> of two 1-D arrays, summed without BLAS.
+
+    OpenBLAS splits a long ``dot`` across its threads, so its rounding
+    depends on the thread count; ``einsum`` sums in one fixed order.
+    """
+    return float(np.einsum("i,i->", a, b))
+
+
+def _khatri_rao(B, C):
+    """Column-wise Khatri-Rao product: row ``j * len(C) + t`` is ``B[j] * C[t]``."""
+    return (B[:, None, :] * C[None, :, :]).reshape(-1, B.shape[1])
+
+
+def _gather(M, index):
+    """Rows ``M[index]`` laid out as a (D, len(index)) array.
+
+    One contiguous row per factor column makes the per-coordinate products,
+    the sum over D and the bincounts below run on contiguous memory.
+    """
+    return M.T.take(index, axis=1)
+
+
+def _scatter_rows(index, weighted, n_rows):
+    """Sum the columns of the (D, E) array ``weighted`` into ``n_rows`` bins.
+
+    bincount keeps summation deterministic (input order per bin) and is far
+    faster than ufunc.at on large coordinate lists.
+    """
+    return np.stack([np.bincount(index, weights=row, minlength=n_rows) for row in weighted],
+                    axis=1)
+
+
+def _coordinates(ii, jj, tt, n_objects: int, n_relations: int):
+    """The coordinate arrays as contiguous int64 arrays.
+
+    Raises IndexError for a coordinate outside [0, N) or [0, T), which numpy
+    indexing would wrap or a flat index would read as another cell.
+    """
+    coords = []
+    for values, bound in ((ii, n_objects), (jj, n_objects), (tt, n_relations)):
+        arr = np.asarray(values)
+        if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= bound):
+            raise IndexError(
+                f"coordinates out of range: objects must lie in [0, {n_objects}) "
+                f"and relations in [0, {n_relations})")
+        coords.append(np.ascontiguousarray(arr, dtype=np.int64))
+    return coords
+
+
+class _Entries:
+    """Range-checked coordinates of an N x N x T tensor and the CP primitives on them.
+
+    :meth:`reconstruct`, :meth:`cubic` (the reconstruction along a line) and
+    :meth:`mttkrp` hold the one choice between two forms of the same sums.
+    The masked-dense form, used when the tensor has at most
+    ``DENSE_CELLS_PER_ENTRY`` cells per coordinate, works on whole
+    unfoldings (Kolda & Bader 2009): the reconstruction is one
+    ``A @ khatri_rao(B, C).T`` read at the flat indices ``(i N + j) T + t``,
+    and the MTTKRPs contract a zero-filled weight tensor with Khatri-Rao
+    products.  The coordinate form gathers one factor row per coordinate.
+    """
+
+    def __init__(self, ii, jj, tt, n_objects: int, n_relations: int):
+        self.ii, self.jj, self.tt = _coordinates(ii, jj, tt, n_objects, n_relations)
+        self.n, self.t = n_objects, n_relations
+        self.dense = n_objects * n_objects * n_relations <= DENSE_CELLS_PER_ENTRY * self.ii.size
+        if self.dense:
+            self.flat = (self.ii * n_objects + self.jj) * n_relations + self.tt
+
+    def reconstruct(self, A, B, C) -> np.ndarray:
+        """sum_d A[i,d] B[j,d] C[t,d] at every coordinate."""
+        if self.dense:
+            # The BLAS product sums only D terms per cell; sums that short
+            # round alike under one and two OpenBLAS threads, unlike the
+            # N*T-term MTTKRP sums below (tests/test_blas_threads.py).
+            return (A @ _khatri_rao(B, C).T).take(self.flat)
+        return (_gather(A, self.ii) * _gather(B, self.jj) * _gather(C, self.tt)).sum(axis=0)
+
+    def cubic(self, A, B, C, dA, dB, dC):
+        """Coefficients (k0, k1, k2, k3) of the reconstruction along a line.
+
+        ``reconstruct(A + s dA, B + s dB, C + s dC)`` equals
+        ``k0 + s k1 + s^2 k2 + s^3 k3`` at every coordinate.  The dense form
+        reconstructs the eight multilinear terms; the coordinate form
+        gathers the six factors' rows once and shares their products, where
+        eight coordinate reconstructions made a whole fit on a sparse
+        tensor about 1.5 times slower.
+        """
+        if self.dense:
+            rec = self.reconstruct
+            return (rec(A, B, C),
+                    rec(dA, B, C) + rec(A, dB, C) + rec(A, B, dC),
+                    rec(dA, dB, C) + rec(dA, B, dC) + rec(A, dB, dC),
+                    rec(dA, dB, dC))
+        a, b, c = _gather(A, self.ii), _gather(B, self.jj), _gather(C, self.tt)
+        da, db, dc = _gather(dA, self.ii), _gather(dB, self.jj), _gather(dC, self.tt)
+        ab, dab, dadb = a * b, da * b + a * db, da * db
+        return ((ab * c).sum(axis=0), (dab * c + ab * dc).sum(axis=0),
+                (dadb * c + dab * dc).sum(axis=0), (dadb * dc).sum(axis=0))
+
+    def mttkrp(self, w, A, B, C):
+        """Weighted MTTKRPs of every mode: per row, the sum of ``w`` times the
+        products of the other two factors' rows, e.g. ``sum w B[j] o C[t]``
+        over the coordinates of row i of A.
+
+        The coordinates must be distinct.  For coordinates in sorted
+        (i, j, t) order, as ``RelationalTensor.entry_arrays`` gives them,
+        both forms add the same products in the same order and agree
+        bitwise.  The dense sums use ``einsum`` rather than BLAS, whose long
+        reductions round differently with different thread counts.
+        """
+        n, T = self.n, self.t
+        if not self.dense:
+            a, b, c = _gather(A, self.ii), _gather(B, self.jj), _gather(C, self.tt)
+            return (_scatter_rows(self.ii, w * (b * c), n),
+                    _scatter_rows(self.jj, w * (a * c), n),
+                    _scatter_rows(self.tt, w * (a * b), T))
+        weights = np.zeros(n * n * T)
+        weights[self.flat] = w
+        weights = weights.reshape(n, n, T)
+        by_j = weights.transpose(1, 0, 2).reshape(n, n * T)
+        return (np.einsum("ik,kd->id", weights.reshape(n, n * T), _khatri_rao(B, C)),
+                np.einsum("jk,kd->jd", by_j, _khatri_rao(A, C)),
+                np.einsum("kt,kd->td", weights.reshape(n * n, T), _khatri_rao(A, B)))
+
+
 def reconstruct_entries(factors: LatentFactors, ii, jj, tt) -> np.ndarray:
-    """Triple inner products sum_d U[i,d] V[j,d] R[t,d] over coordinate arrays."""
-    return np.einsum("nd,nd->n", factors.U[ii] * factors.V[jj], factors.R[tt])
+    """Triple inner products sum_d U[i,d] V[j,d] R[t,d] over coordinate arrays.
+
+    Raises IndexError for a coordinate outside [0, N) or [0, T).
+    """
+    entries = _Entries(ii, jj, tt, factors.n_objects, factors.n_relations)
+    return entries.reconstruct(factors.U, factors.V, factors.R)
 
 
 def predict_entries(factors: LatentFactors, ii, jj, tt, config: ModelConfig) -> np.ndarray:
@@ -113,7 +258,7 @@ def log_likelihood(factors: LatentFactors, tensor: RelationalTensor,
     ii, jj, tt, yy = tensor.entry_arrays()
     if yy.size == 0:
         return 0.0
-    m = predict_entries(factors, ii, jj, tt, config)
+    resid = yy - predict_entries(factors, ii, jj, tt, config)
     a = factors.alpha
-    sse = float(np.dot(yy - m, yy - m))
+    sse = _inner(resid, resid)
     return 0.5 * yy.size * (np.log(a) - np.log(2.0 * np.pi)) - 0.5 * a * sse

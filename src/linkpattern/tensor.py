@@ -27,8 +27,11 @@ FiberKey = tuple
 class RelationalTensor:
     """Sparse N x N x T binary tensor with an explicit observed mask.
 
-    Storage is a coordinate dict plus a per-pair fiber index; the expected
-    datasets are small and sparse, so no dense representation is kept.
+    Storage is a coordinate dict plus a per-pair fiber index.  The model
+    kernels read the cached :meth:`entry_arrays`; for a tensor with few
+    cells per observed entry (the paper's datasets are nearly fully
+    observed) they evaluate on a masked-dense N x N x T form built from
+    those arrays (``model._Entries``), and on the coordinates otherwise.
     """
 
     __slots__ = ("n_objects", "n_relations", "_values", "_fiber_index", "_arrays")

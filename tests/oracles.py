@@ -95,6 +95,15 @@ def r_row_designs(factors, tensor, t):
             [v for (_i, _j, c, v) in TRIPLES if c == t])
 
 
+def reference_entries(factors, ii, jj, tt):
+    """CP reconstruction one coordinate at a time: sum_d U[i,d] V[j,d] R[t,d]."""
+    out = np.empty(len(ii))
+    for k, (i, j, t) in enumerate(zip(ii, jj, tt)):
+        out[k] = sum(factors.U[i, d] * factors.V[j, d] * factors.R[t, d]
+                     for d in range(factors.rank))
+    return out
+
+
 def reference_factor_rows(factors, tensor, hyper, block, rng):
     """Row-at-a-time draw of factor block ``"u"``, ``"v"`` or ``"r"``.
 

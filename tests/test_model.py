@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from linkpattern import model
 from linkpattern.exceptions import DimensionMismatchError
+from linkpattern.gibbs import SampleSet, predictive_scores
 from linkpattern.model import (LatentFactors, ModelConfig, log_likelihood,
                                logistic, predict_entries, reconstruct_entries)
 from linkpattern.tensor import RelationalTensor
+
+from oracles import reference_entries
 
 
 def factors_from_rows(u_rows, v_rows, r_rows, alpha=1.0):
@@ -42,6 +46,58 @@ def test_reconstruct_entry_examples():
     assert reconstruct_one(f, 0, 0, 0) == pytest.approx(-6.0)
     with pytest.raises(IndexError):
         reconstruct_one(f, 0, 1, 0)
+
+
+def random_factors(seed, n, t, d):
+    rng = np.random.default_rng(seed)
+    return LatentFactors(rng.normal(size=(n, d)), rng.normal(size=(n, d)),
+                         rng.normal(size=(t, d)), 1.0)
+
+
+@pytest.mark.parametrize("dense", [True, False])
+def test_reconstruct_entries_matches_per_entry_loop(dense):
+    n, t = 6, 4
+    f = random_factors(7, n, t, 3)
+    if dense:  # every cell: one cell per coordinate
+        ii, jj, tt = (a.ravel() for a in np.indices((n, n, t)))
+    else:
+        rng = np.random.default_rng(8)
+        ii, jj, tt = rng.integers(0, n, 4), rng.integers(0, n, 4), rng.integers(0, t, 4)
+    assert model._Entries(ii, jj, tt, n, t).dense is dense
+    np.testing.assert_allclose(reconstruct_entries(f, ii, jj, tt),
+                               reference_entries(f, ii, jj, tt), rtol=1e-12, atol=1e-13)
+
+
+def test_mttkrp_forms_agree_bitwise():
+    # both forms add the same products in coordinate order
+    f = random_factors(10, 5, 3, 2)
+    rng = np.random.default_rng(11)
+    ii, jj, tt = np.nonzero(rng.random((5, 5, 3)) < 0.7)
+    w = rng.normal(size=ii.size)
+    dense = model._Entries(ii, jj, tt, 5, 3)
+    coordinate = model._Entries(ii, jj, tt, 5, 3)
+    coordinate.dense = False
+    assert dense.dense
+    for a, b in zip(dense.mttkrp(w, f.U, f.V, f.R), coordinate.mttkrp(w, f.U, f.V, f.R)):
+        assert np.array_equal(a, b)
+    np.testing.assert_allclose(dense.reconstruct(f.U, f.V, f.R),
+                               coordinate.reconstruct(f.U, f.V, f.R), rtol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [(0, 2, 0), (-1, 0, 0), (0, 0, 8), (0, 0, -1)])
+@pytest.mark.parametrize("dense", [True, False])
+def test_scoring_rejects_out_of_range_coordinates(bad, dense):
+    # N = 2, T = 8: flat indexing would read (0, 2, 0) as cell (1, 0, 0)
+    f = random_factors(9, 2, 8, 2)
+    good = [a.ravel() for a in np.indices((2, 2, 8))] if dense else [[1], [1], [3]]
+    assert model._Entries(*good, 2, 8).dense is dense
+    ii, jj, tt = (np.append(axis, value) for axis, value in zip(good, bad))
+    samples = SampleSet(draws=[f])
+    for score in (lambda: reconstruct_entries(f, ii, jj, tt),
+                  lambda: predict_entries(f, ii, jj, tt, ModelConfig(2)),
+                  lambda: predictive_scores(samples, ii, jj, tt, ModelConfig(2))):
+        with pytest.raises(IndexError):
+            score()
 
 
 def test_logistic_properties():

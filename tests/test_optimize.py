@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from linkpattern import optimize
+from linkpattern import model, optimize
 from linkpattern.exceptions import StallError
 from linkpattern.model import LatentFactors, ModelConfig, log_likelihood
 from linkpattern.optimize import MapConfig, fit_map, gradients, objective
@@ -87,11 +87,29 @@ def max_rel_error(analytic, numeric):
     return worst
 
 
-@pytest.mark.parametrize("use_logistic", [False, True])
-def test_gradients_match_central_differences(use_logistic):
+def instance_on_side(dense):
+    """A random instance on the masked-dense or the coordinate side of the kernel."""
+    if dense:
+        tensor, factors = random_instance(seed=5)
+    else:
+        tensor, factors = random_instance(seed=5, n=8, t=3,
+                                          fill=0.5 / model.DENSE_CELLS_PER_ENTRY)
+    assert optimize._Loss(tensor, IDENTITY, MapConfig()).entries.dense is dense
+    assert tensor.observed_count >= 3
+    return tensor, factors
+
+
+# [False] and [True] name the link; the -coordinate cases rerun it on the other kernel form
+BOTH_FORMS = pytest.mark.parametrize(
+    "use_logistic, dense", [(False, True), (True, True), (False, False), (True, False)],
+    ids=["False", "True", "False-coordinate", "True-coordinate"])
+
+
+@BOTH_FORMS
+def test_gradients_match_central_differences(use_logistic, dense):
     model_cfg = ModelConfig(2, use_logistic=use_logistic)
     map_cfg = MapConfig(gamma_u=0.05, gamma_v=0.02, gamma_r=0.08)
-    tensor, factors = random_instance(seed=5)
+    tensor, factors = instance_on_side(dense)
     analytic = gradients(factors, tensor, model_cfg, map_cfg)
     numeric = finite_difference_gradients(factors, tensor, model_cfg, map_cfg)
     assert max_rel_error(analytic, numeric) <= 1e-5
@@ -117,13 +135,13 @@ def test_line_search_rejects_ascent_direction():
         backtrack_along(current, grad, grad, 4.0, lambda x: float(x @ x))
 
 
-@pytest.mark.parametrize("use_logistic", [False, True])
-def test_line_objective_matches_objective_along_direction(use_logistic):
+@BOTH_FORMS
+def test_line_objective_matches_objective_along_direction(use_logistic, dense):
     # fit_map's line search scores trial steps with the kernel's polynomial
     # form; it must agree with the objective the oracles check
     model_cfg = ModelConfig(2, use_logistic=use_logistic)
     map_cfg = MapConfig(gamma_u=0.05, gamma_v=0.02, gamma_r=0.08)
-    tensor, factors = random_instance(seed=5)
+    tensor, factors = instance_on_side(dense)
     rng = np.random.default_rng(21)
     direction = tuple(rng.normal(0, 0.5, block.shape)
                       for block in (factors.U, factors.V, factors.R))
@@ -181,7 +199,20 @@ def test_fit_map_trace_monotone_and_consistent():
     assert all(b <= a for a, b in zip(trace.objectives, trace.objectives[1:]))
     assert trace.objectives[-1] == pytest.approx(
         objective(factors, tensor, ModelConfig(2, use_logistic=True), map_cfg))
-    assert trace.termination in {"converged", "max_iterations", "stalled"}
+    assert trace.termination in {"converged", "no_progress", "max_iterations", "stalled"}
+
+
+def test_fit_map_reports_no_progress_stop():
+    # no relative decrease falls below this tolerance, so the fit runs until
+    # an accepted step no longer lowers the directly evaluated objective
+    tensor, _ = random_instance(seed=11, n=3, t=2)
+    model_cfg = ModelConfig(2, use_logistic=False)
+    map_cfg = MapConfig(seed=11, max_iterations=5000, rel_tolerance=1e-300)
+    factors, trace = fit_map(tensor, model_cfg, map_cfg)
+    assert trace.termination == "no_progress"
+    assert trace.iterations < map_cfg.max_iterations
+    # the rejected iterate is dropped: the result is the last accepted one
+    assert trace.objectives[-1] == objective(factors, tensor, model_cfg, map_cfg)
 
 
 def test_map_objective_matches_negative_log_posterior_argmin():
