@@ -7,7 +7,8 @@ ships in this package's format, so this shim documents the two layouts we
 accept and how they map onto the ``N T`` / ``i j t v`` triple files:
 
 edgelist
-    One observed positive link per line: ``i j t`` (0-based indices).
+    One observed positive link per line: ``i j t`` (0-based indices
+    inside N and T; any other line is an error naming its file and line).
     Everything absent is treated as unobserved by default; pass
     ``--closed-world`` to record every absent (i, j, t) cell as an
     observed 0 instead (the usual reading for fully-crawled adjacency
@@ -15,8 +16,9 @@ edgelist
 
 matrix
     One whitespace-separated dense N x N matrix file per relation, passed
-    in relation order.  Cells must be 0, 1, or one of ``? - NaN`` for
-    unobserved.
+    in relation order.  Cells must be 0, 1, or one of ``? - NaN NA`` for
+    unobserved; any other cell is an error naming its file, row and column
+    (0-based, row i and column j holding the cell (i, j)).
 
 Both layouts accept ``--symmetrize`` (mirror (i, j) onto (j, i)) and
 ``--drop-self-pairs``.  The mapping of raw ids to 0-based indices is the
@@ -34,16 +36,27 @@ from linkpattern.tensor import RelationalTensor  # noqa: E402
 MISSING_TOKENS = {"?", "-", "nan", "na"}
 
 
-def read_edgelist(paths, n_objects, n_relations, closed_world):
+def read_edgelist(paths, n_objects, n_relations, closed_world, symmetrize):
     links = set()
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
+            for line_number, line in enumerate(fh, start=1):
                 body = line.strip()
                 if not body or body.startswith("#"):
                     continue
-                i, j, t = (int(p) for p in body.split()[:3])
+                try:
+                    i, j, t = (int(p) for p in body.split()[:3])
+                except ValueError:
+                    raise SystemExit(f"{path}: line {line_number}: expected integer "
+                                     f"'i j t', got {body!r}") from None
+                if not (0 <= i < n_objects and 0 <= j < n_objects and 0 <= t < n_relations):
+                    raise SystemExit(f"{path}: line {line_number}: index out of range for "
+                                     f"N={n_objects}, T={n_relations}: {body!r}")
                 links.add((i, j, t))
+    if symmetrize:
+        # mirror before the closed world fills the gaps, so that a link
+        # listed one way round does not meet an observed 0 the other way
+        links |= {(j, i, t) for (i, j, t) in links}
     triples = [(i, j, t, 1) for (i, j, t) in sorted(links)]
     if closed_world:
         triples += [(i, j, t, 0)
@@ -63,7 +76,14 @@ def read_matrices(paths, n_objects):
             for j, cell in enumerate(row):
                 if cell.lower() in MISSING_TOKENS:
                     continue
-                triples.append((i, j, t, int(float(cell))))
+                try:
+                    value = float(cell)
+                except ValueError:
+                    value = None
+                if value not in (0.0, 1.0):
+                    raise SystemExit(f"{path}: row {i}, column {j}: cell {cell!r} is not "
+                                     f"0, 1 or a missing token")
+                triples.append((i, j, t, int(value)))
     return triples
 
 
@@ -83,7 +103,7 @@ def main(argv=None):
 
     if args.format == "edgelist":
         triples = read_edgelist(args.inputs, args.n_objects, args.n_relations,
-                                args.closed_world)
+                                args.closed_world, args.symmetrize)
     else:
         if len(args.inputs) != args.n_relations:
             raise SystemExit("matrix format expects one input file per relation")

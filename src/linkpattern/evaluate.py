@@ -217,11 +217,9 @@ def evaluate_method(method: Union[str, Callable], train: RelationalTensor,
     :class:`UndefinedMetricError` when the test set has a single class.
     """
     settings = settings if settings is not None else TrainSettings()
-    keys = test.observed_keys()
-    if not keys:
+    ii, jj, tt, labels = test.entry_arrays()
+    if not labels.size:
         raise UndefinedMetricError("test tensor has no observed entries")
-    coords = np.asarray(keys, dtype=np.int64)
-    ii, jj, tt = coords[:, 0], coords[:, 1], coords[:, 2]
 
     if callable(method):
         scorer, name = method, getattr(method, "__name__", "custom")
@@ -236,7 +234,6 @@ def evaluate_method(method: Union[str, Callable], train: RelationalTensor,
                                settings=settings), dtype=np.float64)
     wall = time.perf_counter() - start
 
-    labels = np.array([test.value_at(i, j, t) for i, j, t in keys])
     value = _pooled_or_macro(scores, labels, tt, macro_average)
     return ExperimentResult(method=name, split=split, rank=rank, seed=seed,
                             auc=value, wall_time_s=wall, repeat_index=repeat_index)
@@ -261,8 +258,8 @@ def _restore_relation(original_test: RelationalTensor, train: RelationalTensor, 
     """Move every test observation of relation ``t`` back into training."""
     ii, jj, tt, yy = original_test.entry_arrays()
     mask = tt == t
-    restored = RelationalTensor.build(train.n_objects, train.n_relations,
-                                      zip(ii[mask], jj[mask], tt[mask], yy[mask]))
+    restored = RelationalTensor(train.n_objects, train.n_relations,
+                                ii[mask], jj[mask], tt[mask], yy[mask])
     return train.merged_with(restored), original_test.without_relation(t)
 
 

@@ -97,10 +97,11 @@ def load_triples(path, *, drop_self_pairs: bool = False,
 
 def save_triples(tensor: RelationalTensor, path) -> None:
     """Write a tensor as a triple text file (sorted keys, LF endings)."""
+    ii, jj, tt, yy = tensor.entry_arrays()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{tensor.n_objects} {tensor.n_relations}\n")
-        for (i, j, t) in tensor.observed_keys():
-            fh.write(f"{i} {j} {t} {tensor.value_at(i, j, t)}\n")
+        fh.writelines(f"{i} {j} {t} {y}\n" for i, j, t, y in
+                      zip(ii.tolist(), jj.tolist(), tt.tolist(), yy.astype(np.int64).tolist()))
 
 
 def _write_matrix(fh, mat: np.ndarray) -> None:
@@ -259,6 +260,4 @@ def _generate(spec: SynthSpec):
     flat = rng.choice(total, size=n_observed, replace=False)
     flat.sort()
     ii, jj, tt = np.unravel_index(flat, (n, n, T))
-    triples = [(int(i), int(j), int(t), int(labels[i, j, t]))
-               for i, j, t in zip(ii, jj, tt)]
-    return RelationalTensor.build(n, T, triples), truth, reals
+    return RelationalTensor(n, T, ii, jj, tt, labels[ii, jj, tt]), truth, reals

@@ -6,9 +6,11 @@ observed reports ``None``, never a value.  The length-T vector of relation
 values between one ordered object pair (a tube fiber) is the unit of
 prediction throughout the package.
 
-Tensors are immutable after construction; every "mutation" is a
-constructor returning a new value, so instances are safe to share across
-workers.
+Storage is the coordinate layout of Kolda & Bader 2009: four read-only
+arrays ``(ii, jj, tt, yy)``, int64 coordinates and float64 0/1 values of
+the observed entries, sorted by ``(i, j, t)`` without duplicates.  Every
+tensor is made by one validating constructor, and every "mutation" returns
+a new tensor, so instances are safe to share across workers.
 """
 
 from typing import Iterable, Optional, Sequence
@@ -24,91 +26,118 @@ LinkPattern = tuple
 FiberKey = tuple
 
 
+def _checked(values, bound: int, what: str, error=IndexError) -> np.ndarray:
+    """``values`` as int64.  Raises ValueError unless every entry is an exact
+    integer, and ``error`` unless it lies in [0, bound)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "f" and np.isfinite(arr).all() and (np.trunc(arr) == arr).all():
+        arr = arr.astype(np.int64)
+    if arr.dtype.kind not in "biu":
+        raise ValueError(f"{what} must be exact integers")
+    if arr.size and (arr.min() < 0 or arr.max() >= bound):
+        raise error(f"{what} must lie in [0, {bound})")
+    return arr.astype(np.int64)
+
+
+def _rows(items, width: int, what: str) -> np.ndarray:
+    """An iterable of equal-length tuples as a (count, width) array."""
+    rows = np.asarray(list(items))
+    if rows.size == 0:
+        rows = rows.reshape(0, width)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"{what} must be rows of {width} fields")
+    return rows
+
+
 class RelationalTensor:
     """Sparse N x N x T binary tensor with an explicit observed mask.
 
-    Storage is a coordinate dict plus a per-pair fiber index.  The model
-    kernels read the cached :meth:`entry_arrays`; for a tensor with few
-    cells per observed entry (the paper's datasets are nearly fully
-    observed) they evaluate on a masked-dense N x N x T form built from
-    those arrays (``model._Entries``), and on the coordinates otherwise.
+    The constructor is the one validation: it raises IndexError for a
+    coordinate out of range, ValueError for a field that is not an exact
+    integer or a value outside {0, 1}, and :class:`DataConflictError` for
+    duplicates that disagree; agreeing duplicates are merged.
     """
 
-    __slots__ = ("n_objects", "n_relations", "_values", "_fiber_index", "_arrays")
+    __slots__ = ("n_objects", "n_relations", "_entries")
 
-    def __init__(self, n_objects: int, n_relations: int, values: dict):
-        if n_objects < 1 or n_relations < 1:
+    def __init__(self, n_objects: int, n_relations: int, ii, jj, tt, yy):
+        self.n_objects = n = int(n_objects)
+        self.n_relations = T = int(n_relations)
+        if n < 1 or T < 1:
             raise ValueError("tensor dimensions must be positive")
-        self.n_objects = int(n_objects)
-        self.n_relations = int(n_relations)
-        self._values = values
-        self._fiber_index = {}
-        for (i, j, t) in values:
-            self._fiber_index.setdefault((i, j), set()).add(t)
-        self._arrays = None
+        ii, jj = (_checked(a, n, "object indices") for a in (ii, jj))
+        tt = _checked(tt, T, "relation indices")
+        yy = _checked(yy, 2, "relation values", ValueError)
+        if ii.ndim != 1 or not ii.shape == jj.shape == tt.shape == yy.shape:
+            raise ValueError("coordinate and value arrays must be 1-D of equal length")
+        key = (ii * n + jj) * T + tt
+        order = np.argsort(key, kind="stable")
+        ii, jj, tt, yy, key = ii[order], jj[order], tt[order], yy[order], key[order]
+        first = np.diff(key, prepend=-1) != 0
+        clash = ~first[1:] & (yy[1:] != yy[:-1])
+        if clash.any():
+            k = np.argmax(clash)
+            raise DataConflictError(f"conflicting values for entry ({ii[k]}, {jj[k]}, {tt[k]}): "
+                                    f"{yy[k]} vs {yy[k + 1]}")
+        self._entries = (ii[first], jj[first], tt[first], yy[first].astype(np.float64))
+        for arr in self._entries:
+            arr.flags.writeable = False
 
     @classmethod
     def build(cls, n_objects: int, n_relations: int,
               triples: Iterable[Sequence[int]]) -> "RelationalTensor":
-        """Assemble a tensor from (i, j, t, value) triples.
-
-        Duplicate triples with the same value are deduplicated silently;
-        duplicates that disagree raise :class:`DataConflictError`.
-        """
-        values: dict = {}
-        for i, j, t, v in triples:
-            i, j, t, v = int(i), int(j), int(t), int(v)
-            if not (0 <= i < n_objects and 0 <= j < n_objects):
-                raise IndexError(f"object index out of range: ({i}, {j}) with N={n_objects}")
-            if not (0 <= t < n_relations):
-                raise IndexError(f"relation index out of range: {t} with T={n_relations}")
-            if v not in (0, 1):
-                raise ValueError(f"relation value must be 0 or 1, got {v}")
-            key = (i, j, t)
-            old = values.get(key)
-            if old is None:
-                values[key] = v
-            elif old != v:
-                raise DataConflictError(f"conflicting values for entry {key}: {old} vs {v}")
-        return cls(n_objects, n_relations, values)
+        """Assemble a tensor from (i, j, t, value) triples, checked as above."""
+        return cls(n_objects, n_relations, *_rows(triples, 4, "triples").T)
 
     @property
     def observed_count(self) -> int:
-        return len(self._values)
-
-    def _check_pair(self, i: int, j: int) -> None:
-        if not (0 <= i < self.n_objects and 0 <= j < self.n_objects):
-            raise IndexError(f"object index out of range: ({i}, {j}) with N={self.n_objects}")
+        return self._entries[3].size
 
     def _check_relation(self, t: int) -> None:
         if not (0 <= t < self.n_relations):
             raise IndexError(f"relation index out of range: {t} with T={self.n_relations}")
 
+    def _fiber_span(self, i: int, j: int) -> slice:
+        """The run of stored entries of fiber (i, j), found by binary search."""
+        if not (0 <= i < self.n_objects and 0 <= j < self.n_objects):
+            raise IndexError(f"object index out of range: ({i}, {j}) with N={self.n_objects}")
+        lo, hi = np.searchsorted(self._entries[0], (i, i + 1))
+        lo, hi = lo + np.searchsorted(self._entries[1][lo:hi], (j, j + 1))
+        return slice(lo, hi)
+
+    def _select(self, keep: np.ndarray) -> "RelationalTensor":
+        return RelationalTensor(self.n_objects, self.n_relations,
+                                *(a[keep] for a in self._entries))
+
     def value_at(self, i: int, j: int, t: int) -> Optional[int]:
         """Observed value at (i, j, t), or None when the entry is missing."""
-        self._check_pair(i, j)
+        span = self._fiber_span(i, j)
         self._check_relation(t)
-        return self._values.get((i, j, t))
+        tt = self._entries[2][span]
+        k = np.searchsorted(tt, t)
+        return int(self._entries[3][span][k]) if k < tt.size and tt[k] == t else None
 
     def fiber(self, key: FiberKey) -> LinkPattern:
         """Length-T link pattern for the ordered pair ``key``."""
         i, j = key
-        self._check_pair(i, j)
-        return tuple(self._values.get((i, j, t)) for t in range(self.n_relations))
+        return tuple(self.value_at(i, j, t) for t in range(self.n_relations))
 
     def slice(self, t: int) -> "TensorSlice":
         """Sparse N x N view of relation ``t`` with the same mask semantics."""
         self._check_relation(t)
-        cells = {(i, j): v for (i, j, tt), v in self._values.items() if tt == t}
-        return TensorSlice(self.n_objects, t, cells)
+        keep = self._entries[2] == t
+        ii, jj, _tt, yy = (a[keep] for a in self._entries)
+        return TensorSlice(t, RelationalTensor(self.n_objects, 1, ii, jj, np.zeros_like(ii), yy))
 
     def fiber_keys(self) -> list:
         """Ordered pairs with at least one observed relation, sorted."""
-        return sorted(self._fiber_index)
+        pairs = np.unique(self._entries[0] * self.n_objects + self._entries[1])
+        i, j = np.divmod(pairs, self.n_objects)
+        return list(zip(i.tolist(), j.tolist()))
 
     def observed_keys(self) -> list:
         """All observed (i, j, t) keys, sorted."""
-        return sorted(self._values)
+        return list(zip(*(a.tolist() for a in self._entries[:3])))
 
     def hide_fibers(self, keys) -> tuple:
         """Move every observed entry of the named fibers into a test tensor.
@@ -116,64 +145,38 @@ class RelationalTensor:
         Returns ``(train, test)``: a disjoint partition of the observations
         whose union is this tensor.
         """
-        hidden = set()
-        for key in keys:
-            i, j = key
-            self._check_pair(i, j)
-            hidden.add((i, j))
-        train_values, test_values = {}, {}
-        for (i, j, t), v in self._values.items():
-            if (i, j) in hidden:
-                test_values[(i, j, t)] = v
-            else:
-                train_values[(i, j, t)] = v
-        return (RelationalTensor(self.n_objects, self.n_relations, train_values),
-                RelationalTensor(self.n_objects, self.n_relations, test_values))
+        n = self.n_objects
+        pairs = _checked(_rows(keys, 2, "fiber keys"), n, "fiber keys")
+        hidden = np.isin(self._entries[0] * n + self._entries[1], pairs[:, 0] * n + pairs[:, 1])
+        return self._select(~hidden), self._select(hidden)
 
     def merged_with(self, other: "RelationalTensor") -> "RelationalTensor":
         """Union of two observation sets over the same index space."""
         if (other.n_objects, other.n_relations) != (self.n_objects, self.n_relations):
             raise ValueError("cannot merge tensors of different shape")
-        values = dict(self._values)
-        for key, v in other._values.items():
-            old = values.get(key)
-            if old is None:
-                values[key] = v
-            elif old != v:
-                raise DataConflictError(f"conflicting values for entry {key}: {old} vs {v}")
-        return RelationalTensor(self.n_objects, self.n_relations, values)
+        return RelationalTensor(self.n_objects, self.n_relations,
+                                *map(np.concatenate, zip(self._entries, other._entries)))
 
     def without_relation(self, t: int) -> "RelationalTensor":
         """Copy with every observation of relation ``t`` dropped."""
         self._check_relation(t)
-        values = {k: v for k, v in self._values.items() if k[2] != t}
-        return RelationalTensor(self.n_objects, self.n_relations, values)
+        return self._select(self._entries[2] != t)
 
     def entry_arrays(self):
-        """Coordinate arrays (ii, jj, tt, yy) in sorted key order.
-
-        The value array is float64; index arrays are int64.  Cached, since
-        tensors are immutable.
-        """
-        if self._arrays is None:
-            keys = self.observed_keys()
-            if keys:
-                coords = np.asarray(keys, dtype=np.int64)
-                ii, jj, tt = coords[:, 0], coords[:, 1], coords[:, 2]
-            else:
-                ii = jj = tt = np.empty(0, dtype=np.int64)
-            yy = np.asarray([self._values[k] for k in keys], dtype=np.float64)
-            self._arrays = (ii, jj, tt, yy)
-        return self._arrays
+        """The stored read-only arrays (ii, jj, tt, yy), in sorted key order."""
+        return self._entries
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RelationalTensor):
             return NotImplemented
-        return (self.n_objects == other.n_objects
-                and self.n_relations == other.n_relations
-                and self._values == other._values)
+        return ((self.n_objects, self.n_relations) == (other.n_objects, other.n_relations)
+                and all(map(np.array_equal, self._entries, other._entries)))
 
-    __hash__ = None  # unhashable: holds a dict
+    __hash__ = None  # unhashable: equality compares the stored arrays
+
+    def __reduce__(self):
+        # unpickled copies pass the constructor too, so they are read-only again
+        return RelationalTensor, (self.n_objects, self.n_relations) + self._entries
 
     def __repr__(self) -> str:
         return (f"RelationalTensor(n_objects={self.n_objects}, "
@@ -181,32 +184,27 @@ class RelationalTensor:
 
 
 class TensorSlice:
-    """One relation type of a tensor, viewed as a sparse masked matrix."""
+    """One relation type of a tensor, viewed as a sparse masked matrix: a thin
+    view over the T=1 tensor of the slice's entries (relation index 0)."""
 
-    __slots__ = ("n_objects", "relation", "_cells")
+    __slots__ = ("n_objects", "relation", "_tensor")
 
-    def __init__(self, n_objects: int, relation: int, cells: dict):
-        self.n_objects = n_objects
+    def __init__(self, relation: int, tensor: RelationalTensor):
+        self.n_objects = tensor.n_objects
         self.relation = relation
-        self._cells = cells
+        self._tensor = tensor
 
     @property
     def observed_count(self) -> int:
-        return len(self._cells)
-
-    def value_at(self, i: int, j: int) -> Optional[int]:
-        if not (0 <= i < self.n_objects and 0 <= j < self.n_objects):
-            raise IndexError(f"object index out of range: ({i}, {j}) with N={self.n_objects}")
-        return self._cells.get((i, j))
+        return self._tensor.observed_count
 
     def __getitem__(self, key) -> Optional[int]:
         i, j = key
-        return self.value_at(i, j)
+        return self._tensor.value_at(i, j, 0)
 
     def to_tensor(self) -> RelationalTensor:
         """The slice as a standalone T=1 tensor (relation index becomes 0)."""
-        values = {(i, j, 0): v for (i, j), v in self._cells.items()}
-        return RelationalTensor(self.n_objects, 1, values)
+        return self._tensor
 
     def __repr__(self) -> str:
         return (f"TensorSlice(n_objects={self.n_objects}, relation={self.relation}, "

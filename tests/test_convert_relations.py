@@ -1,0 +1,46 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "convert_relations.py"
+
+
+@pytest.fixture(scope="module")
+def convert():
+    spec = importlib.util.spec_from_file_location("convert_relations", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+def test_matrix_rejects_fractional_cell(convert, tmp_path):
+    matrix = tmp_path / "rel0.txt"
+    matrix.write_text("0 1\n0.5 ?\n")
+    with pytest.raises(SystemExit) as exc:
+        convert(["--format", "matrix", "--n-objects", "2", "--n-relations", "1",
+                 "--out", str(tmp_path / "out.tsv"), str(matrix)])
+    assert exc.value.code not in (0, None)
+    assert "rel0.txt" in str(exc.value.code) and "row 1, column 0" in str(exc.value.code)
+    assert not (tmp_path / "out.tsv").exists()
+
+
+def test_edgelist_rejects_index_out_of_range(convert, tmp_path):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1 0\n0 3 0\n")
+    with pytest.raises(SystemExit) as exc:
+        convert(["--format", "edgelist", "--n-objects", "3", "--n-relations", "1",
+                 "--out", str(tmp_path / "out.tsv"), str(edges)])
+    assert "edges.txt: line 2" in str(exc.value.code)
+
+
+def test_edgelist_closed_world_symmetrized_bytes(convert, tmp_path):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("# i j t\n0 1 0\n1 2 1\n")
+    out = tmp_path / "out.tsv"
+    convert(["--format", "edgelist", "--n-objects", "3", "--n-relations", "2",
+             "--closed-world", "--symmetrize", "--out", str(out), str(edges)])
+    positives = {(0, 1, 0), (1, 0, 0), (1, 2, 1), (2, 1, 1)}
+    expected = "3 2\n" + "".join(f"{i} {j} {t} {int((i, j, t) in positives)}\n"
+                                 for i in range(3) for j in range(3) for t in range(2))
+    assert out.read_bytes() == expected.encode()

@@ -113,8 +113,7 @@ class CountingTensor(RelationalTensor):
     __slots__ = ("calls",)
 
     def __init__(self, base):
-        values = {key: base.value_at(*key) for key in base.observed_keys()}
-        super().__init__(base.n_objects, base.n_relations, values)
+        super().__init__(base.n_objects, base.n_relations, *base.entry_arrays())
         self.calls = {"value_at": 0, "entry_arrays": 0, "fiber": 0, "slice": 0}
 
     def value_at(self, i, j, t):
@@ -139,13 +138,20 @@ def test_no_test_leakage_into_training():
     train, test = split_fibers(tensor, SplitSpec(0.25, seed=0))
     counted_test = CountingTensor(test)
     settings = TrainSettings(map_max_iterations=30)
-    evaluate_method("pltf", train, counted_test, rank=2, seed=0, settings=settings)
-    # test values are read once per entry for labels; its bulk accessors
-    # are never touched by training
-    assert counted_test.calls["value_at"] == counted_test.observed_count
-    assert counted_test.calls["entry_arrays"] == 0
-    assert counted_test.calls["fiber"] == 0
-    assert counted_test.calls["slice"] == 0
+    seen = []
+
+    def pltf(train, ii, jj, tt, **kw):
+        seen.append(dict(counted_test.calls))
+        scores = METHOD_SCORERS["pltf"](train, ii, jj, tt, **kw)
+        seen.append(dict(counted_test.calls))
+        return scores
+
+    evaluate_method(pltf, train, counted_test, rank=2, seed=0, settings=settings)
+    # evaluate_method reads the test coordinates and labels in one bulk
+    # read before the scorer runs; training never reads the test tensor
+    once = {"value_at": 0, "entry_arrays": 1, "fiber": 0, "slice": 0}
+    assert seen == [once, once]
+    assert counted_test.calls == once
 
 
 def test_hb_trained_beats_constant_baseline():

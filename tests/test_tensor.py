@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,6 +38,30 @@ def test_build_rejects_out_of_range(triple):
 def test_build_rejects_bad_value():
     with pytest.raises(ValueError):
         RelationalTensor.build(2, 1, [(0, 1, 0, 2)])
+
+
+@pytest.mark.parametrize("triples", [[(0, 1, 0, 0.7), (1.9, 0, 0, 1)],
+                                     [(0, 1, 0, 0.7)], [(1.9, 0, 0, 1)], [(0, 1, 0.5, 1)]])
+def test_build_rejects_non_integral_fields(triples):
+    # truncating would store 0.7 as an observed 0 and move 1.9 to object 1
+    with pytest.raises(ValueError):
+        RelationalTensor.build(2, 1, triples)
+
+
+def test_constructor_sorts_merges_and_accepts_exact_floats():
+    tensor = RelationalTensor(3, 2, [1, 0, 1], [2, 1, 2], [1.0, 0, 1], [0.0, 1, 0])
+    ii, jj, tt, yy = tensor.entry_arrays()
+    assert [a.tolist() for a in (ii, jj, tt, yy)] == [[0, 1], [1, 2], [0, 1], [1.0, 0.0]]
+    assert [a.dtype for a in (ii, jj, tt, yy)] == [np.int64, np.int64, np.int64, np.float64]
+    with pytest.raises(DataConflictError):
+        RelationalTensor(3, 2, [1, 1], [2, 2], [1, 1], [0, 1])
+
+
+def test_entry_arrays_are_read_only(tiny_tensor):
+    for arr in tiny_tensor.entry_arrays():
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert tiny_tensor.entry_arrays()[3][0] == tiny_tensor.value_at(0, 1, 0)
 
 
 def test_value_at_observed_missing_and_errors():
