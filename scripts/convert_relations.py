@@ -28,41 +28,35 @@ caller's responsibility; this shim does not guess at id schemes.
 import argparse
 import sys
 
+import numpy as np
+
 sys.path.insert(0, "src")  # allow running from a source checkout
 
-from linkpattern.io import save_triples  # noqa: E402
+from linkpattern.exceptions import DataConflictError, TripleParseError  # noqa: E402
+from linkpattern.io import _int_table, save_triples  # noqa: E402
 from linkpattern.tensor import RelationalTensor  # noqa: E402
 
 MISSING_TOKENS = {"?", "-", "nan", "na"}
 
 
 def read_edgelist(paths, n_objects, n_relations, closed_world, symmetrize):
-    links = set()
+    tables = []
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
-            for line_number, line in enumerate(fh, start=1):
-                body = line.strip()
-                if not body or body.startswith("#"):
-                    continue
-                try:
-                    i, j, t = (int(p) for p in body.split()[:3])
-                except ValueError:
-                    raise SystemExit(f"{path}: line {line_number}: expected integer "
-                                     f"'i j t', got {body!r}") from None
-                if not (0 <= i < n_objects and 0 <= j < n_objects and 0 <= t < n_relations):
-                    raise SystemExit(f"{path}: line {line_number}: index out of range for "
-                                     f"N={n_objects}, T={n_relations}: {body!r}")
-                links.add((i, j, t))
+            try:
+                tables.append(_int_table(fh.readlines(), (n_objects, n_objects, n_relations)))
+            except TripleParseError as exc:
+                raise SystemExit(f"{path}: {exc}") from None
+    links = np.concatenate(tables)
+    if not closed_world:
+        return np.column_stack((links, np.ones(len(links), dtype=np.int64)))
+    linked = np.zeros((n_objects, n_objects, n_relations), dtype=bool)
+    linked[tuple(links.T)] = True
     if symmetrize:
         # mirror before the closed world fills the gaps, so that a link
         # listed one way round does not meet an observed 0 the other way
-        links |= {(j, i, t) for (i, j, t) in links}
-    triples = [(i, j, t, 1) for (i, j, t) in sorted(links)]
-    if closed_world:
-        triples += [(i, j, t, 0)
-                    for i in range(n_objects) for j in range(n_objects)
-                    for t in range(n_relations) if (i, j, t) not in links]
-    return triples
+        linked |= linked.transpose(1, 0, 2)
+    return np.column_stack((*np.indices(linked.shape).reshape(3, -1), linked.ravel()))
 
 
 def read_matrices(paths, n_objects):
@@ -84,7 +78,7 @@ def read_matrices(paths, n_objects):
                     raise SystemExit(f"{path}: row {i}, column {j}: cell {cell!r} is not "
                                      f"0, 1 or a missing token")
                 triples.append((i, j, t, int(value)))
-    return triples
+    return np.array(triples, dtype=np.int64).reshape(-1, 4)
 
 
 def main(argv=None):
@@ -110,16 +104,13 @@ def main(argv=None):
         triples = read_matrices(args.inputs, args.n_objects)
 
     if args.drop_self_pairs:
-        triples = [q for q in triples if q[0] != q[1]]
+        triples = triples[triples[:, 0] != triples[:, 1]]
     if args.symmetrize:
-        mirrored = {(j, i, t): v for (i, j, t, v) in triples}
-        merged = {(i, j, t): v for (i, j, t, v) in triples}
-        for key, v in mirrored.items():
-            if merged.setdefault(key, v) != v:
-                raise SystemExit(f"cannot symmetrize: conflicting values at {key}")
-        triples = [(i, j, t, v) for (i, j, t), v in sorted(merged.items())]
-
-    tensor = RelationalTensor.build(args.n_objects, args.n_relations, triples)
+        triples = np.concatenate((triples, triples[:, [1, 0, 2, 3]]))
+    try:
+        tensor = RelationalTensor.build(args.n_objects, args.n_relations, triples)
+    except DataConflictError as exc:
+        raise SystemExit(f"cannot symmetrize: {exc}") from None
     save_triples(tensor, args.out)
     print(f"wrote {tensor} -> {args.out}")
 

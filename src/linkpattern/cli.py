@@ -10,6 +10,7 @@ named substreams.
 import argparse
 import concurrent.futures
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -26,7 +27,7 @@ from .exceptions import (ConfigError, DataConflictError, DegenerateSplitError,
                          NotPositiveDefiniteError, StallError,
                          UndefinedMetricError)
 from .gibbs import ChainConfig, HyperPriors, SampleSet, predictive_scores, run_chain
-from .io import (SynthSpec, generate_synthetic, load_factors, load_triples,
+from .io import (SynthSpec, _int_table, generate_synthetic, load_factors, load_triples,
                  save_factors, save_triples)
 from .model import ModelConfig, predict_entries
 from .optimize import MapConfig, fit_map
@@ -197,10 +198,11 @@ def cmd_evaluate(args) -> int:
 
     if args.ablate_relations:
         results = []
-        for repeat in range(args.repeats):
+        for method, fraction, rank, repeat in itertools.product(
+                methods, fractions, ranks, range(args.repeats)):
             run, _ranking = relation_ablation(
-                tensor, split_spec=SplitSpec(fractions[0], args.seed + repeat),
-                rank=ranks[0], method=methods[0], settings=settings)
+                tensor, split_spec=SplitSpec(fraction, args.seed + repeat), rank=rank,
+                method=method, settings=settings, macro_average=args.macro_average)
             for res in run:
                 res.repeat_index = repeat
             results.extend(run)
@@ -226,35 +228,15 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _load_pairs(path):
-    pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, start=1):
-            body = line.strip()
-            if not body or body.startswith("#"):
-                continue
-            parts = body.split()
-            if len(parts) != 2:
-                raise FormatError(f"pair list line {number}: expected 'i j', got {body!r}")
-            try:
-                pairs.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise FormatError(f"pair list line {number}: non-integer pair {body!r}") from None
-    if not pairs:
-        raise FormatError("pair list holds no pairs")
-    return pairs
-
-
 def cmd_predict(args) -> int:
     loaded = load_factors(args.factors)
-    pairs = _load_pairs(args.pairs)
     factors = loaded.draws[0] if isinstance(loaded, SampleSet) else loaded
     n_objects, T = factors.n_objects, factors.n_relations
-    for i, j in pairs:
-        if not (0 <= i < n_objects and 0 <= j < n_objects):
-            raise FormatError(f"pair ({i}, {j}) out of range for N={n_objects}")
-    keys = np.array(pairs, dtype=np.int64)
-    ii, jj = np.repeat(keys[:, 0], T), np.repeat(keys[:, 1], T)
+    with open(args.pairs, "r", encoding="utf-8") as fh:
+        pairs = _int_table(fh.readlines(), (n_objects, n_objects))
+    if not len(pairs):
+        raise FormatError("pair list holds no pairs")
+    ii, jj = np.repeat(pairs[:, 0], T), np.repeat(pairs[:, 1], T)
     tt = np.tile(np.arange(T), len(pairs))
     if isinstance(loaded, SampleSet):
         config = ModelConfig(factors.rank, use_logistic=False)
@@ -263,7 +245,7 @@ def cmd_predict(args) -> int:
         config = ModelConfig(factors.rank, use_logistic=not args.identity_link)
         scores = np.clip(predict_entries(loaded, ii, jj, tt, config), 0.0, 1.0)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        for (i, j), row in zip(pairs, scores.reshape(len(pairs), T)):
+        for (i, j), row in zip(pairs.tolist(), scores.reshape(len(pairs), T)):
             fh.write(f"{i} {j} " + " ".join(f"{s:.6f}" for s in row) + "\n")
     _write_manifest(args.out, "predict", args, [args.factors, args.pairs], [args.out])
     print(f"predict: {len(pairs)} pairs -> {args.out}")

@@ -265,11 +265,13 @@ def _restore_relation(original_test: RelationalTensor, train: RelationalTensor, 
 
 def relation_ablation(tensor: RelationalTensor, *, split_spec: SplitSpec,
                       rank: int, method: str = "pltf",
-                      settings: Optional[TrainSettings] = None):
+                      settings: Optional[TrainSettings] = None,
+                      macro_average: bool = False):
     """Measure how much fully observing each relation type helps the rest.
 
     For each relation t, its test observations are restored to training
-    and the method is rescored on the remaining test entries.  Returns
+    and the method is rescored on the remaining test entries, pooled or
+    macro-averaged as ``macro_average`` asks.  Returns
     ``(results, ranking)``: the plain-split baseline plus one result per
     relation, and the relations ordered by AUC gain over the baseline.
     """
@@ -277,13 +279,13 @@ def relation_ablation(tensor: RelationalTensor, *, split_spec: SplitSpec,
         raise ValueError("relation ablation needs at least 2 relation types")
     train, test = split_fibers(tensor, split_spec)
     base = evaluate_method(method, train, test, rank=rank, seed=split_spec.seed,
-                           settings=settings, split=split_spec)
+                           settings=settings, split=split_spec, macro_average=macro_average)
     results = [base]
     gains = []
     for t in range(tensor.n_relations):
         train_t, test_t = _restore_relation(test, train, t)
-        res = evaluate_method(method, train_t, test_t, rank=rank,
-                              seed=split_spec.seed, settings=settings, split=split_spec)
+        res = evaluate_method(method, train_t, test_t, rank=rank, seed=split_spec.seed,
+                              settings=settings, split=split_spec, macro_average=macro_average)
         res.method = f"{method}+rel{t}"
         results.append(res)
         gains.append(res.auc - base.auc)

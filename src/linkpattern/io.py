@@ -2,9 +2,9 @@
 
 Two on-disk formats are owned here:
 
-* Triple text files: a ``N T`` header line followed by ``i j t v`` lines,
-  whitespace-separated, v in {0, 1}.  Comments (#) and blank lines are
-  allowed.
+* Triple text files: a ``N T`` header line followed by ``i j t v`` lines
+  of whitespace-separated decimal integers, v in {0, 1}.  Blank lines and
+  whole-line ``#`` comments are allowed; errors name the 1-based line.
 
 * Factor binaries: magic ``PLTF``, version byte 1, little-endian
   throughout.  Layout after the magic and version:
@@ -24,6 +24,7 @@ Both formats round-trip losslessly (bitwise for float payloads).
 
 import os
 import struct
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,57 +42,76 @@ _KIND_FACTORS = 0
 _KIND_SAMPLES = 1
 
 
-def load_triples(path, *, drop_self_pairs: bool = False,
-                 symmetrize: bool = False) -> RelationalTensor:
-    """Parse a triple text file into a tensor.
+def _is_data(line: str) -> bool:
+    """Whether a text line holds data: neither blank nor a whole-line comment."""
+    return line.lstrip()[:1] not in ("", "#")
 
-    ``drop_self_pairs`` skips (i, i) observations; ``symmetrize`` mirrors
-    every (i, j) observation onto (j, i).
+
+def _parse_table(lines, bounds) -> np.ndarray:
+    """``lines`` as an int64 (rows, len(bounds)) array.
+
+    Raises ValueError unless every line holds ``len(bounds)`` decimal
+    integers with field k in [0, bounds[k]).
     """
+    width = len(bounds)
+    if not lines:
+        return np.empty((0, width), dtype=np.int64)
+    try:
+        with warnings.catch_warnings():
+            # NumPy releases that still read "1.0" as an integer warn first
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
+    except (ValueError, DeprecationWarning):
+        table = None
+    if table is None or table.shape[1] != width:
+        raise ValueError(f"expected {width} integer fields")
+    outside = ((table < 0) | (table >= np.asarray(bounds))).any(axis=0)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise ValueError(f"field {k + 1} must lie in [0, {bounds[k]})")
+    return table
+
+
+def _int_table(lines, bounds, first_line: int = 1) -> np.ndarray:
+    """The data lines of a text input as an int64 (rows, len(bounds)) array.
+
+    Blank lines and whole-line ``#`` comments are skipped; every other line
+    holds ``len(bounds)`` whitespace-separated decimal integers, field k in
+    [0, bounds[k]).  Raises :class:`TripleParseError` naming the first bad
+    line, counting ``lines[0]`` as line ``first_line``.
+    """
+    data = [line for line in lines if _is_data(line)]
+    try:
+        return _parse_table(data, bounds)
+    except ValueError as exc:
+        error = exc
+    # error path only: bisect for the first bad line (a run of lines parses
+    # exactly when each of its lines does), then count its line number
+    good, bad = 0, len(data)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            _parse_table(data[good:mid], bounds)
+            good = mid
+        except ValueError as exc:
+            bad, error = mid, exc
+    number = [n for n, line in enumerate(lines, start=first_line) if _is_data(line)][good]
+    raise TripleParseError(f"{error}, got {data[good].strip()!r}", number)
+
+
+def load_triples(path) -> RelationalTensor:
+    """Parse a triple text file into a tensor."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
-    header_idx = None
-    for idx, line in enumerate(lines):
-        if line.strip() and not line.lstrip().startswith("#"):
-            header_idx = idx
-            break
+    header_idx = next((idx for idx, line in enumerate(lines) if _is_data(line)), None)
     if header_idx is None:
         raise TripleParseError("no header line found")
-    parts = lines[header_idx].split()
-    if len(parts) != 2:
-        raise TripleParseError("header must be 'N T'", header_idx + 1)
-    try:
-        n_objects, n_relations = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise TripleParseError("header must hold two integers", header_idx + 1) from None
+    header = _int_table([lines[header_idx]], (np.inf, np.inf), first_line=header_idx + 1)
+    n_objects, n_relations = header[0].tolist()
     if n_objects < 1 or n_relations < 1:
         raise TripleParseError("header dimensions must be positive", header_idx + 1)
-
-    triples = []
-    for offset, line in enumerate(lines[header_idx + 1:], start=header_idx + 2):
-        body = line.strip()
-        if not body or body.startswith("#"):
-            continue
-        parts = body.split()
-        if len(parts) != 4:
-            raise TripleParseError(f"expected 'i j t v', got {body!r}", offset)
-        try:
-            i, j, t, v = (int(p) for p in parts)
-        except ValueError:
-            raise TripleParseError(f"non-integer field in {body!r}", offset) from None
-        if not (0 <= i < n_objects and 0 <= j < n_objects):
-            raise TripleParseError(
-                f"object index out of range for N={n_objects}: {body!r}", offset)
-        if not (0 <= t < n_relations):
-            raise TripleParseError(
-                f"relation index out of range for T={n_relations}: {body!r}", offset)
-        if v not in (0, 1):
-            raise TripleParseError(f"value must be 0 or 1: {body!r}", offset)
-        if drop_self_pairs and i == j:
-            continue
-        triples.append((i, j, t, v))
-        if symmetrize and i != j:
-            triples.append((j, i, t, v))
+    triples = _int_table(lines[header_idx + 1:], (n_objects, n_objects, n_relations, 2),
+                         first_line=header_idx + 2)
     return RelationalTensor.build(n_objects, n_relations, triples)
 
 

@@ -40,8 +40,8 @@ def _checked(values, bound: int, what: str, error=IndexError) -> np.ndarray:
 
 
 def _rows(items, width: int, what: str) -> np.ndarray:
-    """An iterable of equal-length tuples as a (count, width) array."""
-    rows = np.asarray(list(items))
+    """An array, or an iterable of equal-length tuples, as a (count, width) array."""
+    rows = np.asarray(items if isinstance(items, np.ndarray) else list(items))
     if rows.size == 0:
         rows = rows.reshape(0, width)
     if rows.ndim != 2 or rows.shape[1] != width:

@@ -98,6 +98,26 @@ def test_malformed_pairs_exits_1(data_file, tmp_path):
                     "--out", tmp_path / "p.txt"]) == 1
 
 
+def test_out_of_range_pair_exits_1_naming_its_line(data_file, tmp_path, capsys):
+    model = tmp_path / "m.pltf"
+    assert run_cli(["fit-map", "--input", data_file, "--rank", 2, "--out", model]) == 0
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("0 1\n# next is out of range\n8 0\n")
+    capsys.readouterr()
+    assert run_cli(["predict", "--factors", model, "--pairs", pairs,
+                    "--out", tmp_path / "p.txt"]) == 1
+    assert "line 3" in capsys.readouterr().err
+
+
+def test_comment_only_pair_list_exits_1(data_file, tmp_path):
+    model = tmp_path / "m.pltf"
+    assert run_cli(["fit-map", "--input", data_file, "--rank", 2, "--out", model]) == 0
+    pairs = tmp_path / "pairs.txt"
+    pairs.write_text("# no pairs\n\n")
+    assert run_cli(["predict", "--factors", model, "--pairs", pairs,
+                    "--out", tmp_path / "p.txt"]) == 1
+
+
 def test_predict_oversized_factor_header_exits_1(tmp_path):
     factors = tmp_path / "m.pltf"
     factors.write_bytes(b"PLTF" + struct.pack("<BBIIIII", 1, 0, 2 ** 31, 1, 2 ** 31, 1, 0)
@@ -255,6 +275,20 @@ def test_evaluate_ablation_rows(data_file, tmp_path):
     assert len(lines) == 1 + (2 + 1)  # T relations plus the baseline row
     methods = {line.split(",")[0] for line in lines[1:]}
     assert methods == {"pltf", "pltf+rel0", "pltf+rel1"}
+
+
+def test_evaluate_ablation_honours_methods_fractions_and_macro(data_file, tmp_path):
+    common = ["evaluate", "--input", data_file, "--methods", "pltf,baseline",
+              "--fraction", "0.25,0.5", "--rank", 2, "--repeats", 1, "--max-iterations", 20,
+              "--samples", 10, "--burn-in", 2, "--ablate-relations"]
+    pooled, macro = tmp_path / "pooled.csv", tmp_path / "macro.csv"
+    assert run_cli(common + ["--out", pooled]) == 0
+    assert run_cli(common + ["--macro-average", "--out", macro]) == 0
+    rows = [line.split(",") for line in pooled.read_text().splitlines()[1:]]
+    assert sorted((r[0], r[2]) for r in rows) == sorted(
+        (f"{m}{suffix}", f) for m in ("pltf", "baseline") for f in ("0.25", "0.5")
+        for suffix in ("", "+rel0", "+rel1"))
+    assert pooled.read_text() != macro.read_text()
 
 
 def test_config_file_defaults_and_override(data_file, tmp_path):

@@ -44,3 +44,27 @@ def test_edgelist_closed_world_symmetrized_bytes(convert, tmp_path):
     expected = "3 2\n" + "".join(f"{i} {j} {t} {int((i, j, t) in positives)}\n"
                                  for i in range(3) for j in range(3) for t in range(2))
     assert out.read_bytes() == expected.encode()
+
+
+def test_edgelist_rejects_extra_fields(convert, tmp_path):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1 0\n# weight\n0 1 0 7\n")
+    with pytest.raises(SystemExit) as exc:
+        convert(["--format", "edgelist", "--n-objects", "3", "--n-relations", "1",
+                 "--out", str(tmp_path / "out.tsv"), str(edges)])
+    assert "edges.txt: line 3" in str(exc.value.code)
+    assert not (tmp_path / "out.tsv").exists()
+
+
+def test_matrix_drop_self_pairs_symmetrized_bytes(convert, tmp_path):
+    rel0, rel1 = tmp_path / "rel0.txt", tmp_path / "rel1.txt"
+    rel0.write_text("1 1 ?\n? 0 0\n? ? 1\n")
+    rel1.write_text("0 ? 1\n? 1 ?\n? ? 0\n")
+    out = tmp_path / "out.tsv"
+    convert(["--format", "matrix", "--n-objects", "3", "--n-relations", "2",
+             "--drop-self-pairs", "--symmetrize", "--out", str(out), str(rel0), str(rel1)])
+    expected = ("3 2\n"
+                "0 1 0 1\n0 2 1 1\n"
+                "1 0 0 1\n1 2 0 0\n"
+                "2 0 1 1\n2 1 0 0\n")
+    assert out.read_bytes() == expected.encode()

@@ -34,6 +34,10 @@ def test_load_triples_comments_and_blanks(tmp_path):
     ("0 1 0 x", 2),        # non-integer
     ("0 5 0 1", 2),        # object out of range
     ("0 1 7 1", 2),        # relation out of range
+    ("0 1 0 1.0", 2),      # integer fields only, not floats
+    ("0 1 0 1.5", 2),
+    ("0 1 0 1 # note", 2),  # comments take whole lines
+    ("# note\n\n0 1 0 2", 4),  # comment and blank lines are counted
 ])
 def test_load_triples_parse_errors_name_the_line(tmp_path, body, line):
     path = tmp_path / "bad.tsv"
@@ -42,6 +46,22 @@ def test_load_triples_parse_errors_name_the_line(tmp_path, body, line):
         load_triples(path)
     assert err.value.line_number == line
     assert f"line {line}" in str(err.value)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_load_triples_names_the_first_of_several_bad_lines(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    bad_lines = ["0 1 0 7", "0 1", "0 1 0 x", "3 0 0 1"]
+    lines = ["3 2"] + [f"{i} {j} {t} {(i + j + t) % 2}"
+                       for i, j, t in rng.integers(0, 2, size=(300, 3))]
+    for k in rng.choice(np.arange(1, len(lines)), size=30, replace=False):
+        lines[k] = str(rng.choice(["", "# note"] + bad_lines))
+    path = tmp_path / "bad.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TripleParseError) as err:
+        load_triples(path)
+    assert err.value.line_number == 1 + next(k for k, line in enumerate(lines)
+                                             if line in bad_lines)
 
 
 def test_load_triples_bad_header(tmp_path):
@@ -63,16 +83,6 @@ def test_triples_roundtrip_identity(tmp_path):
     path = tmp_path / "round.tsv"
     save_triples(tensor, path)
     assert load_triples(path) == tensor
-
-
-def test_load_triples_flags(tmp_path):
-    path = tmp_path / "t.tsv"
-    path.write_text("3 1\n0 0 0 1\n0 1 0 1\n")
-    dropped = load_triples(path, drop_self_pairs=True)
-    assert dropped.observed_count == 1
-    mirrored = load_triples(path, symmetrize=True)
-    assert mirrored.value_at(1, 0, 0) == 1
-    assert mirrored.observed_count == 3  # self pair not doubled
 
 
 def random_factors(seed=1, n=4, t=3, d=2):
