@@ -166,6 +166,12 @@ def cmd_sample(args) -> int:
     return 0
 
 
+def _warn_na(method, fraction, rank, seed, exc) -> None:
+    """Report on stderr why a results cell is written as NA."""
+    print(f"warning: {method} fraction={fraction} rank={rank} seed={seed}: {exc}",
+          file=sys.stderr)
+
+
 def _evaluate_cell(payload):
     (tensor, method, fraction, rank, seed, repeat_index, settings, macro) = payload
     split = SplitSpec(fraction, seed)
@@ -175,8 +181,7 @@ def _evaluate_cell(payload):
                                settings=settings, split=split,
                                repeat_index=repeat_index, macro_average=macro)
     except (UndefinedMetricError, DegenerateSplitError) as exc:
-        print(f"warning: {method} fraction={fraction} rank={rank} seed={seed}: {exc}",
-              file=sys.stderr)
+        _warn_na(method, fraction, rank, seed, exc)
         return ExperimentResult(method=method, split=split, rank=rank, seed=seed,
                                 auc=None, wall_time_s=0.0, repeat_index=repeat_index)
 
@@ -200,9 +205,11 @@ def cmd_evaluate(args) -> int:
         results = []
         for method, fraction, rank, repeat in itertools.product(
                 methods, fractions, ranks, range(args.repeats)):
+            seed = args.seed + repeat
             run, _ranking = relation_ablation(
-                tensor, split_spec=SplitSpec(fraction, args.seed + repeat), rank=rank,
-                method=method, settings=settings, macro_average=args.macro_average)
+                tensor, split_spec=SplitSpec(fraction, seed), rank=rank,
+                method=method, settings=settings, macro_average=args.macro_average,
+                on_undefined=lambda name, exc: _warn_na(name, fraction, rank, seed, exc))
             for res in run:
                 res.repeat_index = repeat
             results.extend(run)

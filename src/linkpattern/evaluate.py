@@ -266,7 +266,8 @@ def _restore_relation(original_test: RelationalTensor, train: RelationalTensor, 
 def relation_ablation(tensor: RelationalTensor, *, split_spec: SplitSpec,
                       rank: int, method: str = "pltf",
                       settings: Optional[TrainSettings] = None,
-                      macro_average: bool = False):
+                      macro_average: bool = False,
+                      on_undefined: Optional[Callable[[str, UndefinedMetricError], None]] = None):
     """Measure how much fully observing each relation type helps the rest.
 
     For each relation t, its test observations are restored to training
@@ -274,22 +275,40 @@ def relation_ablation(tensor: RelationalTensor, *, split_spec: SplitSpec,
     macro-averaged as ``macro_average`` asks.  Returns
     ``(results, ranking)``: the plain-split baseline plus one result per
     relation, and the relations ordered by AUC gain over the baseline.
+
+    A cell whose AUC is undefined (a single-class test set) raises
+    :class:`UndefinedMetricError`, unless ``on_undefined`` is given: it is
+    then called with the cell's method name and the error, the cell's AUC
+    is None, and a relation whose gain is undefined is left out of the
+    ranking.
     """
     if tensor.n_relations < 2:
         raise ValueError("relation ablation needs at least 2 relation types")
     train, test = split_fibers(tensor, split_spec)
-    base = evaluate_method(method, train, test, rank=rank, seed=split_spec.seed,
-                           settings=settings, split=split_spec, macro_average=macro_average)
+
+    def cell(name, train_t, test_t):
+        try:
+            res = evaluate_method(method, train_t, test_t, rank=rank, seed=split_spec.seed,
+                                  settings=settings, split=split_spec,
+                                  macro_average=macro_average)
+        except UndefinedMetricError as exc:
+            if on_undefined is None:
+                raise
+            on_undefined(name, exc)
+            res = ExperimentResult(method=name, split=split_spec, rank=rank,
+                                   seed=split_spec.seed, auc=None, wall_time_s=0.0)
+        res.method = name
+        return res
+
+    base = cell(method, train, test)
     results = [base]
-    gains = []
+    gains = {}
     for t in range(tensor.n_relations):
-        train_t, test_t = _restore_relation(test, train, t)
-        res = evaluate_method(method, train_t, test_t, rank=rank, seed=split_spec.seed,
-                              settings=settings, split=split_spec, macro_average=macro_average)
-        res.method = f"{method}+rel{t}"
+        res = cell(f"{method}+rel{t}", *_restore_relation(test, train, t))
         results.append(res)
-        gains.append(res.auc - base.auc)
-    ranking = sorted(range(tensor.n_relations), key=lambda t: (-gains[t], t))
+        if res.auc is not None and base.auc is not None:
+            gains[t] = res.auc - base.auc
+    ranking = sorted(gains, key=lambda t: (-gains[t], t))
     return results, ranking
 
 

@@ -13,13 +13,14 @@ per-sample predictive means are clamped into [0, 1] at reporting time.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .exceptions import ConfigError, DimensionMismatchError, NotPositiveDefiniteError
-from .model import (LatentFactors, ModelConfig, _coordinates, _inner, log_likelihood,
-                    logistic, reconstruct_entries)
+from .model import (LatentFactors, ModelConfig, _coordinates, _dense_form, _Entries,
+                    _gaussian_log_likelihood, _inner, logistic, reconstruct_entries)
 from .rng import substream
 from .tensor import RelationalTensor
 
@@ -232,17 +233,20 @@ def sample_factor_hypers(rows: np.ndarray, priors: HyperPriors, kappa: float,
 
 
 def sample_alpha(factors: LatentFactors, tensor: RelationalTensor,
-                 priors: HyperPriors, rng: np.random.Generator) -> float:
+                 priors: HyperPriors, rng: np.random.Generator,
+                 groups: Optional["ObservationGroups"] = None) -> float:
     """Draw the noise precision from its Gamma conditional.
 
     Shape gains half the observation count; the scale update adds half the
     identity-link squared error to the inverse scale.  With no data the
-    posterior is the prior.
+    posterior is the prior.  A chain passes its ``groups``, whose CP kernel
+    it reuses every sweep.
     """
     ii, jj, tt, yy = tensor.entry_arrays()
     shape = priors.gamma_shape + 0.5 * yy.size
     if yy.size:
-        resid = yy - reconstruct_entries(factors, ii, jj, tt)
+        resid = (groups.residual(factors) if groups is not None
+                 else yy - reconstruct_entries(factors, ii, jj, tt))
         scale = 1.0 / (1.0 / priors.gamma_scale + 0.5 * _inner(resid, resid))
     else:
         scale = priors.gamma_scale
@@ -250,17 +254,77 @@ def sample_alpha(factors: LatentFactors, tensor: RelationalTensor,
 
 
 class ObservationGroups:
-    """Observed entries grouped by each axis for per-row conditionals.
+    """A tensor's observed entries, arranged once per chain for the conditionals.
 
-    Sorting happens once per tensor; each group is a contiguous segment of
-    the reordered coordinate arrays.
+    ``entries`` is the chain's one ``model._Entries``; the noise-precision
+    residual, the chain's log-likelihoods and the fiber-form right-hand
+    sides all run on it.  The Grams take one of two forms:
+
+    * **fiber**, when every observed fiber holds all T entries
+      (``n_fibers * T == n_entries``, the entries being distinct) and the
+      entries take the masked-dense form.  The mask then factors as
+      m_ijt = m_ij, ``fibers`` holds the (N, N) 0/1 fiber mask, and each
+      Gram is a Hadamard product of small Grams (Kolda & Bader 2009, §3.4).
+      Summing over the mask costs N^2 D^2 whatever the entry count, so
+      sparse tensors keep the row form;
+    * **row**, otherwise (``fibers`` is None): the entries are sorted once
+      by each axis, and each row's Gram is summed over its contiguous
+      segment.
     """
 
     def __init__(self, tensor: RelationalTensor):
-        ii, jj, tt, yy = tensor.entry_arrays()
-        self.by_i = _AxisGroups(ii, jj, tt, yy, tensor.n_objects)
-        self.by_j = _AxisGroups(jj, ii, tt, yy, tensor.n_objects)
-        self.by_t = _AxisGroups(tt, ii, jj, yy, tensor.n_relations)
+        self._tensor = tensor
+        ii, jj, tt, self.y = tensor.entry_arrays()
+        n, T = tensor.n_objects, tensor.n_relations
+        self.fibers = None
+        pair = ii * n + jj  # nondecreasing: the entries are in (i, j, t) order
+        n_fibers = 1 + np.count_nonzero(pair[1:] != pair[:-1]) if pair.size else 0
+        if _dense_form(n, T, ii.size) and n_fibers * T == ii.size:
+            self.fibers = np.zeros((n, n))
+            self.fibers[ii, jj] = 1.0
+        else:
+            self.by_axis = (_AxisGroups(ii, jj, tt, self.y, n),
+                            _AxisGroups(jj, ii, tt, self.y, n),
+                            _AxisGroups(tt, ii, jj, self.y, T))
+
+    @cached_property
+    def entries(self) -> _Entries:
+        """The CP kernel on the observed coordinates.  Built on first use, so
+        one sampler call outside a chain does not pay for it."""
+        t = self._tensor
+        return _Entries(*t.entry_arrays()[:3], t.n_objects, t.n_relations)
+
+    def residual(self, factors: LatentFactors) -> np.ndarray:
+        """Observed values minus the identity-link reconstruction."""
+        return self.y - self.entries.reconstruct(factors.U, factors.V, factors.R)
+
+    def normal_terms(self, mode: int, factors: LatentFactors):
+        """``(gram, xty)`` of factor ``mode`` (0: U, 1: V, 2: R) given the others.
+
+        Row k's least-squares terms over its observed entries, with design
+        vectors the products of the other two factors' rows: ``gram`` is a
+        (rows, D, D) stack, or one (D, D) Gram shared by every row of R in
+        the fiber form, and ``xty`` is (rows, D).
+        """
+        U, V, R = factors.U, factors.V, factors.R
+        if self.fibers is None:
+            left, right = ((V, R), (U, R), (U, V))[mode]
+            return self.by_axis[mode].normal_terms(left, right)
+        xty, = self.entries.mttkrp(self.y, U, V, R, modes=(mode,))
+        d = U.shape[1]
+        if mode == 2:  # sum_ij m_ij (U_i U_i^T) o (V_j V_j^T), shared by every t
+            by_i = np.einsum("ij,jk->ik", self.fibers, _outer_rows(V))
+            return np.einsum("ik,ik->k", _outer_rows(U), by_i).reshape(d, d), xty
+        # row i of U: (sum_j m_ij V_j V_j^T) o (R^T R); V likewise over i
+        other = V if mode == 0 else U
+        mask = self.fibers if mode == 0 else self.fibers.T
+        summed = np.einsum("ij,jk->ik", mask, _outer_rows(other)).reshape(-1, d, d)
+        return summed * np.einsum("td,te->de", R, R), xty
+
+
+def _outer_rows(M: np.ndarray) -> np.ndarray:
+    """Row k is ``M[k] M[k]^T`` flattened: a (rows, D * D) array."""
+    return (M[:, :, None] * M[:, None, :]).reshape(M.shape[0], -1)
 
 
 class _AxisGroups:
@@ -273,31 +337,35 @@ class _AxisGroups:
         counts = np.bincount(axis, minlength=n_groups)
         self.offsets = np.concatenate([[0], np.cumsum(counts)])
 
+    def normal_terms(self, left: np.ndarray, right: np.ndarray):
+        """Per-row Grams and right-hand sides of the design ``left[o1] * right[o2]``;
+        rows with no observations get zeros."""
+        n, d = self.n_groups, left.shape[1]
+        gram = np.zeros((n, d, d))
+        xty = np.zeros((n, d))
+        bounds = self.offsets.tolist()
+        for k in range(n):
+            start, stop = bounds[k], bounds[k + 1]
+            if start == stop:
+                continue
+            design = (left.take(self.o1[start:stop], axis=0)
+                      * right.take(self.o2[start:stop], axis=0))
+            gram[k] = np.dot(design.T, design)
+            xty[k] = np.dot(self.y[start:stop], design)
+        return gram, xty
 
-def _draw_factor_rows(groups: _AxisGroups, left: np.ndarray, right: np.ndarray,
-                      hyper: FactorHyperState, alpha: float,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Draw every row of one factor from its Gaussian conditional.
 
-    Row k sees design vectors ``left[o1] * right[o2]`` over its observed
-    entries; rows with no observations keep the hyperprior's precision and
-    right-hand side.  Rows are conditionally independent, so the per-row
-    Gram matrices are stacked and drawn by :func:`_sample_gaussian_stack`.
+def _draw_factor_rows(groups: ObservationGroups, mode: int, factors: LatentFactors,
+                      hyper: FactorHyperState, rng: np.random.Generator) -> np.ndarray:
+    """Draw every row of factor ``mode`` from its Gaussian conditional.
+
+    Rows with no observations keep the hyperprior's precision and
+    right-hand side.  Rows are conditionally independent, so their
+    precisions are stacked and drawn by :func:`_sample_gaussian_stack`.
     """
-    n, d = groups.n_groups, left.shape[1]
-    gram = np.zeros((n, d, d))
-    xty = np.zeros((n, d))
-    bounds = groups.offsets.tolist()
-    for k in range(n):
-        start, stop = bounds[k], bounds[k + 1]
-        if start == stop:
-            continue
-        design = (left.take(groups.o1[start:stop], axis=0)
-                  * right.take(groups.o2[start:stop], axis=0))
-        gram[k] = np.dot(design.T, design)
-        xty[k] = np.dot(groups.y[start:stop], design)
-    return _sample_gaussian_stack(rng, hyper.precision + alpha * gram,
-                                  hyper.precision @ hyper.mu + alpha * xty)
+    gram, xty = groups.normal_terms(mode, factors)
+    return _sample_gaussian_stack(rng, hyper.precision + factors.alpha * gram,
+                                  hyper.precision @ hyper.mu + factors.alpha * xty)
 
 
 def sample_u_rows(factors: LatentFactors, tensor: RelationalTensor,
@@ -305,8 +373,7 @@ def sample_u_rows(factors: LatentFactors, tensor: RelationalTensor,
                   groups: Optional[ObservationGroups] = None) -> np.ndarray:
     """Draw a new sender-factor matrix U row by row."""
     groups = groups if groups is not None else ObservationGroups(tensor)
-    return _draw_factor_rows(groups.by_i, factors.V, factors.R, hyper_u,
-                             factors.alpha, rng)
+    return _draw_factor_rows(groups, 0, factors, hyper_u, rng)
 
 
 def sample_v_rows(factors: LatentFactors, tensor: RelationalTensor,
@@ -314,8 +381,7 @@ def sample_v_rows(factors: LatentFactors, tensor: RelationalTensor,
                   groups: Optional[ObservationGroups] = None) -> np.ndarray:
     """Draw a new receiver-factor matrix V; U's update with i and j swapped."""
     groups = groups if groups is not None else ObservationGroups(tensor)
-    return _draw_factor_rows(groups.by_j, factors.U, factors.R, hyper_v,
-                             factors.alpha, rng)
+    return _draw_factor_rows(groups, 1, factors, hyper_v, rng)
 
 
 def sample_r_rows(factors: LatentFactors, tensor: RelationalTensor,
@@ -327,8 +393,7 @@ def sample_r_rows(factors: LatentFactors, tensor: RelationalTensor,
     (U_i o V_j)(U_i o V_j)^T over the relation's observed entries.
     """
     groups = groups if groups is not None else ObservationGroups(tensor)
-    return _draw_factor_rows(groups.by_t, factors.U, factors.V, hyper_r,
-                             factors.alpha, rng)
+    return _draw_factor_rows(groups, 2, factors, hyper_r, rng)
 
 
 def gibbs_sweep(state: GibbsState, tensor: RelationalTensor, priors: HyperPriors,
@@ -343,7 +408,7 @@ def gibbs_sweep(state: GibbsState, tensor: RelationalTensor, priors: HyperPriors
     """
     groups = groups if groups is not None else ObservationGroups(tensor)
     f = state.factors
-    alpha = sample_alpha(f, tensor, priors, rng)
+    alpha = sample_alpha(f, tensor, priors, rng, groups)
     hyper_u = sample_factor_hypers(f.U, priors, priors.kappa0, rng)
     hyper_v = sample_factor_hypers(f.V, priors, priors.kappa0, rng)
     hyper_r = (sample_factor_hypers(f.R, priors, priors.kappa_t, rng)
@@ -403,13 +468,12 @@ def run_chain(tensor: RelationalTensor, model_config: ModelConfig,
     state = GibbsState(LatentFactors(u0, v0, r0, alpha0),
                        placeholder, placeholder, placeholder)
     groups = ObservationGroups(tensor)
-    identity_cfg = ModelConfig(rank=d, use_logistic=False)
 
     samples = SampleSet()
     for sweep in range(config.num_samples):
         state = gibbs_sweep(state, tensor, priors, rng, groups, sample_relations)
-        samples.log_likelihoods.append(
-            log_likelihood(state.factors, tensor, identity_cfg))
+        samples.log_likelihoods.append(  # model.log_likelihood under the identity link
+            _gaussian_log_likelihood(groups.residual(state.factors), state.factors.alpha))
         if sweep >= config.burn_in and (sweep - config.burn_in + 1) % config.thin == 0:
             samples.draws.append(state.factors)
     return samples
@@ -424,7 +488,7 @@ def predictive_scores(samples: SampleSet, ii, jj, tt,
     IndexError for a coordinate outside [0, N) or [0, T).
 
     Each draw is evaluated on gathered factor rows, not through the CP
-    kernels of ``model._Entries``; ROADMAP item 2 says why.
+    kernels of ``model._Entries``; ROADMAP item 1 says why.
     """
     if len(samples) == 0:
         raise ValueError("empty sample set")

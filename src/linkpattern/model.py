@@ -98,6 +98,11 @@ def logistic(x):
 DENSE_CELLS_PER_ENTRY = 10
 
 
+def _dense_form(n_objects: int, n_relations: int, n_entries: int) -> bool:
+    """Whether the CP kernels on this many entries take the masked-dense form."""
+    return n_objects * n_objects * n_relations <= DENSE_CELLS_PER_ENTRY * n_entries
+
+
 def _inner(a, b) -> float:
     """<a, b> of two 1-D arrays, summed without BLAS.
 
@@ -164,7 +169,7 @@ class _Entries:
     def __init__(self, ii, jj, tt, n_objects: int, n_relations: int):
         self.ii, self.jj, self.tt = _coordinates(ii, jj, tt, n_objects, n_relations)
         self.n, self.t = n_objects, n_relations
-        self.dense = n_objects * n_objects * n_relations <= DENSE_CELLS_PER_ENTRY * self.ii.size
+        self.dense = _dense_form(n_objects, n_relations, self.ii.size)
         if self.dense:
             self.flat = (self.ii * n_objects + self.jj) * n_relations + self.tt
 
@@ -199,10 +204,10 @@ class _Entries:
         return ((ab * c).sum(axis=0), (dab * c + ab * dc).sum(axis=0),
                 (dadb * c + dab * dc).sum(axis=0), (dadb * dc).sum(axis=0))
 
-    def mttkrp(self, w, A, B, C):
-        """Weighted MTTKRPs of every mode: per row, the sum of ``w`` times the
-        products of the other two factors' rows, e.g. ``sum w B[j] o C[t]``
-        over the coordinates of row i of A.
+    def mttkrp(self, w, A, B, C, modes=(0, 1, 2)):
+        """Weighted MTTKRPs of the given modes (0: A, 1: B, 2: C): per row,
+        the sum of ``w`` times the products of the other two factors' rows,
+        e.g. ``sum w B[j] o C[t]`` over the coordinates of row i of A.
 
         The coordinates must be distinct.  For coordinates in sorted
         (i, j, t) order, as ``RelationalTensor.entry_arrays`` gives them,
@@ -213,16 +218,20 @@ class _Entries:
         n, T = self.n, self.t
         if not self.dense:
             a, b, c = _gather(A, self.ii), _gather(B, self.jj), _gather(C, self.tt)
-            return (_scatter_rows(self.ii, w * (b * c), n),
-                    _scatter_rows(self.jj, w * (a * c), n),
-                    _scatter_rows(self.tt, w * (a * b), T))
+            products = {0: lambda: _scatter_rows(self.ii, w * (b * c), n),
+                        1: lambda: _scatter_rows(self.jj, w * (a * c), n),
+                        2: lambda: _scatter_rows(self.tt, w * (a * b), T)}
+            return tuple(products[m]() for m in modes)
         weights = np.zeros(n * n * T)
         weights[self.flat] = w
         weights = weights.reshape(n, n, T)
-        by_j = weights.transpose(1, 0, 2).reshape(n, n * T)
-        return (np.einsum("ik,kd->id", weights.reshape(n, n * T), _khatri_rao(B, C)),
-                np.einsum("jk,kd->jd", by_j, _khatri_rao(A, C)),
-                np.einsum("kt,kd->td", weights.reshape(n * n, T), _khatri_rao(A, B)))
+        products = {
+            0: lambda: np.einsum("ik,kd->id", weights.reshape(n, n * T), _khatri_rao(B, C)),
+            1: lambda: np.einsum("jk,kd->jd", weights.transpose(1, 0, 2).reshape(n, n * T),
+                                 _khatri_rao(A, C)),
+            2: lambda: np.einsum("kt,kd->td", weights.reshape(n * n, T), _khatri_rao(A, B)),
+        }
+        return tuple(products[m]() for m in modes)
 
 
 def reconstruct_entries(factors: LatentFactors, ii, jj, tt) -> np.ndarray:
@@ -256,9 +265,13 @@ def log_likelihood(factors: LatentFactors, tensor: RelationalTensor,
     """
     _check_tensor(factors, tensor)
     ii, jj, tt, yy = tensor.entry_arrays()
-    if yy.size == 0:
+    return _gaussian_log_likelihood(yy - predict_entries(factors, ii, jj, tt, config),
+                                    factors.alpha)
+
+
+def _gaussian_log_likelihood(resid: np.ndarray, alpha: float) -> float:
+    """Sum of log N(r | 0, 1/alpha) over the residuals r; 0.0 for none."""
+    if resid.size == 0:
         return 0.0
-    resid = yy - predict_entries(factors, ii, jj, tt, config)
-    a = factors.alpha
     sse = _inner(resid, resid)
-    return 0.5 * yy.size * (np.log(a) - np.log(2.0 * np.pi)) - 0.5 * a * sse
+    return 0.5 * resid.size * (np.log(alpha) - np.log(2.0 * np.pi)) - 0.5 * alpha * sse

@@ -253,6 +253,23 @@ def test_evaluate_single_class_cells_marked_na(tmp_path):
     assert ",NA," in out.read_text()
 
 
+def test_evaluate_ablation_single_class_cells_marked_na(tmp_path, capsys):
+    triples = [(i, j, t, 1) for i in range(6) for j in range(6) for t in range(2)]
+    data = tmp_path / "ones.tsv"
+    save_triples(RelationalTensor.build(6, 2, triples), data)
+    out = tmp_path / "res.csv"
+    assert run_cli(["evaluate", "--input", data, "--methods", "pltf", "--rank", 1,
+                    "--repeats", 1, "--ablate-relations", "--out", out]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert sorted(r[0] for r in rows) == ["pltf", "pltf+rel0", "pltf+rel1"]
+    assert all(r[5] == "NA" for r in rows)
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning: pltf")]
+    assert len(warnings) == 3 and all("AUC undefined" in line for line in warnings)
+    assert warnings[0] == ("warning: pltf fraction=0.2 rank=1 seed=0: "
+                           "AUC undefined: 14 positives, 0 negatives")
+
+
 def test_evaluate_empty_methods_is_usage_error(data_file, tmp_path):
     assert run_cli(["evaluate", "--input", data_file, "--methods", "",
                     "--out", tmp_path / "r.csv"]) == 1

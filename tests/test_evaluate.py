@@ -290,6 +290,21 @@ def test_relation_ablation_planted_dominant_relation():
     assert medians[0] == max(medians.values())
 
 
+def test_relation_ablation_single_class_cells():
+    # every entry is 1, so every cell's test set has one class
+    tensor = RelationalTensor.build(6, 2, [(i, j, t, 1) for i in range(6) for j in range(6)
+                                           for t in range(2)])
+    spec = SplitSpec(0.25, seed=0)
+    with pytest.raises(UndefinedMetricError):
+        relation_ablation(tensor, split_spec=spec, rank=1)
+    undefined = []
+    results, ranking = relation_ablation(tensor, split_spec=spec, rank=1,
+                                         on_undefined=lambda name, exc: undefined.append(name))
+    assert undefined == ["pltf", "pltf+rel0", "pltf+rel1"]
+    assert [r.method for r in results] == undefined
+    assert all(r.auc is None for r in results) and ranking == []
+
+
 def test_relation_ablation_requires_multiple_relations():
     tensor = grid_tensor(n=4, t=1)
     with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from linkpattern.gibbs import (ChainConfig, FactorHyperState, GibbsState,
                                run_chain, sample_alpha, sample_factor_hypers,
                                sample_r_rows, sample_u_rows, sample_v_rows)
 from linkpattern.io import SynthSpec, generate_synthetic
-from linkpattern.model import LatentFactors, ModelConfig
+from linkpattern.model import LatentFactors, ModelConfig, log_likelihood
 from linkpattern.optimize import MapConfig, fit_map
 from linkpattern.tensor import RelationalTensor
 
@@ -124,19 +124,37 @@ def test_sample_v_rows_matches_u_update_on_transposed_data():
     assert np.array_equal(v_draw, u_draw)
 
 
-@pytest.mark.parametrize("n,t,d,fill", [(50, 5, 5, 0.2), (20, 4, 11, 0.6)])
-def test_factor_rows_match_per_row_reference(n, t, d, fill):
-    # sender 0, receiver 1 and the last relation have no observations
+@pytest.mark.parametrize("n,t,d,fill,layout", [
+    pytest.param(50, 5, 5, 0.2, "entries", id="50-5-5-0.2"),
+    pytest.param(20, 4, 11, 0.6, "entries", id="20-4-11-0.6"),
+    pytest.param(30, 1, 5, 0.5, "fibers", id="fibers-30-1-5-0.5"),
+    pytest.param(20, 4, 11, 0.6, "fibers", id="fibers-20-4-11-0.6"),
+    pytest.param(20, 4, 11, 0.6, "fibers-but-one", id="fibers-but-one-20-4-11-0.6"),
+])
+def test_factor_rows_match_per_row_reference(n, t, d, fill, layout):
+    # sender 0 and receiver 1 have no observations, nor, in the "entries"
+    # layout, does the last relation.  The "fibers" layouts observe whole
+    # fibers (every T = 1 tensor does), which the fiber-form Grams need;
+    # "fibers-but-one" drops one entry, so one fiber is partial.
     rng = np.random.default_rng(d)
-    triples = [(i, j, k, int(rng.random() < 0.5))
-               for i in range(n) for j in range(n) for k in range(t)
-               if rng.random() < fill and i != 0 and j != 1 and k != t - 1]
+    if layout == "entries":
+        triples = [(i, j, k, int(rng.random() < 0.5))
+                   for i in range(n) for j in range(n) for k in range(t)
+                   if rng.random() < fill and i != 0 and j != 1 and k != t - 1]
+    else:
+        triples = [(i, j, k, int(rng.random() < 0.5))
+                   for i in range(n) for j in range(n) if rng.random() < fill and i != 0 and j != 1
+                   for k in range(t)]
+        if layout == "fibers-but-one":
+            del triples[5]
     tensor = RelationalTensor.build(n, t, triples)
+    groups = gibbs.ObservationGroups(tensor)
+    assert (groups.fibers is not None) is (layout == "fibers")
     factors = LatentFactors(*(0.5 * rng.standard_normal((m, d)) for m in (n, n, t)), alpha=2.0)
     a = rng.standard_normal((d, d))
     hyper = FactorHyperState(rng.standard_normal(d), a @ a.T / d + np.eye(d))
     for block, sampler in (("u", sample_u_rows), ("v", sample_v_rows), ("r", sample_r_rows)):
-        drawn = sampler(factors, tensor, hyper, np.random.default_rng(5))
+        drawn = sampler(factors, tensor, hyper, np.random.default_rng(5), groups)
         expected = reference_factor_rows(factors, tensor, hyper, block,
                                          np.random.default_rng(5))
         np.testing.assert_allclose(drawn, expected, rtol=0, atol=1e-12)
@@ -245,6 +263,21 @@ def test_run_chain_single_retained_draw(tiny_tensor):
     assert len(samples) == 1
     assert len(samples.log_likelihoods) == 1
     assert samples.draws[0].alpha > 0
+
+
+def test_run_chain_log_likelihoods_match_model_bitwise():
+    # the chain scores its draws on its own _Entries; the trace must be
+    # model.log_likelihood's, for the row-form and the fiber-form Grams
+    partial = small_chain_data()
+    complete, _truth = generate_synthetic(SynthSpec(12, 3, 2, seed=4))
+    identity = ModelConfig(2, use_logistic=False)
+    for tensor in (partial, complete):
+        samples = run_chain(tensor, identity, HyperPriors.default(2),
+                            ChainConfig(num_samples=6, burn_in=0, seed=3))
+        assert samples.log_likelihoods == [log_likelihood(draw, tensor, identity)
+                                           for draw in samples.draws]
+    assert gibbs.ObservationGroups(partial).fibers is None
+    assert gibbs.ObservationGroups(complete).fibers is not None
 
 
 def test_run_chain_deterministic():
