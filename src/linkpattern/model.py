@@ -73,15 +73,23 @@ class LatentFactors:
 def logistic(x):
     """Numerically stable logistic function; works on scalars and arrays.
 
-    Large |x| saturates to 0 or 1 without overflow.
+    Branch-free: with ``e = exp(min(x, -x))``, i.e. ``exp(-|x|)``, the
+    result is ``max(x >= 0, e) / (1 + e)``.  For x >= 0 (and -0.0) that is
+    ``1 / (1 + exp(-x))``, since e <= 1; for x < 0 it is
+    ``exp(x) / (1 + exp(x))``: the two stable branches, bit for bit, so
+    large |x| saturates to 0 or 1 without overflow.  ``min(x, -x)`` rather
+    than ``-abs(x)`` keeps the sign bit of a NaN input.
     """
     arr = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out if out.ndim else float(out)
+    # Ufuncs return a scalar for 0-d input, which out= cannot take.
+    vals = np.atleast_1d(arr)
+    e = np.negative(vals)
+    np.minimum(vals, e, out=e)
+    np.exp(e, out=e)
+    out = np.maximum(vals >= 0, e)
+    e += 1.0
+    out /= e
+    return out if arr.ndim else float(out[0])
 
 
 # The CP kernels evaluate on the masked-dense N x N x T form when the tensor

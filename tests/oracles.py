@@ -104,6 +104,26 @@ def reference_entries(factors, ii, jj, tt):
     return out
 
 
+def reference_logistic(x):
+    """Masked two-branch logistic: 1 / (1 + exp(-x)) where x >= 0, else exp(x) / (1 + exp(x))."""
+    arr = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(arr)
+    pos = arr >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+    ex = np.exp(arr[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out if out.ndim else float(out)
+
+
+def reference_predictive_scores(samples, ii, jj, tt, model_config):
+    """Per-draw scorer on whole gathered (E, D) factor arrays, clamped and averaged."""
+    total = np.zeros(len(ii), dtype=np.float64)
+    for factors in samples.draws:
+        s = np.einsum("nd,nd->n", factors.U[ii] * factors.V[jj], factors.R[tt])
+        total += np.clip(reference_logistic(s) if model_config.use_logistic else s, 0.0, 1.0)
+    return total / len(samples)
+
+
 def reference_factor_rows(factors, tensor, hyper, block, rng):
     """Row-at-a-time draw of factor block ``"u"``, ``"v"`` or ``"r"``.
 

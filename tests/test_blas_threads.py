@@ -14,14 +14,15 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# Prints one SHA-256 over the MAP fit, the Gibbs chain and an evaluate CSV
-# on a fully observed 104 x 104 x 26 tensor (the kinship data's shape).
+# Prints one SHA-256 over the MAP fit, the Gibbs chain, its predictive scores
+# over all pairs under both links and an evaluate CSV on a fully observed
+# 104 x 104 x 26 tensor (the kinship data's shape).
 SCRIPT = """
 import hashlib, sys
 from pathlib import Path
 import numpy as np
 from linkpattern.cli import main
-from linkpattern.gibbs import ChainConfig, HyperPriors, run_chain
+from linkpattern.gibbs import ChainConfig, HyperPriors, predictive_scores, run_chain
 from linkpattern.io import SynthSpec, generate_synthetic, save_triples
 from linkpattern.model import ModelConfig, log_likelihood
 from linkpattern.optimize import MapConfig, fit_map
@@ -42,6 +43,10 @@ for draw in samples.draws:
     for values in (draw.U, draw.V, draw.R, [draw.alpha, log_likelihood(draw, tensor, identity)]):
         digest.update(np.asarray(values).tobytes())
 digest.update(np.asarray(samples.log_likelihoods).tobytes())
+ii, jj, tt = (axis.ravel() for axis in np.indices((104, 104, 26)))
+for use_logistic in (True, False):
+    digest.update(predictive_scores(samples, ii, jj, tt,
+                                    ModelConfig(11, use_logistic=use_logistic)).tobytes())
 save_triples(tensor, work / "data.tsv")
 code = main(["evaluate", "--input", str(work / "data.tsv"), "--out", str(work / "grid.csv"),
              "--methods", "pltf,hb-r,hb-t", "--rank", "11", "--repeats", "1",

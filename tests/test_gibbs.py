@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -16,8 +18,8 @@ from linkpattern.optimize import MapConfig, fit_map
 from linkpattern.tensor import RelationalTensor
 
 from oracles import (TRIPLES, alpha_log_posterior, conjugacy_instance, grid_posterior_mean,
-                     r_row_designs, reference_factor_rows, row_log_posterior, tv_binned,
-                     u_row_designs)
+                     r_row_designs, reference_factor_rows, reference_predictive_scores,
+                     row_log_posterior, tv_binned, u_row_designs)
 
 IDENTITY1 = ModelConfig(1, use_logistic=False)
 
@@ -406,3 +408,45 @@ def test_predictive_mean_examples():
     assert score(clamped)[0] == pytest.approx(0.5)
     with pytest.raises(ValueError):
         score(SampleSet())
+
+
+def random_sample_set(n, t, d, n_draws, seed=0):
+    """Draws whose entries reach both clamp bounds and saturate the logistic."""
+    rng = np.random.default_rng(seed)
+    return SampleSet(draws=[LatentFactors(rng.normal(0, 1.5, (n, d)), rng.normal(0, 1.5, (n, d)),
+                                          rng.normal(0, 1.5, (t, d))) for _ in range(n_draws)])
+
+
+@pytest.mark.parametrize("use_logistic", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 5, 11])
+@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)],
+                         ids=["1", "block-1", "block", "block+1", "3block+7"])
+def test_predictive_scores_match_whole_array_reference_bitwise(blocks, extra, d, use_logistic):
+    n_coords = blocks * gibbs._SCORE_BLOCK + extra
+    rng = np.random.default_rng(n_coords + d)
+    samples = random_sample_set(7, 3, d, 3, seed=d)
+    # Random coordinates: unsorted, and repeated whenever n_coords > 7 * 7 * 3.
+    ii, jj = rng.integers(0, 7, (2, n_coords))
+    tt = rng.integers(0, 3, n_coords)
+    config = ModelConfig(d, use_logistic=use_logistic)
+    got = predictive_scores(samples, ii, jj, tt, config)
+    assert got.tobytes() == reference_predictive_scores(samples, ii, jj, tt, config).tobytes()
+
+
+def test_predictive_scores_memory_stays_blocked():
+    samples = random_sample_set(104, 26, 11, 2)
+    ii, jj, tt = (axis.ravel() for axis in np.indices((104, 104, 26)))
+    tracemalloc.start()
+    try:
+        scores = predictive_scores(samples, ii, jj, tt, ModelConfig(11, use_logistic=False))
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * scores.nbytes
+
+
+def test_predictive_scores_rejects_draws_of_different_shapes():
+    samples = SampleSet(draws=[random_sample_set(3, 2, 2, 1).draws[0],
+                               random_sample_set(4, 2, 2, 1).draws[0]])
+    with pytest.raises(DimensionMismatchError):
+        predictive_scores(samples, [0], [0], [0], ModelConfig(2))

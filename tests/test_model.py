@@ -10,7 +10,7 @@ from linkpattern.model import (LatentFactors, ModelConfig, log_likelihood,
                                logistic, predict_entries, reconstruct_entries)
 from linkpattern.tensor import RelationalTensor
 
-from oracles import reference_entries
+from oracles import reference_entries, reference_logistic
 
 
 def factors_from_rows(u_rows, v_rows, r_rows, alpha=1.0):
@@ -114,6 +114,24 @@ def test_logistic_properties():
     ys = logistic(xs)
     assert np.all(np.diff(ys) > 0)
     assert np.all((ys > 0) & (ys < 1))
+
+
+def test_logistic_matches_masked_reference_bitwise():
+    rng = np.random.default_rng(0)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-320, -1e-320,
+                         745.0, -745.0, 800.0, -800.0])
+    arrays = [rng.standard_normal(225_000) * scale for scale in (0.3, 3.0, 50.0, 800.0)]
+    arrays += [specials, specials.reshape(3, 4), np.arange(-40, 41), np.array([], dtype=float),
+               np.zeros((0, 3)), np.array(-2.5), np.array(0), np.array(np.nan)]
+    for x in arrays:
+        got, want = logistic(x), reference_logistic(x)
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    for x in [0.0, -0.0, 3.7, -3.7, 1e-320, -745.0, 800.0, float("inf"), float("-inf"),
+              float("nan"), 2, -3, True, np.float64(-1.5)]:
+        got, want = logistic(x), reference_logistic(x)
+        assert type(got) is float and type(want) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_predict_entry_examples():
