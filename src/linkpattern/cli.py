@@ -123,14 +123,15 @@ def cmd_fit_map(args) -> int:
     factors, trace = fit_map(tensor, model_cfg, _map_config_from_args(args))
     save_factors(factors, args.out)
     trace_path = args.trace if args.trace else str(args.out) + ".trace.csv"
-    rows = [["0", f"{trace.objectives[0]:.17g}", "", ""]]
+    rows = [["0", f"{trace.objectives[0]:.17g}", "", "", ""]]
     for k in range(trace.iterations):
         rows.append([str(k + 1), f"{trace.objectives[k + 1]:.17g}",
-                     f"{trace.gradient_norms[k]:.17g}", f"{trace.step_sizes[k]:.17g}"])
-    _write_trace_csv(trace_path, "iteration,objective,gradient_norm,step_size", rows)
+                     f"{trace.gradient_norms[k]:.17g}", f"{trace.step_sizes[k]:.17g}",
+                     str(trace.trials[k])])
+    _write_trace_csv(trace_path, "iteration,objective,gradient_norm,step_size,trials", rows)
     _write_manifest(args.out, "fit-map", args, [args.input], [args.out, trace_path])
-    print(f"fit-map: {trace.termination} after {trace.iterations} iterations, "
-          f"objective {trace.objectives[-1]:.6g} -> {args.out}")
+    print(f"fit-map: {trace.termination} after {trace.iterations} iterations "
+          f"({trace.restarts} restarts), objective {trace.objectives[-1]:.6g} -> {args.out}")
     return 0
 
 
@@ -299,7 +300,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-iterations", type=int, default=500,
                    help="iteration cap (default 500)")
     p.add_argument("--rel-tolerance", type=float, default=1e-6,
-                   help="relative decrease stopping tolerance (default 1e-6)")
+                   help="tolerance tau of the three-part convergence test (default 1e-6)")
     p.add_argument("--init-scale", type=float, default=0.1,
                    help="stddev of the random factor initialization (default 0.1)")
     p.add_argument("--identity-link", action=argparse.BooleanOptionalAction,

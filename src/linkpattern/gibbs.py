@@ -12,6 +12,7 @@ Conjugacy requires the identity link, so sweeps always use it internally;
 per-sample predictive means are clamped into [0, 1] at reporting time.
 """
 
+import logging
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -23,6 +24,8 @@ from .model import (LatentFactors, ModelConfig, _coordinates, _dense_form, _Entr
                     _gaussian_log_likelihood, _inner, logistic, reconstruct_entries)
 from .rng import substream
 from .tensor import RelationalTensor
+
+logger = logging.getLogger(__name__)
 
 _JITTER_RETRIES = 3
 
@@ -157,7 +160,8 @@ class GibbsState:
 
 
 def _chol_jitter(mat: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor, retrying with a scaled diagonal jitter."""
+    """Lower Cholesky factor, retrying with a scaled diagonal jitter; a
+    jittered factor logs a warning with the jitter."""
     sym = 0.5 * (mat + mat.T)
     try:
         return np.linalg.cholesky(sym)
@@ -167,9 +171,13 @@ def _chol_jitter(mat: np.ndarray) -> np.ndarray:
     jitter = 1e-10 * max(np.trace(sym) / d, 1.0)
     for _ in range(_JITTER_RETRIES):
         try:
-            return np.linalg.cholesky(sym + jitter * np.eye(d))
+            chol = np.linalg.cholesky(sym + jitter * np.eye(d))
         except np.linalg.LinAlgError:
             jitter *= 10.0
+            continue
+        logger.warning("%dx%d matrix not positive-definite: Cholesky factor taken "
+                       "with diagonal jitter %.3g", d, d, jitter)
+        return chol
     raise NotPositiveDefiniteError(
         f"matrix not positive-definite after {_JITTER_RETRIES} jitter retries")
 
@@ -194,7 +202,8 @@ def _sample_gaussian_stack(rng: np.random.Generator, precision: np.ndarray,
     it) and ``rhs`` the (rows, D) right-hand sides b_k.  The whole stack is
     factorised by one Cholesky; only if that fails does each row go through
     :func:`_chol_jitter`, which raises :class:`NotPositiveDefiniteError` for
-    a row it cannot repair.  The noise is one ``standard_normal((rows, D))``
+    a row it cannot repair.  The fallback and each jittered row log a
+    warning.  The noise is one ``standard_normal((rows, D))``
     call, the same numbers in the same order as one call per row.  Callers
     that know the mean pass zero right-hand sides and add it afterwards,
     which keeps the rounding of P^-1 (P mu) out of ill-conditioned draws.
@@ -204,6 +213,8 @@ def _sample_gaussian_stack(rng: np.random.Generator, precision: np.ndarray,
     try:
         chol = np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
+        logger.warning("stacked Cholesky of %d precision matrices failed: "
+                       "factorising each on its own", len(sym))
         chol = np.stack([_chol_jitter(p) for p in sym])
     z = rng.standard_normal(rhs.shape)
     # mean + L^-T z == L^-T (L^-1 b + z) for P = L L^T
@@ -268,16 +279,21 @@ class ObservationGroups:
     """A tensor's observed entries, arranged once per chain for the conditionals.
 
     ``entries`` is the chain's one ``model._Entries``; the noise-precision
-    residual, the chain's log-likelihoods and the fiber-form right-hand
-    sides all run on it.  The Grams take one of two forms:
+    residual and the chain's log-likelihoods run on it.  The normal
+    equations take one of two forms:
 
     * **fiber**, when every observed fiber holds all T entries
       (``n_fibers * T == n_entries``, the entries being distinct) and the
       entries take the masked-dense form.  The mask then factors as
-      m_ijt = m_ij, ``fibers`` holds the (N, N) 0/1 fiber mask, and each
-      Gram is a Hadamard product of small Grams (Kolda & Bader 2009, §3.4).
-      Summing over the mask costs N^2 D^2 whatever the entry count, so
-      sparse tensors keep the row form;
+      m_ijt = m_ij: ``fibers`` holds the (N, N) 0/1 fiber mask and
+      ``slices`` the zero-filled (T, N, N) labels Y_t, at most
+      ``DENSE_CELLS_PER_ENTRY`` floats per entry.  Each Gram is a Hadamard
+      product of small Grams (Kolda & Bader 2009, §3.4), and each
+      right-hand side one batched product ``Y_t @ V`` or ``Y_t^T @ U``
+      contracted with the third factor.  Every BLAS product sums over K = N
+      into D columns, which rounds alike under any thread count.  Summing
+      over the mask costs N^2 D^2 whatever the entry count, so sparse
+      tensors keep the row form;
     * **row**, otherwise (``fibers`` is None): the entries are sorted once
       by each axis, and each row's Gram is summed over its contiguous
       segment.
@@ -293,6 +309,8 @@ class ObservationGroups:
         if _dense_form(n, T, ii.size) and n_fibers * T == ii.size:
             self.fibers = np.zeros((n, n))
             self.fibers[ii, jj] = 1.0
+            self.slices = np.zeros((T, n, n))
+            self.slices[tt, ii, jj] = self.y
         else:
             self.by_axis = (_AxisGroups(ii, jj, tt, self.y, n),
                             _AxisGroups(jj, ii, tt, self.y, n),
@@ -321,21 +339,25 @@ class ObservationGroups:
         if self.fibers is None:
             left, right = ((V, R), (U, R), (U, V))[mode]
             return self.by_axis[mode].normal_terms(left, right)
-        xty, = self.entries.mttkrp(self.y, U, V, R, modes=(mode,))
-        d = U.shape[1]
         if mode == 2:  # sum_ij m_ij (U_i U_i^T) o (V_j V_j^T), shared by every t
-            by_i = np.einsum("ij,jk->ik", self.fibers, _outer_rows(V))
-            return np.einsum("ik,ik->k", _outer_rows(U), by_i).reshape(d, d), xty
-        # row i of U: (sum_j m_ij V_j V_j^T) o (R^T R); V likewise over i
-        other = V if mode == 0 else U
-        mask = self.fibers if mode == 0 else self.fibers.T
-        summed = np.einsum("ij,jk->ik", mask, _outer_rows(other)).reshape(-1, d, d)
-        return summed * np.einsum("td,te->de", R, R), xty
+            return (np.einsum("ia,ib,iab->ab", U, U, _masked_grams(self.fibers, V)),
+                    np.einsum("tid,id->td", np.matmul(self.slices, V), U))
+        # row i of U: (sum_j m_ij V_j V_j^T) o (R^T R) and sum_t R_t o (Y_t V)_i;
+        # V likewise over i, with Y_t^T and U
+        other, mask, slices = ((V, self.fibers, self.slices) if mode == 0 else
+                               (U, self.fibers.T, self.slices.transpose(0, 2, 1)))
+        return (_masked_grams(mask, other) * np.einsum("td,te->de", R, R),
+                np.einsum("tid,td->id", np.matmul(slices, other), R))
 
 
-def _outer_rows(M: np.ndarray) -> np.ndarray:
-    """Row k is ``M[k] M[k]^T`` flattened: a (rows, D * D) array."""
-    return (M[:, :, None] * M[:, None, :]).reshape(M.shape[0], -1)
+def _masked_grams(mask: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``sum_j mask[i, j] M_j M_j^T`` for every i: an (N, D, D) stack.
+
+    D products (N, N) @ (N, D), one per column a of ``M_j M_j^T``.  As one
+    (N, N) @ (N, D^2) product the sums rounded differently under one and
+    two OpenBLAS threads (tests/test_blas_threads.py).
+    """
+    return np.matmul(mask, M.T[:, :, None] * M).transpose(1, 0, 2)
 
 
 class _AxisGroups:

@@ -212,10 +212,10 @@ class _Entries:
         return ((ab * c).sum(axis=0), (dab * c + ab * dc).sum(axis=0),
                 (dadb * c + dab * dc).sum(axis=0), (dadb * dc).sum(axis=0))
 
-    def mttkrp(self, w, A, B, C, modes=(0, 1, 2)):
-        """Weighted MTTKRPs of the given modes (0: A, 1: B, 2: C): per row,
-        the sum of ``w`` times the products of the other two factors' rows,
-        e.g. ``sum w B[j] o C[t]`` over the coordinates of row i of A.
+    def mttkrp(self, w, A, B, C):
+        """Weighted MTTKRPs of all three modes (A, B, C): per row, the sum
+        of ``w`` times the products of the other two factors' rows, e.g.
+        ``sum w B[j] o C[t]`` over the coordinates of row i of A.
 
         The coordinates must be distinct.  For coordinates in sorted
         (i, j, t) order, as ``RelationalTensor.entry_arrays`` gives them,
@@ -226,20 +226,16 @@ class _Entries:
         n, T = self.n, self.t
         if not self.dense:
             a, b, c = _gather(A, self.ii), _gather(B, self.jj), _gather(C, self.tt)
-            products = {0: lambda: _scatter_rows(self.ii, w * (b * c), n),
-                        1: lambda: _scatter_rows(self.jj, w * (a * c), n),
-                        2: lambda: _scatter_rows(self.tt, w * (a * b), T)}
-            return tuple(products[m]() for m in modes)
+            return (_scatter_rows(self.ii, w * (b * c), n),
+                    _scatter_rows(self.jj, w * (a * c), n),
+                    _scatter_rows(self.tt, w * (a * b), T))
         weights = np.zeros(n * n * T)
         weights[self.flat] = w
         weights = weights.reshape(n, n, T)
-        products = {
-            0: lambda: np.einsum("ik,kd->id", weights.reshape(n, n * T), _khatri_rao(B, C)),
-            1: lambda: np.einsum("jk,kd->jd", weights.transpose(1, 0, 2).reshape(n, n * T),
-                                 _khatri_rao(A, C)),
-            2: lambda: np.einsum("kt,kd->td", weights.reshape(n * n, T), _khatri_rao(A, B)),
-        }
-        return tuple(products[m]() for m in modes)
+        return (np.einsum("ik,kd->id", weights.reshape(n, n * T), _khatri_rao(B, C)),
+                np.einsum("jk,kd->jd", weights.transpose(1, 0, 2).reshape(n, n * T),
+                          _khatri_rao(A, C)),
+                np.einsum("kt,kd->td", weights.reshape(n * n, T), _khatri_rao(A, B)))
 
 
 def reconstruct_entries(factors: LatentFactors, ii, jj, tt) -> np.ndarray:

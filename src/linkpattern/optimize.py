@@ -66,11 +66,18 @@ class OptTrace:
 
     ``objectives[0]`` is the initial objective; each subsequent element is
     the value after an accepted step, so the sequence is non-increasing.
+    ``trials[k]`` counts the line objective's trial steps in iteration
+    k + 1, a failed search retried from steepest descent included.
+    ``restarts`` counts the resets of the CG direction to steepest descent:
+    periodic, after a non-descent direction, for the stall retry, and after
+    a small step that did not pass the convergence test.
     """
 
     objectives: list = field(default_factory=list)
     gradient_norms: list = field(default_factory=list)
     step_sizes: list = field(default_factory=list)
+    trials: list = field(default_factory=list)
+    restarts: int = 0
     termination: str = ""
 
     @property
@@ -198,11 +205,16 @@ def fit_map(tensor: RelationalTensor, model_config: ModelConfig,
 
     Returns ``(factors, trace)``.  Deterministic for a fixed seed: the
     initialization, summation order and line search are all fixed.
-    ``trace.termination`` names the stop: ``"converged"`` when the relative
-    objective decrease drops below ``rel_tolerance``, ``"no_progress"`` when
-    an accepted step does not lower the directly evaluated objective
-    (progress below float resolution; the previous iterate is kept),
-    ``"stalled"`` when the line search fails, or ``"max_iterations"``.
+    ``trace.termination`` names the stop: ``"converged"`` when the
+    three-part test of Gill, Murray & Wright (*Practical Optimization*,
+    §8.2.3) holds with tau = ``rel_tolerance``: the objective fell by less
+    than tau (1 + |f|), the step moved x by less than sqrt(tau) (1 + ||x||)
+    and the gradient norm is at most tau^(1/3) (1 + |f|).  A step that
+    passes the first part only restarts CG along steepest descent.
+    ``"no_progress"`` when an accepted step does not lower the directly
+    evaluated objective (progress below float resolution; the previous
+    iterate is kept), ``"stalled"`` when the line search fails, or
+    ``"max_iterations"``.
     """
     if tensor.observed_count == 0:
         raise ValueError("cannot fit an empty tensor")
@@ -214,6 +226,8 @@ def fit_map(tensor: RelationalTensor, model_config: ModelConfig,
 
     packed = _Packed(n, T, d)
     loss = _Loss(tensor, model_config, map_config)
+    tau = map_config.rel_tolerance
+    trials = 0
 
     def f_and_g(x):
         value, grads = loss.value_and_gradient(packed.unpack(x))
@@ -222,7 +236,12 @@ def fit_map(tensor: RelationalTensor, model_config: ModelConfig,
     def search(x, grad, direction):
         """Armijo step along ``direction``, and the line objective it was found on."""
         along = loss.line(packed.unpack(x), packed.unpack(direction))
-        return _backtrack(_inner(grad, direction), along, along(0.0)), along
+
+        def trial(step):
+            nonlocal trials
+            trials += 1
+            return along(step)
+        return _backtrack(_inner(grad, direction), trial, along(0.0)), along
 
     x = packed.pack(U0, V0, R0)
     f, grad = f_and_g(x)
@@ -233,6 +252,8 @@ def fit_map(tensor: RelationalTensor, model_config: ModelConfig,
     for iteration in range(map_config.max_iterations):
         if _inner(grad, direction) >= 0:
             direction = -grad
+            trace.restarts += 1
+        trials = 0
         # ``along`` stays referenced until the next search replaces it: freeing
         # its coefficient arrays early lets the allocator trim the heap, and
         # the gradient's arrays fault their pages back in (a 10-iteration
@@ -244,6 +265,7 @@ def fit_map(tensor: RelationalTensor, model_config: ModelConfig,
                 if np.array_equal(direction, -grad):
                     raise
                 direction = -grad  # restart CG and retry once from steepest descent
+                trace.restarts += 1
                 step, along = search(x, grad, direction)
         except StallError:
             trace.termination = "stalled"
@@ -259,25 +281,31 @@ def fit_map(tensor: RelationalTensor, model_config: ModelConfig,
             trace.termination = "no_progress"
             break
         x = x_trial
+        grad_norm = math.sqrt(_inner(grad_new, grad_new))
         trace.objectives.append(f_new)
-        trace.gradient_norms.append(math.sqrt(_inner(grad_new, grad_new)))
+        trace.gradient_norms.append(grad_norm)
         trace.step_sizes.append(step)
+        trace.trials.append(trials)
 
-        rel_decrease = (f - f_new) / max(abs(f), 1e-300)
-        converged = rel_decrease < map_config.rel_tolerance
-        if (iteration + 1) % restart_every == 0:
-            beta = 0.0
-        else:
-            beta = max(0.0, _inner(grad_new, grad_new - grad) / _inner(grad, grad))
-        direction = -grad_new + beta * direction
-        f, grad = f_new, grad_new
-        if converged:
+        small_change = f - f_new < tau * (1.0 + abs(f_new))
+        if (small_change
+                and step * math.sqrt(_inner(direction, direction))
+                < math.sqrt(tau) * (1.0 + math.sqrt(_inner(x, x)))
+                and grad_norm <= tau ** (1.0 / 3.0) * (1.0 + abs(f_new))):
+            f = f_new
             trace.termination = "converged"
             break
+        if small_change or (iteration + 1) % restart_every == 0:
+            direction = -grad_new
+            trace.restarts += 1
+        else:
+            beta = max(0.0, _inner(grad_new, grad_new - grad) / _inner(grad, grad))
+            direction = -grad_new + beta * direction
+        f, grad = f_new, grad_new
     if not trace.termination:
         trace.termination = "max_iterations"
-    logger.debug("fit_map: %s after %d iterations, objective %.6g",
-                 trace.termination, trace.iterations, f)
+    logger.debug("fit_map: %s after %d iterations, objective %.6g, %d restarts",
+                 trace.termination, trace.iterations, f, trace.restarts)
 
     U, V, R = packed.unpack(x)
     return LatentFactors(U.copy(), V.copy(), R.copy(), alpha=1.0), trace

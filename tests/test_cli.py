@@ -43,8 +43,9 @@ def test_synth_fit_sample_predict_flow(tmp_path):
     factors = load_factors(model)
     assert factors.rank == 2
     trace_lines = (tmp_path / "m.pltf.trace.csv").read_text().splitlines()
-    assert trace_lines[0] == "iteration,objective,gradient_norm,step_size"
+    assert trace_lines[0] == "iteration,objective,gradient_norm,step_size,trials"
     objectives = [float(line.split(",")[1]) for line in trace_lines[1:]]
+    assert all(int(line.split(",")[4]) >= 1 for line in trace_lines[2:])
     assert all(b <= a for a, b in zip(objectives, objectives[1:]))
 
     samples_file = tmp_path / "s.pltf"

@@ -183,6 +183,21 @@ def test_factor_rows_jitter_fallback_on_singular_stack(monkeypatch):
     assert draws.shape == (4, 1) and np.all(np.isfinite(draws))
 
 
+def test_gaussian_stack_fallback_and_jitter_are_logged(caplog):
+    # one singular (positive semi-definite) matrix in a stack of three: the
+    # stacked Cholesky fails, and that row alone needs jitter
+    precision = np.stack([np.eye(2), np.ones((2, 2)), 2.0 * np.eye(2)])
+    with caplog.at_level("WARNING", logger="linkpattern.gibbs"):
+        draws = gibbs._sample_gaussian_stack(np.random.default_rng(0), precision,
+                                             np.zeros((3, 2)))
+    assert draws.shape == (3, 2) and np.all(np.isfinite(draws))
+    messages = [record.getMessage() for record in caplog.records]
+    assert len(messages) == 2
+    assert "stacked Cholesky of 3 precision matrices failed" in messages[0]
+    assert "2x2 matrix not positive-definite" in messages[1]
+    assert "jitter 1e-10" in messages[1]
+
+
 def test_factor_rows_indefinite_row_raises_typed_error():
     factors, tensor = four_object_instance()
     hyper = FactorHyperState(np.zeros(1), -np.eye(1))

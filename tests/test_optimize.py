@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from linkpattern import model, optimize
+from linkpattern.evaluate import SplitSpec, auc, split_fibers
 from linkpattern.exceptions import StallError
 from linkpattern.model import LatentFactors, ModelConfig, log_likelihood
 from linkpattern.optimize import MapConfig, fit_map, gradients, objective
@@ -203,8 +204,9 @@ def test_fit_map_trace_monotone_and_consistent():
 
 
 def test_fit_map_reports_no_progress_stop():
-    # no relative decrease falls below this tolerance, so the fit runs until
-    # an accepted step no longer lowers the directly evaluated objective
+    # no gradient norm falls below this tolerance's convergence bound, so the
+    # fit runs until an accepted step no longer lowers the directly
+    # evaluated objective
     tensor, _ = random_instance(seed=11, n=3, t=2)
     model_cfg = ModelConfig(2, use_logistic=False)
     map_cfg = MapConfig(seed=11, max_iterations=5000, rel_tolerance=1e-300)
@@ -243,3 +245,47 @@ def test_map_objective_matches_negative_log_posterior_argmin():
 def test_fit_map_rejects_empty_tensor():
     with pytest.raises(ValueError):
         fit_map(RelationalTensor.build(2, 1, []), IDENTITY, MapConfig())
+
+
+def test_fit_map_trials_count_line_objective_calls(monkeypatch):
+    # every trial step of the Armijo search (step > 0; step 0 is the
+    # search's reference value) is one evaluation of the line objective
+    calls = []
+    line = optimize._Loss.line
+
+    def counting_line(self, blocks, direction):
+        at = line(self, blocks, direction)
+        return lambda step: calls.append(step) or at(step)
+
+    monkeypatch.setattr(optimize._Loss, "line", counting_line)
+    tensor, _ = random_instance(seed=9, n=4, t=2)
+    _factors, trace = fit_map(tensor, LOGISTIC, MapConfig(seed=7, max_iterations=60))
+    assert len(trace.trials) == trace.iterations > 0
+    assert sum(trace.trials) == sum(step > 0 for step in calls)
+    for step, trials in zip(trace.step_sizes, trace.trials):
+        # an accepted step 0.5**k took k + 1 trials, more after a stall retry
+        assert trials >= round(-np.log2(step)) + 1
+
+
+@pytest.mark.parametrize("split_seed", [30, 964])
+def test_fit_map_does_not_stop_on_a_plateau(split_seed):
+    # On these splits of the acceptance battery, a 30-iteration logistic fit
+    # once stopped as "converged" after 10 or 11 iterations: a tiny accepted
+    # step lowered the objective by under rel_tolerance while the gradient
+    # norm was still 3 to 5, and the held-out AUC was below 0.5.
+    from test_acceptance import acceptance_dataset  # it imports this module
+    train, test = split_fibers(acceptance_dataset(), SplitSpec(0.2, split_seed))
+    model_cfg = ModelConfig(5, use_logistic=True)
+    ii, jj, tt, yy = test.entry_arrays()
+    for cap in (30, 500):
+        map_cfg = MapConfig(gamma_u=0.1, gamma_v=0.1, gamma_r=0.1, max_iterations=cap,
+                            seed=split_seed)
+        factors, trace = fit_map(train, model_cfg, map_cfg)
+        assert trace.termination in {"converged", "max_iterations"}
+        if trace.termination == "converged":  # the three-part test's gradient part
+            tau = map_cfg.rel_tolerance
+            assert trace.gradient_norms[-1] <= tau ** (1 / 3) * (1 + abs(trace.objectives[-1]))
+        else:
+            assert trace.iterations == cap
+        assert trace.restarts >= 1
+        assert auc(model.predict_entries(factors, ii, jj, tt, model_cfg), yy) >= 0.6
