@@ -7,8 +7,8 @@ by a fully conjugate hierarchical Bayesian Gibbs sampler.
 """
 
 from .evaluate import (ExperimentResult, SplitSpec, TrainSettings, auc,
-                       dimension_sweep, evaluate_method, relation_ablation,
-                       split_fibers, write_results_csv)
+                       evaluate_method, relation_ablation, split_fibers,
+                       write_results_csv)
 from .exceptions import (ConfigError, DataConflictError, DegenerateSplitError,
                          DimensionMismatchError, DivergenceError, FormatError,
                          LinkPatternError, NotPositiveDefiniteError, StallError,
@@ -18,7 +18,7 @@ from .gibbs import (ChainConfig, FactorHyperState, GibbsState, HyperPriors,
                     run_chain, sample_alpha, sample_factor_hypers, sample_r_rows,
                     sample_u_rows, sample_v_rows)
 from .io import (SynthSpec, generate_synthetic, load_factors, load_triples,
-                 save_factors, save_triples, synthetic_reals)
+                 save_factors, save_triples)
 from .model import (LatentFactors, ModelConfig, log_likelihood, logistic,
                     predict_entries, reconstruct_entries)
 from .optimize import MapConfig, OptTrace, fit_map, gradients, objective
@@ -33,12 +33,11 @@ __all__ = [
     "LatentFactors", "LinkPatternError", "MapConfig", "ModelConfig",
     "NotPositiveDefiniteError", "OptTrace", "RelationalTensor", "SampleSet",
     "SplitSpec", "StallError", "SynthSpec", "TensorSlice", "TrainSettings",
-    "TripleParseError", "UndefinedMetricError", "auc", "dimension_sweep",
-    "evaluate_method", "fit_map", "generate_synthetic", "gibbs_sweep",
-    "gradients", "load_factors", "load_triples", "log_likelihood", "logistic",
-    "objective", "predict_entries", "predictive_scores", "reconstruct_entries",
+    "TripleParseError", "UndefinedMetricError", "auc", "evaluate_method",
+    "fit_map", "generate_synthetic", "gibbs_sweep", "gradients",
+    "load_factors", "load_triples", "log_likelihood", "logistic", "objective",
+    "predict_entries", "predictive_scores", "reconstruct_entries",
     "relation_ablation", "run_chain", "sample_alpha", "sample_factor_hypers",
     "sample_r_rows", "sample_u_rows", "sample_v_rows", "save_factors",
-    "save_triples", "split_fibers", "synthetic_reals", "write_results_csv",
-    "__version__",
+    "save_triples", "split_fibers", "write_results_csv", "__version__",
 ]

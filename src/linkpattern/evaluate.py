@@ -8,7 +8,8 @@ macro-average flag for per-relation averaging.
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from functools import partial
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy.stats import rankdata
@@ -90,7 +91,7 @@ def split_fibers(tensor: RelationalTensor, spec: SplitSpec):
             f"leaves an empty side")
     rng = substream(spec.seed, "fiber-split")
     chosen = rng.choice(len(fibers), size=n_test, replace=False)
-    return tensor.hide_fibers(fibers[k] for k in chosen)
+    return tensor.hide_fibers(fibers[chosen])
 
 
 def auc(scores, labels) -> float:
@@ -120,14 +121,16 @@ def _derived_seed(seed: int, *names: str) -> int:
     return int(substream(seed, *names).integers(2 ** 63))
 
 
+def _map_config(settings, seed):
+    return MapConfig(gamma_u=settings.gamma, gamma_v=settings.gamma, gamma_r=settings.gamma,
+                     max_iterations=settings.map_max_iterations,
+                     rel_tolerance=settings.map_rel_tolerance,
+                     init_scale=settings.init_scale, seed=seed)
+
+
 def _score_pltf(train, ii, jj, tt, *, rank, seed, settings):
     model_cfg = ModelConfig(rank, use_logistic=settings.use_logistic_map)
-    map_cfg = MapConfig(gamma_u=settings.gamma, gamma_v=settings.gamma,
-                        gamma_r=settings.gamma,
-                        max_iterations=settings.map_max_iterations,
-                        rel_tolerance=settings.map_rel_tolerance,
-                        init_scale=settings.init_scale, seed=seed)
-    factors, _ = fit_map(train, model_cfg, map_cfg)
+    factors, _ = fit_map(train, model_cfg, _map_config(settings, seed))
     return predict_entries(factors, ii, jj, tt, model_cfg)
 
 
@@ -143,23 +146,10 @@ def _score_hb(train, ii, jj, tt, *, rank, seed, settings, warm_start):
     init = None
     if warm_start:
         # Warm start on the identity-link scale the chain samples on.
-        map_cfg = MapConfig(gamma_u=settings.gamma, gamma_v=settings.gamma,
-                            gamma_r=settings.gamma,
-                            max_iterations=settings.map_max_iterations,
-                            rel_tolerance=settings.map_rel_tolerance,
-                            init_scale=settings.init_scale, seed=seed)
-        init, _ = fit_map(train, model_cfg, map_cfg)
+        init, _ = fit_map(train, model_cfg, _map_config(settings, seed))
     priors, chain_cfg = _chain_settings(settings, rank, seed, init_factors=init)
     samples = run_chain(train, model_cfg, priors, chain_cfg)
     return predictive_scores(samples, ii, jj, tt, model_cfg)
-
-
-def _score_hb_random(train, ii, jj, tt, **kw):
-    return _score_hb(train, ii, jj, tt, warm_start=False, **kw)
-
-
-def _score_hb_trained(train, ii, jj, tt, **kw):
-    return _score_hb(train, ii, jj, tt, warm_start=True, **kw)
 
 
 def _score_per_slice(train, ii, jj, tt, *, rank, seed, settings):
@@ -186,8 +176,8 @@ def _score_per_slice(train, ii, jj, tt, *, rank, seed, settings):
 
 METHOD_SCORERS = {
     "pltf": _score_pltf,
-    "hb-r": _score_hb_random,
-    "hb-t": _score_hb_trained,
+    "hb-r": partial(_score_hb, warm_start=False),
+    "hb-t": partial(_score_hb, warm_start=True),
     "baseline": _score_per_slice,
 }
 
@@ -237,21 +227,6 @@ def evaluate_method(method: Union[str, Callable], train: RelationalTensor,
     value = _pooled_or_macro(scores, labels, tt, macro_average)
     return ExperimentResult(method=name, split=split, rank=rank, seed=seed,
                             auc=value, wall_time_s=wall, repeat_index=repeat_index)
-
-
-def dimension_sweep(tensor: RelationalTensor, ranks: Sequence[int], *,
-                    methods: Sequence[str] = ("pltf", "hb-t"),
-                    split_spec: SplitSpec,
-                    settings: Optional[TrainSettings] = None) -> list:
-    """Evaluate each method at each rank on one fixed split."""
-    train, test = split_fibers(tensor, split_spec)
-    results = []
-    for rank in ranks:
-        for method in methods:
-            results.append(evaluate_method(
-                method, train, test, rank=rank, seed=split_spec.seed,
-                settings=settings, split=split_spec))
-    return results
 
 
 def _restore_relation(original_test: RelationalTensor, train: RelationalTensor, t: int):

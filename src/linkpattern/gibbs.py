@@ -483,17 +483,17 @@ def run_chain(tensor: RelationalTensor, model_config: ModelConfig,
         f0 = config.init_factors
         if f0.n_objects != n or f0.rank != d or (sample_relations and f0.n_relations != T):
             raise DimensionMismatchError("init_factors do not match tensor/model dimensions")
-        u0, v0 = f0.U.copy(), f0.V.copy()
-        r0 = f0.R.copy() if sample_relations else np.asarray(frozen_relations, dtype=np.float64)
-        alpha0 = f0.alpha
+        u0, v0, alpha0 = f0.U.copy(), f0.V.copy(), f0.alpha
     else:
         u0 = 0.1 * rng.standard_normal((n, d))
         v0 = 0.1 * rng.standard_normal((n, d))
-        if sample_relations:
-            r0 = 0.1 * rng.standard_normal((T, d))
-        else:
-            r0 = np.asarray(frozen_relations, dtype=np.float64)
         alpha0 = 1.0
+    if not sample_relations:
+        r0 = np.asarray(frozen_relations, dtype=np.float64)
+    elif config.init_factors is not None:
+        r0 = config.init_factors.R.copy()
+    else:  # drawn after U and V: the draw order fixes every chain
+        r0 = 0.1 * rng.standard_normal((T, d))
     if r0.shape != (T, d):
         raise DimensionMismatchError(f"relation factor shape {r0.shape}, expected {(T, d)}")
 

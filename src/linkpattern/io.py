@@ -244,14 +244,6 @@ def generate_synthetic(spec: SynthSpec):
     return tensor, truth
 
 
-def synthetic_reals(spec: SynthSpec) -> np.ndarray:
-    """The dense pre-threshold real entries behind :func:`generate_synthetic`.
-
-    Same seed, same draw; useful for checking generator symmetry.
-    """
-    return _generate(spec)[2]
-
-
 def _generate(spec: SynthSpec):
     d = spec.rank
     priors = spec.hyperpriors if spec.hyperpriors is not None else HyperPriors.default(d)

@@ -1,8 +1,8 @@
 """Partially observed binary relational tensors.
 
 A :class:`RelationalTensor` holds the observations of an N x N x T binary
-tensor together with the implicit indicator mask: a key that was never
-observed reports ``None``, never a value.  The length-T vector of relation
+tensor together with the implicit indicator mask: an entry is observed
+exactly when its coordinates are stored.  The length-T vector of relation
 values between one ordered object pair (a tube fiber) is the unit of
 prediction throughout the package.
 
@@ -13,17 +13,11 @@ tensor is made by one validating constructor, and every "mutation" returns
 a new tensor, so instances are safe to share across workers.
 """
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .exceptions import DataConflictError
-
-# An observed-or-missing relation vector for one ordered pair: entries are
-# 0, 1 or None (missing).
-LinkPattern = tuple
-# Ordered object pair (i, j).  Directed: (i, j) and (j, i) are distinct.
-FiberKey = tuple
 
 
 def _checked(values, bound: int, what: str, error=IndexError) -> np.ndarray:
@@ -97,30 +91,9 @@ class RelationalTensor:
         if not (0 <= t < self.n_relations):
             raise IndexError(f"relation index out of range: {t} with T={self.n_relations}")
 
-    def _fiber_span(self, i: int, j: int) -> slice:
-        """The run of stored entries of fiber (i, j), found by binary search."""
-        if not (0 <= i < self.n_objects and 0 <= j < self.n_objects):
-            raise IndexError(f"object index out of range: ({i}, {j}) with N={self.n_objects}")
-        lo, hi = np.searchsorted(self._entries[0], (i, i + 1))
-        lo, hi = lo + np.searchsorted(self._entries[1][lo:hi], (j, j + 1))
-        return slice(lo, hi)
-
     def _select(self, keep: np.ndarray) -> "RelationalTensor":
         return RelationalTensor(self.n_objects, self.n_relations,
                                 *(a[keep] for a in self._entries))
-
-    def value_at(self, i: int, j: int, t: int) -> Optional[int]:
-        """Observed value at (i, j, t), or None when the entry is missing."""
-        span = self._fiber_span(i, j)
-        self._check_relation(t)
-        tt = self._entries[2][span]
-        k = np.searchsorted(tt, t)
-        return int(self._entries[3][span][k]) if k < tt.size and tt[k] == t else None
-
-    def fiber(self, key: FiberKey) -> LinkPattern:
-        """Length-T link pattern for the ordered pair ``key``."""
-        i, j = key
-        return tuple(self.value_at(i, j, t) for t in range(self.n_relations))
 
     def slice(self, t: int) -> "TensorSlice":
         """Sparse N x N view of relation ``t`` with the same mask semantics."""
@@ -129,11 +102,11 @@ class RelationalTensor:
         ii, jj, _tt, yy = (a[keep] for a in self._entries)
         return TensorSlice(t, RelationalTensor(self.n_objects, 1, ii, jj, np.zeros_like(ii), yy))
 
-    def fiber_keys(self) -> list:
-        """Ordered pairs with at least one observed relation, sorted."""
+    def fiber_keys(self) -> np.ndarray:
+        """Ordered pairs (i, j) with at least one observed relation: a sorted
+        (F, 2) int64 array.  Directed: (i, j) and (j, i) are distinct."""
         pairs = np.unique(self._entries[0] * self.n_objects + self._entries[1])
-        i, j = np.divmod(pairs, self.n_objects)
-        return list(zip(i.tolist(), j.tolist()))
+        return np.stack(np.divmod(pairs, self.n_objects), axis=1)
 
     def observed_keys(self) -> list:
         """All observed (i, j, t) keys, sorted."""
@@ -197,10 +170,6 @@ class TensorSlice:
     @property
     def observed_count(self) -> int:
         return self._tensor.observed_count
-
-    def __getitem__(self, key) -> Optional[int]:
-        i, j = key
-        return self._tensor.value_at(i, j, 0)
 
     def to_tensor(self) -> RelationalTensor:
         """The slice as a standalone T=1 tensor (relation index becomes 0)."""

@@ -29,8 +29,18 @@ def planted_binary_tensor(n, t, rank, *, noise=0.4, fill=0.75, seed=0, r_rows=No
     return RelationalTensor.build(n, t, triples), (u, v, r)
 
 
+def dense_values(tensor):
+    """The tensor as an N x N x T float array, NaN where unobserved."""
+    ii, jj, tt, yy = tensor.entry_arrays()
+    out = np.full((tensor.n_objects, tensor.n_objects, tensor.n_relations), np.nan)
+    out[ii, jj, tt] = yy
+    return out
+
+
+TINY_TRIPLES = [(0, 1, 0, 1), (0, 2, 0, 0), (1, 0, 0, 1), (2, 1, 0, 1),
+                (0, 1, 1, 0), (2, 0, 1, 1), (1, 2, 1, 0)]
+
+
 @pytest.fixture
 def tiny_tensor():
-    return RelationalTensor.build(3, 2, [(0, 1, 0, 1), (0, 2, 0, 0), (1, 0, 0, 1),
-                                         (2, 1, 0, 1), (0, 1, 1, 0), (2, 0, 1, 1),
-                                         (1, 2, 1, 0)])
+    return RelationalTensor.build(3, 2, TINY_TRIPLES)

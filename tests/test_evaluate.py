@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from linkpattern.evaluate import (METHOD_SCORERS, ExperimentResult, SplitSpec,
-                                  TrainSettings, auc, dimension_sweep,
-                                  evaluate_method, relation_ablation,
-                                  split_fibers, write_results_csv)
+                                  TrainSettings, auc, evaluate_method,
+                                  relation_ablation, split_fibers,
+                                  write_results_csv)
 from linkpattern.exceptions import DegenerateSplitError, UndefinedMetricError
 from linkpattern.gibbs import HyperPriors
 from linkpattern.io import SynthSpec, generate_synthetic
@@ -36,7 +36,7 @@ def test_split_fibers_partition_and_determinism():
     assert train1.observed_count + test1.observed_count == tensor.observed_count
     assert len(test1.fiber_keys()) == round(0.25 * len(tensor.fiber_keys()))
     other = split_fibers(tensor, SplitSpec(0.25, seed=5))[1]
-    assert other.fiber_keys() != test1.fiber_keys()
+    assert not np.array_equal(other.fiber_keys(), test1.fiber_keys())
 
 
 def test_split_fibers_rounds_to_single_fiber():
@@ -80,8 +80,14 @@ def test_auc_matches_pairwise_oracle_with_ties():
 
 
 def perfect_scorer(test):
-    def scorer(train, ii, jj, tt, **kw):
-        return np.array([test.value_at(i, j, t) for i, j, t in zip(ii, jj, tt)], dtype=float)
+    """Scores each queried entry by its true label, looked up in the label
+    array read here once; the scorer itself never reads the tensor."""
+    n, T = test.n_objects, test.n_relations
+    ii, jj, tt, labels = test.entry_arrays()
+    keys = (ii * n + jj) * T + tt
+
+    def scorer(train, qi, qj, qt, **kw):
+        return labels[np.searchsorted(keys, (qi * n + qj) * T + qt)]
     return scorer
 
 
@@ -114,23 +120,23 @@ class CountingTensor(RelationalTensor):
 
     def __init__(self, base):
         super().__init__(base.n_objects, base.n_relations, *base.entry_arrays())
-        self.calls = {"value_at": 0, "entry_arrays": 0, "fiber": 0, "slice": 0}
-
-    def value_at(self, i, j, t):
-        self.calls["value_at"] += 1
-        return super().value_at(i, j, t)
+        self.calls = {"entry_arrays": 0, "slice": 0, "observed_keys": 0, "fiber_keys": 0}
 
     def entry_arrays(self):
         self.calls["entry_arrays"] += 1
         return super().entry_arrays()
 
-    def fiber(self, key):
-        self.calls["fiber"] += 1
-        return super().fiber(key)
-
     def slice(self, t):
         self.calls["slice"] += 1
         return super().slice(t)
+
+    def observed_keys(self):
+        self.calls["observed_keys"] += 1
+        return super().observed_keys()
+
+    def fiber_keys(self):
+        self.calls["fiber_keys"] += 1
+        return super().fiber_keys()
 
 
 def test_no_test_leakage_into_training():
@@ -138,20 +144,23 @@ def test_no_test_leakage_into_training():
     train, test = split_fibers(tensor, SplitSpec(0.25, seed=0))
     counted_test = CountingTensor(test)
     settings = TrainSettings(map_max_iterations=30)
-    seen = []
+    seen, trained_on = [], []
 
     def pltf(train, ii, jj, tt, **kw):
         seen.append(dict(counted_test.calls))
+        trained_on.append(train)
         scores = METHOD_SCORERS["pltf"](train, ii, jj, tt, **kw)
         seen.append(dict(counted_test.calls))
         return scores
 
     evaluate_method(pltf, train, counted_test, rank=2, seed=0, settings=settings)
     # evaluate_method reads the test coordinates and labels in one bulk
-    # read before the scorer runs; training never reads the test tensor
-    once = {"value_at": 0, "entry_arrays": 1, "fiber": 0, "slice": 0}
+    # read before the scorer runs; training never reads the test tensor,
+    # and the scorer trains on the training split exactly as given
+    once = {"entry_arrays": 1, "slice": 0, "observed_keys": 0, "fiber_keys": 0}
     assert seen == [once, once]
     assert counted_test.calls == once
+    assert trained_on == [train]
 
 
 def test_hb_trained_beats_constant_baseline():
@@ -194,23 +203,6 @@ def test_baseline_per_slice_covers_all_test_entries():
     assert res.auc is not None
     per_slice_counts = sum(test_partial.slice(t).observed_count for t in range(3))
     assert per_slice_counts == test_partial.observed_count
-
-
-def test_dimension_sweep_shapes_and_singleton():
-    tensor = grid_tensor(n=8, t=2, seed=6)
-    settings = TrainSettings(map_max_iterations=40, num_samples=20, burn_in=5)
-    spec = SplitSpec(0.25, seed=2)
-    results = dimension_sweep(tensor, [1, 2], methods=("pltf", "hb-r"),
-                              split_spec=spec, settings=settings)
-    assert len(results) == 4
-    assert {(r.method, r.rank) for r in results} == {("pltf", 1), ("pltf", 2),
-                                                     ("hb-r", 1), ("hb-r", 2)}
-    single = dimension_sweep(tensor, [2], methods=("pltf",), split_spec=spec,
-                             settings=settings)
-    train, test = split_fibers(tensor, spec)
-    direct = evaluate_method("pltf", train, test, rank=2, seed=spec.seed,
-                             settings=settings, split=spec)
-    assert single[0].auc == direct.auc
 
 
 def test_dimension_sweep_planted_rank_oracle():

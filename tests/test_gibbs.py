@@ -342,9 +342,7 @@ def test_run_chain_beats_random_factor_scores():
     identity = ModelConfig(2, use_logistic=False)
     samples = run_chain(train, identity, HyperPriors.default(2),
                         ChainConfig(num_samples=60, burn_in=20, seed=1))
-    keys = np.asarray(test.observed_keys())
-    ii, jj, tt = keys[:, 0], keys[:, 1], keys[:, 2]
-    labels = np.array([test.value_at(i, j, t) for i, j, t in keys], dtype=float)
+    ii, jj, tt, labels = test.entry_arrays()
     scores = predictive_scores(samples, ii, jj, tt, identity)
     rng = np.random.default_rng(0)
     random_factors = LatentFactors(rng.normal(size=(20, 2)), rng.normal(size=(20, 2)),
@@ -368,16 +366,13 @@ def test_run_chain_posterior_contraction():
     rmse = {0.25: [], 0.5: [], 1.0: []}
     for seed in range(5):
         train, test = split_fibers(tensor, SplitSpec(0.2, seed))
-        keys = np.asarray(test.observed_keys())
-        ii, jj, tt = keys[:, 0], keys[:, 1], keys[:, 2]
-        labels = np.array([test.value_at(i, j, t) for i, j, t in keys], dtype=float)
-        all_train = train.observed_keys()
-        order = np.random.default_rng(seed + 100).permutation(len(all_train))
+        ii, jj, tt, labels = test.entry_arrays()
+        train_entries = train.entry_arrays()
+        order = np.random.default_rng(seed + 100).permutation(train.observed_count)
         for frac in rmse:
-            keep = [all_train[k] for k in order[:int(frac * len(all_train))]]
-            sub = RelationalTensor.build(train.n_objects, train.n_relations,
-                                         [(i, j, t, train.value_at(i, j, t))
-                                          for (i, j, t) in keep])
+            keep = order[:int(frac * train.observed_count)]
+            sub = RelationalTensor(train.n_objects, train.n_relations,
+                                   *(a[keep] for a in train_entries))
             samples = run_chain(sub, identity, priors,
                                 ChainConfig(num_samples=120, burn_in=30, seed=seed))
             scores = predictive_scores(samples, ii, jj, tt, identity)

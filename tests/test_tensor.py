@@ -6,17 +6,23 @@ from hypothesis import strategies as st
 from linkpattern.exceptions import DataConflictError
 from linkpattern.tensor import RelationalTensor
 
+from conftest import TINY_TRIPLES, dense_values
+
+
+def entry_lists(tensor):
+    return [a.tolist() for a in tensor.entry_arrays()]
+
 
 def test_build_single_entry():
     tensor = RelationalTensor.build(2, 1, [(0, 1, 0, 1)])
     assert tensor.observed_count == 1
-    assert tensor.value_at(0, 1, 0) == 1
+    assert entry_lists(tensor) == [[0], [1], [0], [1.0]]
 
 
 def test_build_empty():
     tensor = RelationalTensor.build(2, 1, [])
     assert tensor.observed_count == 0
-    assert tensor.value_at(0, 1, 0) is None
+    assert entry_lists(tensor) == [[], [], [], []]
 
 
 def test_build_conflicting_duplicate():
@@ -61,32 +67,14 @@ def test_entry_arrays_are_read_only(tiny_tensor):
     for arr in tiny_tensor.entry_arrays():
         with pytest.raises(ValueError):
             arr[0] = 0
-    assert tiny_tensor.entry_arrays()[3][0] == tiny_tensor.value_at(0, 1, 0)
-
-
-def test_value_at_observed_missing_and_errors():
-    tensor = RelationalTensor.build(2, 1, [(0, 1, 0, 1)])
-    assert tensor.value_at(0, 1, 0) == 1
-    assert tensor.value_at(1, 0, 0) is None
-    with pytest.raises(IndexError):
-        tensor.value_at(0, 1, 5)
-
-
-def test_fiber_patterns():
-    tensor = RelationalTensor.build(3, 2, [(0, 1, 0, 1), (1, 2, 0, 1), (1, 2, 1, 0)])
-    assert tensor.fiber((0, 1)) == (1, None)
-    assert tensor.fiber((2, 0)) == (None, None)
-    assert tensor.fiber((1, 2)) == (1, 0)
-    with pytest.raises(IndexError):
-        tensor.fiber((0, 3))
+    assert [a[0] for a in tiny_tensor.entry_arrays()] == [0, 1, 0, 1.0]
 
 
 def test_slice_exposes_single_relation():
     tensor = RelationalTensor.build(2, 2, [(0, 1, 0, 1)])
     sl = tensor.slice(0)
     assert sl.observed_count == 1
-    assert sl[0, 1] == 1
-    assert sl[1, 0] is None
+    assert entry_lists(sl.to_tensor()) == [[0], [1], [0], [1.0]]
     assert tensor.slice(1).observed_count == 0
     with pytest.raises(IndexError):
         tensor.slice(2)
@@ -102,8 +90,17 @@ def test_slice_to_tensor_roundtrip(tiny_tensor):
     as_tensor = sl.to_tensor()
     assert as_tensor.n_relations == 1
     assert as_tensor.observed_count == sl.observed_count
-    for (i, j, _t) in as_tensor.observed_keys():
-        assert as_tensor.value_at(i, j, 0) == tiny_tensor.value_at(i, j, 1)
+    np.testing.assert_array_equal(dense_values(as_tensor)[:, :, 0],
+                                  dense_values(tiny_tensor)[:, :, 1])
+
+
+def test_fiber_keys_sorted_int64_array(tiny_tensor):
+    keys = tiny_tensor.fiber_keys()
+    assert keys.dtype == np.int64 and keys.shape == (6, 2)
+    assert keys.tolist() == [[0, 1], [0, 2], [1, 0], [1, 2], [2, 0], [2, 1]]
+    assert RelationalTensor.build(3, 2, []).fiber_keys().shape == (0, 2)
+    hidden = keys[[0, 4]]
+    assert tiny_tensor.hide_fibers(hidden) == tiny_tensor.hide_fibers([(0, 1), (2, 0)])
 
 
 def test_hide_fibers_moves_whole_patterns():
@@ -134,8 +131,7 @@ def test_entry_arrays_sorted_and_consistent(tiny_tensor):
     ii, jj, tt, yy = tiny_tensor.entry_arrays()
     keys = list(zip(ii.tolist(), jj.tolist(), tt.tolist()))
     assert keys == sorted(keys)
-    for (i, j, t), y in zip(keys, yy):
-        assert tiny_tensor.value_at(i, j, t) == int(y)
+    assert list(zip(*entry_lists(tiny_tensor))) == sorted(TINY_TRIPLES)
 
 
 triples_strategy = st.lists(
@@ -147,11 +143,10 @@ triples_strategy = st.lists(
 @given(triples=triples_strategy)
 def test_mask_value_consistency(triples):
     tensor = RelationalTensor.build(4, 3, triples)
-    observed = {(i, j, t): v for (i, j, t, v) in triples}
-    for i in range(4):
-        for j in range(4):
-            for t in range(3):
-                assert tensor.value_at(i, j, t) == observed.get((i, j, t))
+    expected = np.full((4, 4, 3), np.nan)
+    for (i, j, t, v) in triples:
+        expected[i, j, t] = v
+    np.testing.assert_array_equal(dense_values(tensor), expected)
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,20 +161,21 @@ def test_hide_fibers_partition_property(triples, hidden):
     assert not (train_keys & test_keys)
     for (i, j, t) in test_keys:
         assert (i, j) in hidden
-        assert test.value_at(i, j, t) == tensor.value_at(i, j, t)
+    in_hidden = np.zeros((4, 4, 1), dtype=bool)
+    for (i, j) in hidden:
+        in_hidden[i, j] = True
+    np.testing.assert_array_equal(dense_values(test),
+                                  np.where(in_hidden, dense_values(tensor), np.nan))
 
 
 @settings(max_examples=40, deadline=None)
 @given(triples=triples_strategy)
 def test_slice_fiber_consistency(triples):
     tensor = RelationalTensor.build(4, 3, triples)
-    slices = [tensor.slice(t) for t in range(3)]
-    for i in range(4):
-        for j in range(4):
-            pattern = tensor.fiber((i, j))
-            assert len(pattern) == 3
-            for t in range(3):
-                assert pattern[t] == slices[t][i, j]
+    patterns = dense_values(tensor)
+    for t in range(3):
+        np.testing.assert_array_equal(dense_values(tensor.slice(t).to_tensor())[:, :, 0],
+                                      patterns[:, :, t])
 
 
 def test_immutability_via_constructors(tiny_tensor):
