@@ -8,13 +8,12 @@ named substreams.
 """
 
 import argparse
-import concurrent.futures
 import hashlib
-import itertools
 import json
 import os
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -167,24 +166,33 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _warn_na(method, fraction, rank, seed, exc) -> None:
-    """Report on stderr why a results cell is written as NA."""
-    print(f"warning: {method} fraction={fraction} rank={rank} seed={seed}: {exc}",
-          file=sys.stderr)
-
-
 def _evaluate_cell(payload):
-    (tensor, method, fraction, rank, seed, repeat_index, settings, macro) = payload
+    """Result rows of one (method, fraction, rank, repeat) cell of ``evaluate``:
+    ``relation_ablation``'s under ``--ablate-relations``, else one
+    ``evaluate_method`` row.  NA rows, with a warning on stderr, stand for
+    results that a degenerate split or an undefined AUC leaves out."""
+    (tensor, method, fraction, rank, seed, repeat_index, settings, macro, ablate) = payload
     split = SplitSpec(fraction, seed)
+
+    def warn(name, exc):
+        print(f"warning: {name} fraction={fraction} rank={rank} seed={seed}: {exc}",
+              file=sys.stderr)
     try:
-        train, test = split_fibers(tensor, split)
-        return evaluate_method(method, train, test, rank=rank, seed=seed,
-                               settings=settings, split=split,
-                               repeat_index=repeat_index, macro_average=macro)
+        if ablate:
+            rows, _ranking = relation_ablation(tensor, split_spec=split, rank=rank,
+                                               method=method, settings=settings,
+                                               macro_average=macro, on_undefined=warn)
+        else:
+            train, test = split_fibers(tensor, split)
+            rows = [evaluate_method(method, train, test, rank=rank, seed=seed,
+                                    settings=settings, split=split, macro_average=macro)]
     except (UndefinedMetricError, DegenerateSplitError) as exc:
-        _warn_na(method, fraction, rank, seed, exc)
-        return ExperimentResult(method=method, split=split, rank=rank, seed=seed,
-                                auc=None, wall_time_s=0.0, repeat_index=repeat_index)
+        warn(method, exc)
+        rows = [ExperimentResult(method=method, split=split, rank=rank, seed=seed,
+                                 auc=None, wall_time_s=0.0)]
+    for row in rows:
+        row.repeat_index = repeat_index
+    return rows
 
 
 def cmd_evaluate(args) -> int:
@@ -202,37 +210,22 @@ def cmd_evaluate(args) -> int:
                              thin=args.thin)
     dataset = args.dataset if args.dataset else os.path.splitext(os.path.basename(args.input))[0]
 
-    if args.ablate_relations:
-        results = []
-        for method, fraction, rank, repeat in itertools.product(
-                methods, fractions, ranks, range(args.repeats)):
-            seed = args.seed + repeat
-            run, _ranking = relation_ablation(
-                tensor, split_spec=SplitSpec(fraction, seed), rank=rank,
-                method=method, settings=settings, macro_average=args.macro_average,
-                on_undefined=lambda name, exc: _warn_na(name, fraction, rank, seed, exc))
-            for res in run:
-                res.repeat_index = repeat
-            results.extend(run)
-        write_results_csv(results, dataset, args.out, include_timing=args.timing)
-        _write_manifest(args.out, "evaluate", args, [args.input], [args.out])
-        print(f"evaluate: {len(results)} ablation results -> {args.out}")
-        return 0
-
     cells = [(tensor, method, fraction, rank, args.seed + repeat, repeat,
-              settings, args.macro_average)
+              settings, args.macro_average, args.ablate_relations)
              for fraction in fractions
              for rank in ranks
              for repeat in range(args.repeats)
              for method in methods]
     if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_evaluate_cell, cells))
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            rows = list(pool.map(_evaluate_cell, cells))
     else:
-        results = [_evaluate_cell(cell) for cell in cells]
+        rows = [_evaluate_cell(cell) for cell in cells]
+    results = [row for cell_rows in rows for row in cell_rows]
     write_results_csv(results, dataset, args.out, include_timing=args.timing)
     _write_manifest(args.out, "evaluate", args, [args.input], [args.out])
-    print(f"evaluate: {len(results)} results -> {args.out}")
+    kind = "ablation results" if args.ablate_relations else "results"
+    print(f"evaluate: {len(results)} {kind} -> {args.out}")
     return 0
 
 
@@ -280,6 +273,7 @@ def build_parser() -> _Parser:
                      description="Link pattern prediction in multi-relational networks")
     parser.add_argument("--version", action="version", version=f"linkpattern {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
+    parser.subcommands = sub.choices  # name -> parser, read by _expand_config
 
     def add_common(p):
         p.add_argument("--config", default=None,
@@ -411,17 +405,20 @@ def _load_config_file(path):
             if "=" not in body:
                 raise ConfigError(f"config line {number}: expected key=value, got {body!r}")
             key, value = body.split("=", 1)
-            entries.append((key.strip(), value.strip()))
+            entries.append((number, key.strip(), value.strip()))
     return entries
 
 
-_TRUE_WORDS = {"1", "true", "yes", "on"}
-_FALSE_WORDS = {"0", "false", "no", "off"}
+_SWITCH_WORDS = {"1": "--", "true": "--", "yes": "--", "on": "--",
+                 "0": "--no-", "false": "--no-", "no": "--no-", "off": "--no-"}
 
 
-def _expand_config(argv):
+def _expand_config(argv, subcommands):
     """Inline --config file entries as flags right after the subcommand.
 
+    A key naming a switch option of the subcommand (its argparse action in
+    ``subcommands`` takes no value) with a word of ``_SWITCH_WORDS`` becomes
+    ``--key`` or ``--no-key``; every other key becomes ``--key=value``.
     Explicit command-line flags come later in argv, so they override the
     file (argparse keeps the last occurrence).
     """
@@ -445,16 +442,19 @@ def _expand_config(argv):
         return argv
     if not out:
         raise ConfigError("--config requires a subcommand")
+    sub = subcommands.get(out[0])
+    switches = {option for action in (sub._actions if sub else ()) if action.nargs == 0
+                for option in action.option_strings}
     flags = []
-    for key, value in _load_config_file(path):
-        flag = "--" + key.replace("_", "-")
-        lowered = value.lower()
-        if lowered in _TRUE_WORDS:
-            flags.append(flag)
-        elif lowered in _FALSE_WORDS:
-            flags.append("--no-" + flag[2:])
+    for number, key, value in _load_config_file(path):
+        name = key.replace("_", "-")
+        if "--" + name not in switches:
+            flags.append(f"--{name}={value}")
+        elif value.lower() in _SWITCH_WORDS:
+            flags.append(_SWITCH_WORDS[value.lower()] + name)
         else:
-            flags.append(f"{flag}={value}")
+            raise ConfigError(f"config line {number}: switch {key} takes one of "
+                              f"{', '.join(_SWITCH_WORDS)}, got {value!r}")
     return [out[0]] + flags + out[1:]
 
 
@@ -466,12 +466,12 @@ _NUMERICAL_ERRORS = (DivergenceError, StallError, NotPositiveDefiniteError)
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    parser = build_parser()
     try:
-        argv = _expand_config(argv)
+        argv = _expand_config(argv, parser.subcommands)
     except _INPUT_ERRORS as exc:
         print(f"linkpattern: error: {exc}", file=sys.stderr)
         return 1
-    parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)

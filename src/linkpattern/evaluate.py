@@ -198,7 +198,7 @@ def _pooled_or_macro(scores, labels, tt, macro_average):
 def evaluate_method(method: Union[str, Callable], train: RelationalTensor,
                     test: RelationalTensor, *, rank: int, seed: int,
                     settings: Optional[TrainSettings] = None,
-                    split: Optional[SplitSpec] = None, repeat_index: int = 0,
+                    split: Optional[SplitSpec] = None,
                     macro_average: bool = False) -> ExperimentResult:
     """Train one method on ``train`` and score every observed test entry.
 
@@ -226,7 +226,7 @@ def evaluate_method(method: Union[str, Callable], train: RelationalTensor,
 
     value = _pooled_or_macro(scores, labels, tt, macro_average)
     return ExperimentResult(method=name, split=split, rank=rank, seed=seed,
-                            auc=value, wall_time_s=wall, repeat_index=repeat_index)
+                            auc=value, wall_time_s=wall)
 
 
 def _restore_relation(original_test: RelationalTensor, train: RelationalTensor, t: int):
@@ -303,9 +303,5 @@ def write_results_csv(results, dataset: str, path, include_timing: bool = False)
         value = "NA" if r.auc is None else f"{r.auc:.6f}"
         wall = f"{r.wall_time_s:.6f}" if include_timing else "0.000000"
         lines.append(f"{r.method},{dataset},{fraction},{r.rank},{r.seed},{value},{wall}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -62,7 +62,7 @@ class HyperPriors:
     def __post_init__(self):
         self.mu0 = np.asarray(self.mu0, dtype=np.float64)
         self.w0 = np.asarray(self.w0, dtype=np.float64)
-        d = self.mu0.shape[0]
+        d = self.mu0.size
         if self.mu0.ndim != 1 or self.w0.shape != (d, d):
             raise DimensionMismatchError(
                 f"mu0 {self.mu0.shape} and w0 {self.w0.shape} are inconsistent")
@@ -518,8 +518,9 @@ def predictive_scores(samples: SampleSet, ii, jj, tt,
 
     Each draw's prediction is clamped into [0, 1] before averaging, so the
     result is a valid score even under the identity link.  Raises
-    IndexError for a coordinate outside [0, N) or [0, T), and
-    DimensionMismatchError when the draws differ in shape.
+    IndexError for a coordinate outside [0, N) or [0, T), ValueError for
+    one that is not an exact integer, and DimensionMismatchError when the
+    draws differ in shape.
 
     The coordinates are walked in blocks of ``_SCORE_BLOCK``: each draw's
     factor rows for a block are gathered into three reused (block, D)

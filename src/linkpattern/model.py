@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionMismatchError
-from .tensor import RelationalTensor
+from .tensor import RelationalTensor, _checked
 
 
 @dataclass
@@ -145,20 +145,17 @@ def _scatter_rows(index, weighted, n_rows):
 
 
 def _coordinates(ii, jj, tt, n_objects: int, n_relations: int):
-    """The coordinate arrays as contiguous int64 arrays.
+    """The coordinate arrays as contiguous int64 arrays, checked as the tensor
+    constructor checks them.
 
-    Raises IndexError for a coordinate outside [0, N) or [0, T), which numpy
-    indexing would wrap or a flat index would read as another cell.
+    Raises ValueError for a coordinate that is not an exact integer, and
+    IndexError for one outside [0, N) or [0, T), which numpy indexing would
+    wrap or a flat index would read as another cell.
     """
-    coords = []
-    for values, bound in ((ii, n_objects), (jj, n_objects), (tt, n_relations)):
-        arr = np.asarray(values)
-        if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= bound):
-            raise IndexError(
-                f"coordinates out of range: objects must lie in [0, {n_objects}) "
-                f"and relations in [0, {n_relations})")
-        coords.append(np.ascontiguousarray(arr, dtype=np.int64))
-    return coords
+    return [np.ascontiguousarray(_checked(values, bound, what))
+            for values, bound, what in ((ii, n_objects, "object indices"),
+                                        (jj, n_objects, "object indices"),
+                                        (tt, n_relations, "relation indices"))]
 
 
 class _Entries:
@@ -241,7 +238,8 @@ class _Entries:
 def reconstruct_entries(factors: LatentFactors, ii, jj, tt) -> np.ndarray:
     """Triple inner products sum_d U[i,d] V[j,d] R[t,d] over coordinate arrays.
 
-    Raises IndexError for a coordinate outside [0, N) or [0, T).
+    Raises IndexError for a coordinate outside [0, N) or [0, T), and
+    ValueError for one that is not an exact integer.
     """
     entries = _Entries(ii, jj, tt, factors.n_objects, factors.n_relations)
     return entries.reconstruct(factors.U, factors.V, factors.R)

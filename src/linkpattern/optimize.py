@@ -89,8 +89,8 @@ class _Loss:
     """The regularized squared error on one tensor's observed entries.
 
     The one loss kernel: :func:`fit_map` trains on it, and :func:`objective`
-    and :func:`gradients` expose it to the oracles.  Factor blocks are passed
-    as ``(U, V, R)`` tuples.
+    and :func:`gradients` expose it to the oracles.  It owns the layout of
+    the parameters as one flat vector: U, V and R raveled, in that order.
     """
 
     def __init__(self, tensor: RelationalTensor, model_config: ModelConfig,
@@ -99,6 +99,13 @@ class _Loss:
         self.entries = _Entries(ii, jj, tt, tensor.n_objects, tensor.n_relations)
         self.use_logistic = model_config.use_logistic
         self.gammas = (map_config.gamma_u, map_config.gamma_v, map_config.gamma_r)
+        self.n, self.t, self.d = tensor.n_objects, tensor.n_relations, model_config.rank
+
+    def blocks(self, x):
+        """U, V and R as views of the flat parameter vector ``x``."""
+        n, d = self.n, self.d
+        return (x[:n * d].reshape(n, d), x[n * d:2 * n * d].reshape(n, d),
+                x[2 * n * d:].reshape(self.t, d))
 
     def _ridge(self, a, b) -> float:
         """sum_k gamma_k <a_k, b_k> over the three factor blocks."""
@@ -112,31 +119,32 @@ class _Loss:
         resid = self.yy - m
         return m, resid, 0.5 * _inner(resid, resid)
 
-    def value_and_gradient(self, blocks, with_gradient=True):
-        """Objective at ``blocks`` and its gradient (None unless requested).
+    def value_and_gradient(self, x, with_gradient=True):
+        """Objective at ``x`` and its flat gradient (None unless requested).
 
         With residual e = y - m and link derivative l (1 for the identity
         link, g(s)(1-g(s)) for the logistic), row i of dU accumulates
         -e * l * (V_j o R_t) over the observed entries of row i, plus the
         ridge term; dV and dR are symmetric.
         """
-        U, V, R = blocks
-        m, resid, value = self._misfit(self.entries.reconstruct(U, V, R))
+        blocks = self.blocks(x)
+        m, resid, value = self._misfit(self.entries.reconstruct(*blocks))
         value += 0.5 * self._ridge(blocks, blocks)
         if not with_gradient:
             return value, None
         w = -resid * m * (1.0 - m) if self.use_logistic else -resid
-        g = self.gammas
-        mU, mV, mR = self.entries.mttkrp(w, U, V, R)
-        return value, (g[0] * U + mU, g[1] * V + mV, g[2] * R + mR)
+        products = self.entries.mttkrp(w, *blocks)
+        return value, np.concatenate([(gamma * block + product).ravel() for gamma, block, product
+                                      in zip(self.gammas, blocks, products)])
 
-    def line(self, blocks, direction):
-        """Objective along blocks + step * direction as a cheap function of step.
+    def line(self, x, direction):
+        """Objective along x + step * direction as a cheap function of step.
 
         The CP reconstruction is cubic in the step and the ridge term
         quadratic, so the per-entry polynomial coefficients are computed
         once per line search and each trial costs three fused passes.
         """
+        blocks, direction = self.blocks(x), self.blocks(direction)
         k0, k1, k2, k3 = self.entries.cubic(*blocks, *direction)
         r0 = 0.5 * self._ridge(blocks, blocks)
         r1 = self._ridge(blocks, direction)
@@ -153,14 +161,18 @@ def objective(factors: LatentFactors, tensor: RelationalTensor,
               model_config: ModelConfig, map_config: MapConfig) -> float:
     """Regularized weighted squared error at ``factors``."""
     loss = _Loss(tensor, model_config, map_config)
-    return loss.value_and_gradient((factors.U, factors.V, factors.R), with_gradient=False)[0]
+    return loss.value_and_gradient(_flat(factors), with_gradient=False)[0]
 
 
 def gradients(factors: LatentFactors, tensor: RelationalTensor,
               model_config: ModelConfig, map_config: MapConfig):
     """Exact gradient ``(dU, dV, dR)`` of :func:`objective` w.r.t. (U, V, R)."""
     loss = _Loss(tensor, model_config, map_config)
-    return loss.value_and_gradient((factors.U, factors.V, factors.R))[1]
+    return loss.blocks(loss.value_and_gradient(_flat(factors))[1])
+
+
+def _flat(factors: LatentFactors) -> np.ndarray:
+    return np.concatenate([factors.U.ravel(), factors.V.ravel(), factors.R.ravel()])
 
 
 def _backtrack(slope: float, objective_at, f_current: float) -> float:
@@ -177,26 +189,6 @@ def _backtrack(slope: float, objective_at, f_current: float) -> float:
             return step
         step *= SHRINK
     raise StallError(f"line search step underflowed below {STEP_FLOOR}")
-
-
-class _Packed:
-    """Flatten/unflatten (U, V, R) to one vector for joint CG."""
-
-    def __init__(self, n_objects, n_relations, rank):
-        self.n = n_objects
-        self.t = n_relations
-        self.d = rank
-        self._u_end = self.n * self.d
-        self._v_end = 2 * self.n * self.d
-
-    def pack(self, U, V, R) -> np.ndarray:
-        return np.concatenate([U.ravel(), V.ravel(), R.ravel()])
-
-    def unpack(self, x: np.ndarray):
-        U = x[:self._u_end].reshape(self.n, self.d)
-        V = x[self._u_end:self._v_end].reshape(self.n, self.d)
-        R = x[self._v_end:].reshape(self.t, self.d)
-        return U, V, R
 
 
 def fit_map(tensor: RelationalTensor, model_config: ModelConfig,
@@ -219,23 +211,13 @@ def fit_map(tensor: RelationalTensor, model_config: ModelConfig,
     if tensor.observed_count == 0:
         raise ValueError("cannot fit an empty tensor")
     n, T, d = tensor.n_objects, tensor.n_relations, model_config.rank
-    rng = substream(map_config.seed, "map-init")
-    U0 = map_config.init_scale * rng.standard_normal((n, d))
-    V0 = map_config.init_scale * rng.standard_normal((n, d))
-    R0 = map_config.init_scale * rng.standard_normal((T, d))
-
-    packed = _Packed(n, T, d)
     loss = _Loss(tensor, model_config, map_config)
     tau = map_config.rel_tolerance
     trials = 0
 
-    def f_and_g(x):
-        value, grads = loss.value_and_gradient(packed.unpack(x))
-        return value, packed.pack(*grads)
-
     def search(x, grad, direction):
         """Armijo step along ``direction``, and the line objective it was found on."""
-        along = loss.line(packed.unpack(x), packed.unpack(direction))
+        along = loss.line(x, direction)
 
         def trial(step):
             nonlocal trials
@@ -243,8 +225,10 @@ def fit_map(tensor: RelationalTensor, model_config: ModelConfig,
             return along(step)
         return _backtrack(_inner(grad, direction), trial, along(0.0)), along
 
-    x = packed.pack(U0, V0, R0)
-    f, grad = f_and_g(x)
+    # U, V and R drawn in that order, as one flat vector
+    x = map_config.init_scale * substream(map_config.seed, "map-init").standard_normal(
+        (2 * n + T) * d)
+    f, grad = loss.value_and_gradient(x)
     trace = OptTrace(objectives=[f])
     direction = -grad
     restart_every = (n + T) * d
@@ -271,7 +255,7 @@ def fit_map(tensor: RelationalTensor, model_config: ModelConfig,
             trace.termination = "stalled"
             break
         x_trial = x + step * direction
-        f_new, grad_new = f_and_g(x_trial)
+        f_new, grad_new = loss.value_and_gradient(x_trial)
         if not np.isfinite(f_new):
             raise DivergenceError(
                 f"objective became non-finite at iteration {iteration}", iteration=iteration)
@@ -307,5 +291,5 @@ def fit_map(tensor: RelationalTensor, model_config: ModelConfig,
     logger.debug("fit_map: %s after %d iterations, objective %.6g, %d restarts",
                  trace.termination, trace.iterations, f, trace.restarts)
 
-    U, V, R = packed.unpack(x)
+    U, V, R = loss.blocks(x)
     return LatentFactors(U.copy(), V.copy(), R.copy(), alpha=1.0), trace

@@ -30,7 +30,7 @@ def _checked(values, bound: int, what: str, error=IndexError) -> np.ndarray:
         raise ValueError(f"{what} must be exact integers")
     if arr.size and (arr.min() < 0 or arr.max() >= bound):
         raise error(f"{what} must lie in [0, {bound})")
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=False)
 
 
 def _rows(items, width: int, what: str) -> np.ndarray:

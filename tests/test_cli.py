@@ -1,9 +1,11 @@
+import concurrent.futures
 import json
 import struct
 
 import numpy as np
 import pytest
 
+from linkpattern import cli
 from linkpattern.cli import build_parser, main
 from linkpattern.gibbs import SampleSet, predictive_scores
 from linkpattern.io import load_factors, save_triples
@@ -307,6 +309,55 @@ def test_evaluate_ablation_honours_methods_fractions_and_macro(data_file, tmp_pa
         (f"{m}{suffix}", f) for m in ("pltf", "baseline") for f in ("0.25", "0.5")
         for suffix in ("", "+rel0", "+rel1"))
     assert pooled.read_text() != macro.read_text()
+
+
+def test_evaluate_ablation_runs_its_cells_in_the_pool(data_file, tmp_path, monkeypatch):
+    common = ["evaluate", "--input", data_file, "--methods", "pltf,baseline",
+              "--fraction", "0.25,0.5", "--rank", 2, "--repeats", 1, "--max-iterations", 20,
+              "--samples", 10, "--burn-in", 2, "--ablate-relations"]
+    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+    assert run_cli(common + ["--out", serial]) == 0
+    mapped = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def map(self, fn, cells):
+            cells = list(cells)
+            mapped.append((self._max_workers, len(cells)))
+            return super().map(fn, cells)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    assert run_cli(common + ["--jobs", 2, "--out", pooled]) == 0
+    assert mapped == [(2, 4)]  # one cell per method and fraction
+    assert pooled.read_bytes() == serial.read_bytes()
+
+
+def test_evaluate_ablation_degenerate_split_is_an_na_row(tmp_path, capsys):
+    # two fibers at fraction 0.2 leave no fiber to test on
+    triples = [(0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 0), (1, 0, 1, 1)]
+    data = tmp_path / "two.tsv"
+    save_triples(RelationalTensor.build(2, 2, triples), data)
+    out = tmp_path / "res.csv"
+    assert run_cli(["evaluate", "--input", data, "--methods", "pltf", "--fraction", "0.2",
+                    "--rank", 1, "--repeats", 1, "--ablate-relations", "--out", out]) == 0
+    assert out.read_text().splitlines()[1:] == ["pltf,two,0.2,1,0,NA,0.000000"]
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("warning:")]
+    assert len(warnings) == 1 and warnings[0].endswith("leaves an empty side")
+
+
+def test_config_values_0_and_1_reach_options_that_take_a_value(data_file, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=0\nrank=1\nrepeats=1\nmacro-average=off\n")
+    common = ["evaluate", "--input", data_file, "--methods", "pltf", "--fraction", "0.25",
+              "--max-iterations", 20]
+    from_file, explicit = tmp_path / "file.csv", tmp_path / "explicit.csv"
+    assert run_cli(common + ["--config", cfg, "--out", from_file]) == 0
+    assert run_cli(common + ["--seed", 0, "--rank", 1, "--repeats", 1, "--no-macro-average",
+                             "--out", explicit]) == 0
+    assert from_file.read_bytes() == explicit.read_bytes()
+    cfg.write_text("rank=1\ntiming=maybe\n")
+    assert run_cli(common + ["--config", cfg, "--out", from_file]) == 1
+    assert "config line 2" in capsys.readouterr().err
 
 
 def test_config_file_defaults_and_override(data_file, tmp_path):

@@ -36,6 +36,11 @@ def test_hyperpriors_validation():
         HyperPriors.default(2, gamma_shape=0.0)
 
 
+def test_hyperpriors_reject_a_scalar_mean():
+    with pytest.raises(DimensionMismatchError):
+        HyperPriors(mu0=0.0, w0=[[1.0]], nu0=1.0)
+
+
 def test_chain_config_retained_counts():
     assert ChainConfig(num_samples=300, burn_in=50, thin=1).retained_count == 250
     assert ChainConfig(num_samples=10, burn_in=3, thin=2).retained_count == 3

@@ -101,6 +101,28 @@ def test_scoring_rejects_out_of_range_coordinates(bad, dense):
             score()
 
 
+@pytest.mark.parametrize("dense", [True, False])
+def test_scoring_accepts_the_coordinates_the_tensor_accepts(dense):
+    # exact-integer floats score as their ints, as RelationalTensor takes them
+    f = random_factors(9, 2, 8, 2)
+    ints = [a.ravel() for a in np.indices((2, 2, 8))] if dense else [[1, 0], [1, 1], [3, 7]]
+    assert model._Entries(*ints, 2, 8).dense is dense
+    floats = [np.asarray(axis, dtype=np.float64) for axis in ints]
+    fractional = [floats[0], floats[1], floats[2].copy()]
+    fractional[2][0] = 0.5
+    out_of_range = [floats[0], floats[1].copy(), floats[2]]
+    out_of_range[1][-1] = 2.0
+    samples = SampleSet(draws=[f])
+    for score in (lambda *c: reconstruct_entries(f, *c),
+                  lambda *c: predict_entries(f, *c, ModelConfig(2)),
+                  lambda *c: predictive_scores(samples, *c, ModelConfig(2))):
+        assert np.array_equal(score(*floats), score(*ints))
+        with pytest.raises(ValueError):
+            score(*fractional)
+        with pytest.raises(IndexError):
+            score(*out_of_range)
+
+
 def test_logistic_properties():
     assert logistic(0.0) == 0.5
     assert logistic(3.7) + logistic(-3.7) == pytest.approx(1.0)

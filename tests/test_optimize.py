@@ -144,13 +144,13 @@ def test_line_objective_matches_objective_along_direction(use_logistic, dense):
     map_cfg = MapConfig(gamma_u=0.05, gamma_v=0.02, gamma_r=0.08)
     tensor, factors = instance_on_side(dense)
     rng = np.random.default_rng(21)
-    direction = tuple(rng.normal(0, 0.5, block.shape)
-                      for block in (factors.U, factors.V, factors.R))
-    at = optimize._Loss(tensor, model_cfg, map_cfg).line(
-        (factors.U, factors.V, factors.R), direction)
+    blocks = (factors.U, factors.V, factors.R)
+    x = np.concatenate([block.ravel() for block in blocks])
+    direction = np.concatenate([rng.normal(0, 0.5, block.shape).ravel() for block in blocks])
+    loss = optimize._Loss(tensor, model_cfg, map_cfg)
+    at = loss.line(x, direction)
     for step in (0.0, 1e-3, 0.37, 1.0):
-        moved = LatentFactors(factors.U + step * direction[0], factors.V + step * direction[1],
-                              factors.R + step * direction[2], 1.0)
+        moved = LatentFactors(*loss.blocks(x + step * direction), 1.0)
         assert at(step) == pytest.approx(objective(moved, tensor, model_cfg, map_cfg),
                                          rel=1e-12, abs=0.0)
 
