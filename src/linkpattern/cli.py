@@ -196,6 +196,9 @@ def _evaluate_cell(payload):
 
 
 def cmd_evaluate(args) -> int:
+    if args.repeats < 1 or args.jobs < 1:
+        raise ConfigError(f"--repeats and --jobs must be at least 1, "
+                          f"got {args.repeats} and {args.jobs}")
     tensor = load_triples(args.input)
     methods = [m for m in args.methods.split(",") if m]
     if not methods:

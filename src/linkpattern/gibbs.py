@@ -14,13 +14,12 @@ per-sample predictive means are clamped into [0, 1] at reporting time.
 
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .exceptions import ConfigError, DimensionMismatchError, NotPositiveDefiniteError
-from .model import (LatentFactors, ModelConfig, _coordinates, _dense_form, _Entries,
+from .model import (LatentFactors, ModelConfig, _check_tensor, _coordinates, _Entries,
                     _gaussian_log_likelihood, _inner, logistic, reconstruct_entries)
 from .rng import substream
 from .tensor import RelationalTensor
@@ -262,8 +261,10 @@ def sample_alpha(factors: LatentFactors, tensor: RelationalTensor,
     Shape gains half the observation count; the scale update adds half the
     identity-link squared error to the inverse scale.  With no data the
     posterior is the prior.  A chain passes its ``groups``, whose CP kernel
-    it reuses every sweep.
+    it reuses every sweep.  Raises DimensionMismatchError when the factors
+    do not fit the tensor.
     """
+    _check_tensor(factors, tensor)
     ii, jj, tt, yy = tensor.entry_arrays()
     shape = priors.gamma_shape + 0.5 * yy.size
     if yy.size:
@@ -279,49 +280,41 @@ class ObservationGroups:
     """A tensor's observed entries, arranged once per chain for the conditionals.
 
     ``entries`` is the chain's one ``model._Entries``; the noise-precision
-    residual and the chain's log-likelihoods run on it.  The normal
-    equations take one of two forms:
+    residual and the chain's log-likelihoods run on it, and its form decides
+    the form of the normal equations:
 
-    * **fiber**, when every observed fiber holds all T entries
-      (``n_fibers * T == n_entries``, the entries being distinct) and the
-      entries take the masked-dense form.  The mask then factors as
-      m_ijt = m_ij: ``fibers`` holds the (N, N) 0/1 fiber mask and
-      ``slices`` the zero-filled (T, N, N) labels Y_t, at most
-      ``DENSE_CELLS_PER_ENTRY`` floats per entry.  Each Gram is a Hadamard
-      product of small Grams (Kolda & Bader 2009, §3.4), and each
-      right-hand side one batched product ``Y_t @ V`` or ``Y_t^T @ U``
-      contracted with the third factor.  Every BLAS product sums over K = N
-      into D columns, which rounds alike under any thread count.  Summing
-      over the mask costs N^2 D^2 whatever the entry count, so sparse
-      tensors keep the row form;
-    * **row**, otherwise (``fibers`` is None): the entries are sorted once
-      by each axis, and each row's Gram is summed over its contiguous
-      segment.
+    * **masked**, when the entries take the masked-dense form (at most
+      ``DENSE_CELLS_PER_ENTRY`` cells per entry).  ``slices`` holds the
+      zero-filled (T, N, N) labels Y_t and ``masks`` a (K, N, N) stack of
+      0/1 masks: K = 1, the fiber mask m_ij, when every observed fiber holds
+      all T entries (m_ijt = m_ij for every t), and K = T, the entry masks
+      m_ijt, otherwise.  Each Gram is a sum over k of Hadamard products of
+      small Grams (Kolda & Bader 2009, §3.4), and each right-hand side one
+      batched product ``Y_t @ V`` or ``Y_t^T @ U`` contracted with the third
+      factor.  Every BLAS product sums over N into D columns, which rounds
+      alike under any thread count;
+    * **row**, for the coordinate form (``masks`` is None): the entries are
+      sorted once by each axis, and each row's Gram is summed over its
+      contiguous segment.  Summing over the masks costs K N^2 D^2 whatever
+      the entry count, which sparse tensors do not repay.
     """
 
     def __init__(self, tensor: RelationalTensor):
-        self._tensor = tensor
         ii, jj, tt, self.y = tensor.entry_arrays()
         n, T = tensor.n_objects, tensor.n_relations
-        self.fibers = None
-        pair = ii * n + jj  # nondecreasing: the entries are in (i, j, t) order
-        n_fibers = 1 + np.count_nonzero(pair[1:] != pair[:-1]) if pair.size else 0
-        if _dense_form(n, T, ii.size) and n_fibers * T == ii.size:
-            self.fibers = np.zeros((n, n))
-            self.fibers[ii, jj] = 1.0
+        self.entries = _Entries(ii, jj, tt, n, T)
+        self.masks = None
+        if self.entries.dense:
+            self.masks = np.zeros((T, n, n))
+            self.masks[tt, ii, jj] = 1.0
+            if (self.masks == self.masks[:1]).all():  # every observed fiber is whole
+                self.masks = self.masks[:1].copy()
             self.slices = np.zeros((T, n, n))
             self.slices[tt, ii, jj] = self.y
         else:
             self.by_axis = (_AxisGroups(ii, jj, tt, self.y, n),
                             _AxisGroups(jj, ii, tt, self.y, n),
                             _AxisGroups(tt, ii, jj, self.y, T))
-
-    @cached_property
-    def entries(self) -> _Entries:
-        """The CP kernel on the observed coordinates.  Built on first use, so
-        one sampler call outside a chain does not pay for it."""
-        t = self._tensor
-        return _Entries(*t.entry_arrays()[:3], t.n_objects, t.n_relations)
 
     def residual(self, factors: LatentFactors) -> np.ndarray:
         """Observed values minus the identity-link reconstruction."""
@@ -332,32 +325,37 @@ class ObservationGroups:
 
         Row k's least-squares terms over its observed entries, with design
         vectors the products of the other two factors' rows: ``gram`` is a
-        (rows, D, D) stack, or one (D, D) Gram shared by every row of R in
-        the fiber form, and ``xty`` is (rows, D).
+        (rows, D, D) stack, or one (1, D, D) Gram shared by every row of R
+        under a fiber mask, and ``xty`` is (rows, D).
         """
         U, V, R = factors.U, factors.V, factors.R
-        if self.fibers is None:
+        if self.masks is None:
             left, right = ((V, R), (U, R), (U, V))[mode]
             return self.by_axis[mode].normal_terms(left, right)
-        if mode == 2:  # sum_ij m_ij (U_i U_i^T) o (V_j V_j^T), shared by every t
-            return (np.einsum("ia,ib,iab->ab", U, U, _masked_grams(self.fibers, V)),
+        if mode == 2:  # sum_i (U_i U_i^T) o (sum_j m_ijk V_j V_j^T), per mask k
+            return (np.einsum("ia,ib,kiab->kab", U, U, _masked_grams(self.masks, V)),
                     np.einsum("tid,id->td", np.matmul(self.slices, V), U))
-        # row i of U: (sum_j m_ij V_j V_j^T) o (R^T R) and sum_t R_t o (Y_t V)_i;
-        # V likewise over i, with Y_t^T and U
-        other, mask, slices = ((V, self.fibers, self.slices) if mode == 0 else
-                               (U, self.fibers.T, self.slices.transpose(0, 2, 1)))
-        return (_masked_grams(mask, other) * np.einsum("td,te->de", R, R),
+        # row i of U: sum_k (sum_j m_ijk V_j V_j^T) o RR_k and sum_t R_t o (Y_t V)_i,
+        # with RR = R^T R under the fiber mask and RR_t = R_t R_t^T under the
+        # entry masks; V likewise over i, with Y_t^T and U
+        other, masks, slices = ((V, self.masks, self.slices) if mode == 0 else
+                                (U, self.masks.transpose(0, 2, 1),
+                                 self.slices.transpose(0, 2, 1)))
+        rr = (np.einsum("td,te->de", R, R)[None] if len(masks) == 1
+              else R[:, :, None] * R[:, None, :])
+        return (np.einsum("kiab,kab->iab", _masked_grams(masks, other), rr),
                 np.einsum("tid,td->id", np.matmul(slices, other), R))
 
 
-def _masked_grams(mask: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """``sum_j mask[i, j] M_j M_j^T`` for every i: an (N, D, D) stack.
+def _masked_grams(masks: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``sum_j masks[k, i, j] M_j M_j^T`` for every k and i: a (K, N, D, D) stack.
 
-    D products (N, N) @ (N, D), one per column a of ``M_j M_j^T``.  As one
-    (N, N) @ (N, D^2) product the sums rounded differently under one and
-    two OpenBLAS threads (tests/test_blas_threads.py).
+    K D products (N, N) @ (N, D), one per mask and column a of
+    ``M_j M_j^T``.  As one (N, N) @ (N, D^2) product the sums rounded
+    differently under one and two OpenBLAS threads
+    (tests/test_blas_threads.py).
     """
-    return np.matmul(mask, M.T[:, :, None] * M).transpose(1, 0, 2)
+    return np.matmul(masks[:, None], M.T[:, :, None] * M).transpose(0, 2, 1, 3)
 
 
 class _AxisGroups:
@@ -388,6 +386,16 @@ class _AxisGroups:
         return gram, xty
 
 
+def _groups(factors: LatentFactors, tensor: RelationalTensor,
+            groups: Optional[ObservationGroups]) -> ObservationGroups:
+    """A chain's ``groups``, or the tensor's own for a call outside a chain.
+
+    Raises DimensionMismatchError when the factors do not fit the tensor.
+    """
+    _check_tensor(factors, tensor)
+    return groups if groups is not None else ObservationGroups(tensor)
+
+
 def _draw_factor_rows(groups: ObservationGroups, mode: int, factors: LatentFactors,
                       hyper: FactorHyperState, rng: np.random.Generator) -> np.ndarray:
     """Draw every row of factor ``mode`` from its Gaussian conditional.
@@ -396,6 +404,9 @@ def _draw_factor_rows(groups: ObservationGroups, mode: int, factors: LatentFacto
     right-hand side.  Rows are conditionally independent, so their
     precisions are stacked and drawn by :func:`_sample_gaussian_stack`.
     """
+    if hyper.mu.size != factors.rank:
+        raise DimensionMismatchError(
+            f"hyper state of rank {hyper.mu.size} does not match factor rank {factors.rank}")
     gram, xty = groups.normal_terms(mode, factors)
     return _sample_gaussian_stack(rng, hyper.precision + factors.alpha * gram,
                                   hyper.precision @ hyper.mu + factors.alpha * xty)
@@ -405,7 +416,7 @@ def sample_u_rows(factors: LatentFactors, tensor: RelationalTensor,
                   hyper_u: FactorHyperState, rng: np.random.Generator,
                   groups: Optional[ObservationGroups] = None) -> np.ndarray:
     """Draw a new sender-factor matrix U row by row."""
-    groups = groups if groups is not None else ObservationGroups(tensor)
+    groups = _groups(factors, tensor, groups)
     return _draw_factor_rows(groups, 0, factors, hyper_u, rng)
 
 
@@ -413,7 +424,7 @@ def sample_v_rows(factors: LatentFactors, tensor: RelationalTensor,
                   hyper_v: FactorHyperState, rng: np.random.Generator,
                   groups: Optional[ObservationGroups] = None) -> np.ndarray:
     """Draw a new receiver-factor matrix V; U's update with i and j swapped."""
-    groups = groups if groups is not None else ObservationGroups(tensor)
+    groups = _groups(factors, tensor, groups)
     return _draw_factor_rows(groups, 1, factors, hyper_v, rng)
 
 
@@ -425,7 +436,7 @@ def sample_r_rows(factors: LatentFactors, tensor: RelationalTensor,
     The per-relation precision accumulates the elementwise products
     (U_i o V_j)(U_i o V_j)^T over the relation's observed entries.
     """
-    groups = groups if groups is not None else ObservationGroups(tensor)
+    groups = _groups(factors, tensor, groups)
     return _draw_factor_rows(groups, 2, factors, hyper_r, rng)
 
 
@@ -439,8 +450,8 @@ def gibbs_sweep(state: GibbsState, tensor: RelationalTensor, priors: HyperPriors
     the new U and V.  With ``sample_relations=False`` the relation factor
     and its hyperparameters are left untouched (frozen-R mode).
     """
-    groups = groups if groups is not None else ObservationGroups(tensor)
     f = state.factors
+    groups = _groups(f, tensor, groups)
     alpha = sample_alpha(f, tensor, priors, rng, groups)
     hyper_u = sample_factor_hypers(f.U, priors, priors.kappa0, rng)
     hyper_v = sample_factor_hypers(f.V, priors, priors.kappa0, rng)

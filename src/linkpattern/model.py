@@ -94,7 +94,8 @@ def logistic(x):
 
 # The CP kernels evaluate on the masked-dense N x N x T form when the tensor
 # has at most this many cells per coordinate, and on gathered coordinate rows
-# otherwise.  Whole fit_map times, 10 logistic iterations on random tensors,
+# otherwise; the Gibbs Grams (gibbs.ObservationGroups) follow the same form.
+# Whole fit_map times, 10 logistic iterations on random tensors,
 # coordinate / dense (one BLAS thread, 2-vCPU Xeon VM, numpy 2.4):
 #   cells per entry           1.25   2.5    5     10    20    40    80
 #   N=50,  T=5,  D=5          1.65   1.60  0.93  0.67  0.52  0.43
@@ -102,13 +103,21 @@ def logistic(x):
 #   N=200, T=10, D=10                2.88  2.25  1.13  0.62  0.32  0.17
 #   N=300, T=20, D=11                            1.47  1.11  0.51  0.18
 # The forms break even between about 5 (N=50) and 20 (N=300) cells per
-# entry, near 11 at the kinship data's size.
+# entry, near 11 at the kinship data's size.  The Gibbs Grams' masked form
+# is slower than a per-row loop just under the threshold at N >= 100, and
+# faster from about 3 cells per entry down and on the battery data.  U/V/R
+# block times in ms on partially observed fibers, row loop / masked form
+# with K = T (medians, one BLAS thread, same VM):
+#   shape            cells per entry   row loop         masked
+#   50 x 50 x 5      6.3 (battery)     0.33/0.37/0.11   0.14/0.12/0.09
+#   104 x 104 x 26   2.5               6.8/6.7/5.0      5.2/4.6/5.3
+#   300 x 300 x 20   3.3               30/32/41         28/34/29
+#   200 x 200 x 10   5.0               5.5/5.8/3.7      5.0/5.7/4.1
+#   104 x 104 x 26   8.3               2.8/2.8/1.9      3.9/3.6/3.8
+#   300 x 300 x 20   9.1               12/14/11         21/33/25
+#   500 x 500 x 5    9.1               9.2/8.4/8.5      20/35/23
+# One threshold for both keeps one form decision.
 DENSE_CELLS_PER_ENTRY = 10
-
-
-def _dense_form(n_objects: int, n_relations: int, n_entries: int) -> bool:
-    """Whether the CP kernels on this many entries take the masked-dense form."""
-    return n_objects * n_objects * n_relations <= DENSE_CELLS_PER_ENTRY * n_entries
 
 
 def _inner(a, b) -> float:
@@ -174,7 +183,7 @@ class _Entries:
     def __init__(self, ii, jj, tt, n_objects: int, n_relations: int):
         self.ii, self.jj, self.tt = _coordinates(ii, jj, tt, n_objects, n_relations)
         self.n, self.t = n_objects, n_relations
-        self.dense = _dense_form(n_objects, n_relations, self.ii.size)
+        self.dense = n_objects * n_objects * n_relations <= DENSE_CELLS_PER_ENTRY * self.ii.size
         if self.dense:
             self.flat = (self.ii * n_objects + self.jj) * n_relations + self.tt
 

@@ -17,8 +17,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # Prints one SHA-256 over the MAP fit, the Gibbs chain, its predictive scores
 # over all pairs under both links and an evaluate CSV (the per-slice baseline
 # included) on a fully observed 104 x 104 x 26 tensor (the kinship data's
-# shape), and over a Gibbs chain on the same shape at 50% of entries, whose
-# partial fibers take the row form.
+# shape), and over Gibbs chains on the same shape at 50% of entries, whose
+# partial fibers take the entry masks (K = T), and at 5%, which takes the
+# coordinate form and its row loop.
 SCRIPT = """
 import hashlib, sys
 from pathlib import Path
@@ -45,11 +46,13 @@ for draw in samples.draws:
     for values in (draw.U, draw.V, draw.R, [draw.alpha, log_likelihood(draw, tensor, identity)]):
         digest.update(np.asarray(values).tobytes())
 digest.update(np.asarray(samples.log_likelihoods).tobytes())
-partial, _truth = generate_synthetic(SynthSpec(104, 26, 11, observed_fraction=0.5, seed=4))
-for draw in run_chain(partial, identity, HyperPriors.default(11),
-                      ChainConfig(num_samples=2, burn_in=0, seed=1)).draws:
-    for values in (draw.U, draw.V, draw.R, [draw.alpha]):
-        digest.update(np.asarray(values).tobytes())
+for fraction in (0.5, 0.05):
+    partial, _truth = generate_synthetic(SynthSpec(104, 26, 11, observed_fraction=fraction,
+                                                   seed=4))
+    for draw in run_chain(partial, identity, HyperPriors.default(11),
+                          ChainConfig(num_samples=2, burn_in=0, seed=1)).draws:
+        for values in (draw.U, draw.V, draw.R, [draw.alpha]):
+            digest.update(np.asarray(values).tobytes())
 ii, jj, tt = (axis.ravel() for axis in np.indices((104, 104, 26)))
 for use_logistic in (True, False):
     digest.update(predictive_scores(samples, ii, jj, tt,

@@ -278,6 +278,14 @@ def test_evaluate_empty_methods_is_usage_error(data_file, tmp_path):
                     "--out", tmp_path / "r.csv"]) == 1
 
 
+@pytest.mark.parametrize("option,value", [("--repeats", 0), ("--jobs", -2)])
+def test_evaluate_rejects_counts_below_one(data_file, tmp_path, option, value):
+    out = tmp_path / "r.csv"
+    assert run_cli(["evaluate", "--input", data_file, "--methods", "pltf",
+                    option, value, "--out", out]) == 1
+    assert not out.exists()
+
+
 def test_evaluate_sweep_ranks_row_count(data_file, tmp_path):
     out = tmp_path / "res.csv"
     assert run_cli(["evaluate", "--input", data_file, "--methods", "pltf",

@@ -137,14 +137,18 @@ def test_sample_v_rows_matches_u_update_on_transposed_data():
     pytest.param(30, 1, 5, 0.5, "fibers", id="fibers-30-1-5-0.5"),
     pytest.param(20, 4, 11, 0.6, "fibers", id="fibers-20-4-11-0.6"),
     pytest.param(20, 4, 11, 0.6, "fibers-but-one", id="fibers-but-one-20-4-11-0.6"),
+    pytest.param(50, 5, 5, 0.02, "sparse-entries", id="50-5-5-0.02"),
+    pytest.param(50, 5, 5, 0.02, "sparse-fibers", id="fibers-50-5-5-0.02"),
 ])
 def test_factor_rows_match_per_row_reference(n, t, d, fill, layout):
     # sender 0 and receiver 1 have no observations, nor, in the "entries"
-    # layout, does the last relation.  The "fibers" layouts observe whole
-    # fibers (every T = 1 tensor does), which the fiber-form Grams need;
-    # "fibers-but-one" drops one entry, so one fiber is partial.
+    # layouts, does the last relation.  The "fibers" layouts observe whole
+    # fibers (every T = 1 tensor does), which the fiber mask (K = 1) needs;
+    # "fibers-but-one" drops one entry, so one fiber is partial and the
+    # entry masks (K = T) apply.  The "sparse" layouts take the coordinate
+    # form and its row loop.
     rng = np.random.default_rng(d)
-    if layout == "entries":
+    if layout.endswith("entries"):
         triples = [(i, j, k, int(rng.random() < 0.5))
                    for i in range(n) for j in range(n) for k in range(t)
                    if rng.random() < fill and i != 0 and j != 1 and k != t - 1]
@@ -156,7 +160,10 @@ def test_factor_rows_match_per_row_reference(n, t, d, fill, layout):
             del triples[5]
     tensor = RelationalTensor.build(n, t, triples)
     groups = gibbs.ObservationGroups(tensor)
-    assert (groups.fibers is not None) is (layout == "fibers")
+    if layout.startswith("sparse"):
+        assert groups.masks is None
+    else:
+        assert len(groups.masks) == (1 if layout == "fibers" else t)
     factors = LatentFactors(*(0.5 * rng.standard_normal((m, d)) for m in (n, n, t)), alpha=2.0)
     a = rng.standard_normal((d, d))
     hyper = FactorHyperState(rng.standard_normal(d), a @ a.T / d + np.eye(d))
@@ -165,6 +172,38 @@ def test_factor_rows_match_per_row_reference(n, t, d, fill, layout):
         expected = reference_factor_rows(factors, tensor, hyper, block,
                                          np.random.default_rng(5))
         np.testing.assert_allclose(drawn, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("layout", ["fibers", "entries", "sparse"])
+def test_samplers_reject_factors_that_do_not_fit_the_tensor(layout):
+    # 6 x 6 x 2 tensors in the three forms: whole fibers (the fiber mask),
+    # half of every fiber (the entry masks), and three entries (coordinates)
+    cells = [(i, j, t) for i in range(6) for j in range(6) for t in range(2)]
+    keep = {"fibers": lambda i, j, t: (i + j) % 2 == 0,
+            "entries": lambda i, j, t: (i + j + t) % 2 == 0,
+            "sparse": lambda i, j, t: (i, j, t) in {(0, 1, 0), (2, 3, 1), (4, 5, 0)}}[layout]
+    tensor = RelationalTensor.build(6, 2, [(i, j, t, (i * j + t) % 2)
+                                           for i, j, t in cells if keep(i, j, t)])
+    groups = gibbs.ObservationGroups(tensor)
+    assert (None if groups.masks is None else len(groups.masks)) == {
+        "fibers": 1, "entries": 2, "sparse": None}[layout]
+    priors = HyperPriors.default(2)
+    hyper = FactorHyperState(np.zeros(2), np.eye(2))
+    rng = np.random.default_rng(0)
+    misfits = [LatentFactors(np.ones((n, 2)), np.ones((n, 2)), np.ones((t, 2)))
+               for n, t in ((5, 2), (7, 2), (6, 3))]
+    for factors in misfits:
+        for chain_groups in (None, groups):
+            with pytest.raises(DimensionMismatchError):
+                sample_alpha(factors, tensor, priors, rng, chain_groups)
+            for sampler in (sample_u_rows, sample_v_rows, sample_r_rows):
+                with pytest.raises(DimensionMismatchError):
+                    sampler(factors, tensor, hyper, rng, chain_groups)
+    factors = LatentFactors(np.ones((6, 2)), np.ones((6, 2)), np.ones((2, 2)))
+    wrong_rank = FactorHyperState(np.zeros(3), np.eye(3))
+    for sampler in (sample_u_rows, sample_v_rows, sample_r_rows):
+        with pytest.raises(DimensionMismatchError):
+            sampler(factors, tensor, wrong_rank, rng, groups)
 
 
 def four_object_instance():
@@ -289,17 +328,20 @@ def test_run_chain_single_retained_draw(tiny_tensor):
 
 def test_run_chain_log_likelihoods_match_model_bitwise():
     # the chain scores its draws on its own _Entries; the trace must be
-    # model.log_likelihood's, for the row-form and the fiber-form Grams
+    # model.log_likelihood's, for the entry masks, the fiber mask and the
+    # row-form Grams
     partial = small_chain_data()
     complete, _truth = generate_synthetic(SynthSpec(12, 3, 2, seed=4))
+    sparse, _truth = generate_synthetic(SynthSpec(30, 4, 2, observed_fraction=0.05, seed=4))
     identity = ModelConfig(2, use_logistic=False)
-    for tensor in (partial, complete):
+    for tensor in (partial, complete, sparse):
         samples = run_chain(tensor, identity, HyperPriors.default(2),
                             ChainConfig(num_samples=6, burn_in=0, seed=3))
         assert samples.log_likelihoods == [log_likelihood(draw, tensor, identity)
                                            for draw in samples.draws]
-    assert gibbs.ObservationGroups(partial).fibers is None
-    assert gibbs.ObservationGroups(complete).fibers is not None
+    assert len(gibbs.ObservationGroups(partial).masks) == partial.n_relations
+    assert len(gibbs.ObservationGroups(complete).masks) == 1
+    assert gibbs.ObservationGroups(sparse).masks is None
 
 
 def test_run_chain_deterministic():
