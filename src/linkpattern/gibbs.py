@@ -181,16 +181,23 @@ def _chol_jitter(mat: np.ndarray) -> np.ndarray:
         f"matrix not positive-definite after {_JITTER_RETRIES} jitter retries")
 
 
-def _sample_wishart(rng: np.random.Generator, scale: np.ndarray, df: float) -> np.ndarray:
-    """Wishart draw via the Bartlett decomposition."""
-    d = scale.shape[0]
-    L = _chol_jitter(scale)
+def _sample_gaussian_wishart(rng: np.random.Generator, mu: np.ndarray, kappa: float,
+                             df: float, scale: np.ndarray) -> FactorHyperState:
+    """One (mean, precision) draw from the Gaussian-Wishart NW(mu, kappa, df, scale).
+
+    The precision is a Bartlett draw M M^T with M = chol(scale) A: A is
+    lower triangular with sqrt(chi2(df - k)) on its diagonal and standard
+    normals below it, in row-major order.  M has a positive diagonal, so it
+    is the precision's Cholesky factor, and the mean mu + M^-T z / sqrt(kappa),
+    a draw from N(mu, (kappa precision)^-1), takes one solve with M^T.
+    """
+    d = mu.size
     A = np.zeros((d, d))
     A[np.diag_indices(d)] = np.sqrt(rng.chisquare(df - np.arange(d)))
-    if d > 1:
-        A[np.tril_indices(d, -1)] = rng.standard_normal(d * (d - 1) // 2)
-    M = L @ A
-    return M @ M.T
+    A[np.tri(d, k=-1, dtype=bool)] = rng.standard_normal(d * (d - 1) // 2)
+    M = _chol_jitter(scale) @ A
+    z = rng.standard_normal(d)
+    return FactorHyperState(mu + np.linalg.solve(M.T, z) / np.sqrt(kappa), M @ M.T)
 
 
 def _sample_gaussian_stack(rng: np.random.Generator, precision: np.ndarray,
@@ -203,9 +210,10 @@ def _sample_gaussian_stack(rng: np.random.Generator, precision: np.ndarray,
     :func:`_chol_jitter`, which raises :class:`NotPositiveDefiniteError` for
     a row it cannot repair.  The fallback and each jittered row log a
     warning.  The noise is one ``standard_normal((rows, D))``
-    call, the same numbers in the same order as one call per row.  Callers
-    that know the mean pass zero right-hand sides and add it afterwards,
-    which keeps the rounding of P^-1 (P mu) out of ill-conditioned draws.
+    call, the same numbers in the same order as one call per row.  The
+    synthetic generator, which knows its rows' mean, passes zero right-hand
+    sides and adds the mean afterwards, which keeps the rounding of
+    P^-1 (P mu) out of ill-conditioned draws.
     """
     precision = np.broadcast_to(precision, rhs.shape + rhs.shape[-1:])
     sym = 0.5 * (precision + np.swapaxes(precision, -1, -2))
@@ -226,8 +234,13 @@ def gaussian_wishart_posterior(rows: np.ndarray, priors: HyperPriors, kappa: flo
 
     Returns ``(mu_star, kappa_star, nu_star, w_star)`` where the Wishart
     scale ``w_star`` already incorporates the scatter and mean-shift terms.
+    Raises DimensionMismatchError unless ``rows`` is 2-D with ``priors.rank``
+    columns, and ValueError when it has no rows.
     """
     rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != priors.rank:
+        raise DimensionMismatchError(
+            f"rows {rows.shape} do not match hyperprior rank {priors.rank}")
     m = rows.shape[0]
     if m < 1:
         raise ValueError("need at least one row")
@@ -246,11 +259,7 @@ def gaussian_wishart_posterior(rows: np.ndarray, priors: HyperPriors, kappa: flo
 def sample_factor_hypers(rows: np.ndarray, priors: HyperPriors, kappa: float,
                          rng: np.random.Generator) -> FactorHyperState:
     """Draw (mu, precision) for one factor from its Gaussian-Wishart conditional."""
-    mu_star, kappa_star, nu_star, w_star = gaussian_wishart_posterior(rows, priors, kappa)
-    precision = _sample_wishart(rng, w_star, nu_star)
-    noise = _sample_gaussian_stack(rng, kappa_star * precision, np.zeros((1, mu_star.size)))
-    mu = mu_star + noise[0]
-    return FactorHyperState(mu, precision)
+    return _sample_gaussian_wishart(rng, *gaussian_wishart_posterior(rows, priors, kappa))
 
 
 def sample_alpha(factors: LatentFactors, tensor: RelationalTensor,

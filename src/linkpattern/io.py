@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import FormatError, TripleParseError
-from .gibbs import HyperPriors, SampleSet, _sample_gaussian_stack, _sample_wishart
+from .gibbs import HyperPriors, SampleSet, _sample_gaussian_stack, _sample_gaussian_wishart
 from .model import LatentFactors
 from .rng import substream
 from .tensor import RelationalTensor
@@ -252,9 +252,8 @@ def _generate(spec: SynthSpec):
     rng = substream(spec.seed, "synthetic")
 
     def factor_rows(count, kappa):
-        precision = _sample_wishart(rng, priors.w0, priors.nu0)
-        mu = priors.mu0 + _sample_gaussian_stack(rng, kappa * precision, np.zeros((1, d)))[0]
-        return mu + _sample_gaussian_stack(rng, precision, np.zeros((count, d)))
+        hyper = _sample_gaussian_wishart(rng, priors.mu0, kappa, priors.nu0, priors.w0)
+        return hyper.mu + _sample_gaussian_stack(rng, hyper.precision, np.zeros((count, d)))
 
     n, T = spec.n_objects, spec.n_relations
     U = factor_rows(n, priors.kappa0)

@@ -8,7 +8,7 @@ updates, then compared against binned empirical draws by total variation.
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from linkpattern.gibbs import FactorHyperState, HyperPriors
+from linkpattern.gibbs import FactorHyperState, HyperPriors, gaussian_wishart_posterior
 from linkpattern.model import LatentFactors, reconstruct_entries
 from linkpattern.tensor import RelationalTensor
 
@@ -122,6 +122,29 @@ def reference_predictive_scores(samples, ii, jj, tt, model_config):
         s = np.einsum("nd,nd->n", factors.U[ii] * factors.V[jj], factors.R[tt])
         total += np.clip(reference_logistic(s) if model_config.use_logistic else s, 0.0, 1.0)
     return total / len(samples)
+
+
+def reference_factor_hypers(rows, priors, kappa, rng):
+    """(mean, precision) draw that factorises twice.
+
+    A Bartlett precision ``M M^T`` with ``M = chol(w*) A``, the strict lower
+    triangle of ``A`` filled through ``tril_indices`` and drawn only when
+    D > 1, then the mean from a second Cholesky factor of ``kappa* M M^T``
+    and a forward and a back solve.
+    """
+    mu_star, kappa_star, nu_star, w_star = gaussian_wishart_posterior(rows, priors, kappa)
+    d = mu_star.size
+    A = np.zeros((d, d))
+    A[np.diag_indices(d)] = np.sqrt(rng.chisquare(nu_star - np.arange(d)))
+    if d > 1:
+        A[np.tril_indices(d, -1)] = rng.standard_normal(d * (d - 1) // 2)
+    M = np.linalg.cholesky(w_star) @ A
+    precision = M @ M.T
+    scaled = kappa_star * precision
+    chol = np.linalg.cholesky(0.5 * (scaled + scaled.T))
+    half = np.linalg.solve(chol, np.zeros(d))
+    mu = mu_star + np.linalg.solve(chol.T, half + rng.standard_normal(d))
+    return FactorHyperState(mu, precision)
 
 
 def reference_factor_rows(factors, tensor, hyper, block, rng):

@@ -18,8 +18,9 @@ from linkpattern.optimize import MapConfig, fit_map
 from linkpattern.tensor import RelationalTensor
 
 from oracles import (TRIPLES, alpha_log_posterior, conjugacy_instance, grid_posterior_mean,
-                     r_row_designs, reference_factor_rows, reference_predictive_scores,
-                     row_log_posterior, tv_binned, u_row_designs)
+                     r_row_designs, reference_factor_hypers, reference_factor_rows,
+                     reference_predictive_scores, row_log_posterior, tv_binned,
+                     u_row_designs)
 
 IDENTITY1 = ModelConfig(1, use_logistic=False)
 
@@ -88,21 +89,52 @@ def test_gaussian_wishart_posterior_zero_rows_any_count():
         assert np.allclose(mu_star, 0.0)
 
 
+@pytest.mark.parametrize("shape", [(4, 1), (5,), (4, 3), (2, 5, 1)])
+def test_gaussian_wishart_posterior_rejects_rows_of_another_rank(shape):
+    with pytest.raises(DimensionMismatchError):
+        gaussian_wishart_posterior(np.zeros(shape), HyperPriors.default(5), 2.0)
+
+
+def test_gaussian_wishart_posterior_rejects_zero_rows():
+    with pytest.raises(ValueError, match="at least one row"):
+        gaussian_wishart_posterior(np.zeros((0, 5)), HyperPriors.default(5), 2.0)
+
+
 def test_sample_factor_hypers_moment_oracle():
     rows = np.array([[0.4, -0.2], [1.1, 0.3], [-0.5, 0.8], [0.2, 0.2]])
     priors = HyperPriors.default(2, nu0=4.0)
-    mu_star, _kappa_star, nu_star, w_star = gaussian_wishart_posterior(rows, priors, priors.kappa0)
+    mu_star, kappa_star, nu_star, w_star = gaussian_wishart_posterior(rows, priors, priors.kappa0)
     rng = np.random.default_rng(46)
     lam_sum = np.zeros((2, 2))
     mu_sum = np.zeros(2)
+    mu_scatter = np.zeros((2, 2))
     n = 100_000
     for _ in range(n):
         state = sample_factor_hypers(rows, priors, priors.kappa0, rng)
         lam_sum += state.precision
         mu_sum += state.mu
+        mu_scatter += np.outer(state.mu - mu_star, state.mu - mu_star)
     expected = nu_star * w_star
     assert np.max(np.abs(lam_sum / n - expected)) / np.max(np.abs(expected)) < 0.02
     assert np.max(np.abs(mu_sum / n - mu_star)) < 0.01
+    # marginally mu is Student-t: E[(mu - mu*)(mu - mu*)^T] = W*^-1 / (kappa* (nu* - D - 1))
+    mu_cov = np.linalg.inv(w_star) / (kappa_star * (nu_star - 2 - 1))
+    assert np.max(np.abs(mu_scatter / n - mu_cov)) / np.max(np.abs(mu_cov)) < 0.02
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 11])
+def test_sample_factor_hypers_match_twice_factorised_reference(d):
+    # the reference factorises kappa* precision again for the mean and skips
+    # the empty below-diagonal draw at D = 1; both must leave the generator
+    # at the same state
+    rows = np.random.default_rng(d).standard_normal((30, d))
+    priors = HyperPriors.default(d)
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    state = sample_factor_hypers(rows, priors, priors.kappa0, rng)
+    reference = reference_factor_hypers(rows, priors, priors.kappa0, ref_rng)
+    assert np.array_equal(state.precision, reference.precision)
+    assert np.max(np.abs(state.mu - reference.mu)) <= 1e-12 * np.max(np.abs(reference.mu))
+    assert rng.standard_normal() == ref_rng.standard_normal()
 
 
 def test_sample_u_rows_prior_fallback_and_scalar_update():
