@@ -27,10 +27,12 @@ caller's responsibility; this shim does not guess at id schemes.
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, "src")  # allow running from a source checkout
+# allow running from a source checkout, whatever the working directory
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from linkpattern.exceptions import DataConflictError, TripleParseError  # noqa: E402
 from linkpattern.io import _int_table, save_triples  # noqa: E402

@@ -47,7 +47,8 @@ class HyperPriors:
     gamma_shape/gamma_scale parameterize the Gamma prior on the noise
     precision (shape-scale convention).  (mu0, kappa0, w0, nu0) are the
     Gaussian-Wishart hyperprior for the object-factor rows; kappa_t
-    replaces kappa0 for the relation-factor rows.
+    replaces kappa0 for the relation-factor rows.  ``w0_inv``, the inverse
+    of w0, is derived on construction.
     """
 
     mu0: np.ndarray
@@ -75,6 +76,8 @@ class HyperPriors:
             np.linalg.cholesky(self.w0)
         except np.linalg.LinAlgError:
             raise ValueError("w0 must be positive-definite") from None
+        # derived, not a field: every hyper draw reads it
+        self.w0_inv = np.linalg.inv(self.w0)
 
     @property
     def rank(self) -> int:
@@ -251,7 +254,7 @@ def gaussian_wishart_posterior(rows: np.ndarray, priors: HyperPriors, kappa: flo
     nu_star = priors.nu0 + m
     mu_star = (kappa * priors.mu0 + m * mean) / kappa_star
     shift = mean - priors.mu0
-    w_inv = np.linalg.inv(priors.w0) + scatter + (kappa * m / kappa_star) * np.outer(shift, shift)
+    w_inv = priors.w0_inv + scatter + (kappa * m / kappa_star) * np.outer(shift, shift)
     w_star = np.linalg.inv(0.5 * (w_inv + w_inv.T))
     return mu_star, kappa_star, nu_star, 0.5 * (w_star + w_star.T)
 

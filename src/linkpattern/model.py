@@ -95,15 +95,16 @@ def logistic(x):
 # The CP kernels evaluate on the masked-dense N x N x T form when the tensor
 # has at most this many cells per coordinate, and on gathered coordinate rows
 # otherwise; the Gibbs Grams (gibbs.ObservationGroups) follow the same form.
-# Whole fit_map times, 10 logistic iterations on random tensors,
-# coordinate / dense (one BLAS thread, 2-vCPU Xeon VM, numpy 2.4):
+# Whole fit_map times, 10 logistic iterations on random tensors (distinct
+# uniform cells, 30% ones), coordinate / dense, medians of 5 (one BLAS
+# thread, 2-vCPU Xeon VM, numpy 2.4):
 #   cells per entry           1.25   2.5    5     10    20    40    80
-#   N=50,  T=5,  D=5          1.65   1.60  0.93  0.67  0.52  0.43
-#   N=104, T=26, D=11         2.85   3.10  2.33  1.17  0.62  0.33  0.17
-#   N=200, T=10, D=10                2.88  2.25  1.13  0.62  0.32  0.17
-#   N=300, T=20, D=11                            1.47  1.11  0.51  0.18
-# The forms break even between about 5 (N=50) and 20 (N=300) cells per
-# entry, near 11 at the kinship data's size.  The Gibbs Grams' masked form
+#   N=50,  T=5,  D=5          3.20   1.54  1.01  0.65  0.49  0.42
+#   N=104, T=26, D=11         7.79   4.52  2.45  1.34  0.53  0.26  0.13
+#   N=200, T=10, D=10                3.94  2.54  1.04  0.53  0.26  0.15
+#   N=300, T=20, D=11                            1.62  0.90  0.33  0.14
+# The forms break even between about 5 (N=50) and 18 (N=300) cells per
+# entry, near 13 at the kinship data's size.  The Gibbs Grams' masked form
 # is slower than a per-row loop just under the threshold at N >= 100, and
 # faster from about 3 cells per entry down and on the battery data.  U/V/R
 # block times in ms on partially observed fibers, row loop / masked form
@@ -170,10 +171,9 @@ def _coordinates(ii, jj, tt, n_objects: int, n_relations: int):
 class _Entries:
     """Range-checked coordinates of an N x N x T tensor and the CP primitives on them.
 
-    :meth:`reconstruct`, :meth:`cubic` (the reconstruction along a line) and
-    :meth:`mttkrp` hold the one choice between two forms of the same sums.
-    The masked-dense form, used when the tensor has at most
-    ``DENSE_CELLS_PER_ENTRY`` cells per coordinate, works on whole
+    :meth:`reconstruct` and :meth:`mttkrp` hold the one choice between two
+    forms of the same sums.  The masked-dense form, used when the tensor has
+    at most ``DENSE_CELLS_PER_ENTRY`` cells per coordinate, works on whole
     unfoldings (Kolda & Bader 2009): the reconstruction is one
     ``A @ khatri_rao(B, C).T`` read at the flat indices ``(i N + j) T + t``,
     and the MTTKRPs contract a zero-filled weight tensor with Khatri-Rao
@@ -195,28 +195,6 @@ class _Entries:
             # N*T-term MTTKRP sums below (tests/test_blas_threads.py).
             return (A @ _khatri_rao(B, C).T).take(self.flat)
         return (_gather(A, self.ii) * _gather(B, self.jj) * _gather(C, self.tt)).sum(axis=0)
-
-    def cubic(self, A, B, C, dA, dB, dC):
-        """Coefficients (k0, k1, k2, k3) of the reconstruction along a line.
-
-        ``reconstruct(A + s dA, B + s dB, C + s dC)`` equals
-        ``k0 + s k1 + s^2 k2 + s^3 k3`` at every coordinate.  The dense form
-        reconstructs the eight multilinear terms; the coordinate form
-        gathers the six factors' rows once and shares their products, where
-        eight coordinate reconstructions made a whole fit on a sparse
-        tensor about 1.5 times slower.
-        """
-        if self.dense:
-            rec = self.reconstruct
-            return (rec(A, B, C),
-                    rec(dA, B, C) + rec(A, dB, C) + rec(A, B, dC),
-                    rec(dA, dB, C) + rec(dA, B, dC) + rec(A, dB, dC),
-                    rec(dA, dB, dC))
-        a, b, c = _gather(A, self.ii), _gather(B, self.jj), _gather(C, self.tt)
-        da, db, dc = _gather(dA, self.ii), _gather(dB, self.jj), _gather(dC, self.tt)
-        ab, dab, dadb = a * b, da * b + a * db, da * db
-        return ((ab * c).sum(axis=0), (dab * c + ab * dc).sum(axis=0),
-                (dadb * c + dab * dc).sum(axis=0), (dadb * dc).sum(axis=0))
 
     def mttkrp(self, w, A, B, C):
         """Weighted MTTKRPs of all three modes (A, B, C): per row, the sum

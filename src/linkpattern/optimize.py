@@ -66,8 +66,8 @@ class OptTrace:
 
     ``objectives[0]`` is the initial objective; each subsequent element is
     the value after an accepted step, so the sequence is non-increasing.
-    ``trials[k]`` counts the line objective's trial steps in iteration
-    k + 1, a failed search retried from steepest descent included.
+    ``trials[k]`` counts the objective evaluations at trial steps in
+    iteration k + 1, a failed search retried from steepest descent included.
     ``restarts`` counts the resets of the CG direction to steepest descent:
     periodic, after a non-descent direction, for the stall retry, and after
     a small step that did not pass the convergence test.
@@ -88,9 +88,10 @@ class OptTrace:
 class _Loss:
     """The regularized squared error on one tensor's observed entries.
 
-    The one loss kernel: :func:`fit_map` trains on it, and :func:`objective`
-    and :func:`gradients` expose it to the oracles.  It owns the layout of
-    the parameters as one flat vector: U, V and R raveled, in that order.
+    The one loss kernel: :func:`fit_map` trains on it and scores its line
+    search trials with it, and :func:`objective` and :func:`gradients`
+    expose it to the oracles.  It owns the layout of the parameters as one
+    flat vector: U, V and R raveled, in that order.
     """
 
     def __init__(self, tensor: RelationalTensor, model_config: ModelConfig,
@@ -107,17 +108,10 @@ class _Loss:
         return (x[:n * d].reshape(n, d), x[n * d:2 * n * d].reshape(n, d),
                 x[2 * n * d:].reshape(self.t, d))
 
-    def _ridge(self, a, b) -> float:
-        """sum_k gamma_k <a_k, b_k> over the three factor blocks."""
-        g = self.gammas
-        return (g[0] * float(np.sum(a[0] * b[0])) + g[1] * float(np.sum(a[1] * b[1]))
-                + g[2] * float(np.sum(a[2] * b[2])))
-
-    def _misfit(self, s):
-        """Model mean m, residual y - m and 1/2 ||y - m||^2 at reconstruction ``s``."""
-        m = logistic(s) if self.use_logistic else s
-        resid = self.yy - m
-        return m, resid, 0.5 * _inner(resid, resid)
+    def _ridge(self, blocks) -> float:
+        """sum_k gamma_k ||block_k||^2 over the three factor blocks."""
+        return sum(gamma * float(np.sum(block * block))
+                   for gamma, block in zip(self.gammas, blocks))
 
     def value_and_gradient(self, x, with_gradient=True):
         """Objective at ``x`` and its flat gradient (None unless requested).
@@ -128,33 +122,16 @@ class _Loss:
         ridge term; dV and dR are symmetric.
         """
         blocks = self.blocks(x)
-        m, resid, value = self._misfit(self.entries.reconstruct(*blocks))
-        value += 0.5 * self._ridge(blocks, blocks)
+        s = self.entries.reconstruct(*blocks)
+        m = logistic(s) if self.use_logistic else s
+        resid = self.yy - m
+        value = 0.5 * _inner(resid, resid) + 0.5 * self._ridge(blocks)
         if not with_gradient:
             return value, None
         w = -resid * m * (1.0 - m) if self.use_logistic else -resid
         products = self.entries.mttkrp(w, *blocks)
         return value, np.concatenate([(gamma * block + product).ravel() for gamma, block, product
                                       in zip(self.gammas, blocks, products)])
-
-    def line(self, x, direction):
-        """Objective along x + step * direction as a cheap function of step.
-
-        The CP reconstruction is cubic in the step and the ridge term
-        quadratic, so the per-entry polynomial coefficients are computed
-        once per line search and each trial costs three fused passes.
-        """
-        blocks, direction = self.blocks(x), self.blocks(direction)
-        k0, k1, k2, k3 = self.entries.cubic(*blocks, *direction)
-        r0 = 0.5 * self._ridge(blocks, blocks)
-        r1 = self._ridge(blocks, direction)
-        r2 = 0.5 * self._ridge(direction, direction)
-
-        def at(step):
-            s = k0 + step * (k1 + step * (k2 + step * k3))
-            _m, _resid, value = self._misfit(s)
-            return value + r0 + step * (r1 + step * r2)
-        return at
 
 
 def objective(factors: LatentFactors, tensor: RelationalTensor,
@@ -196,17 +173,17 @@ def fit_map(tensor: RelationalTensor, model_config: ModelConfig,
     """Fit factors by MAP with Polak-Ribiere CG.
 
     Returns ``(factors, trace)``.  Deterministic for a fixed seed: the
-    initialization, summation order and line search are all fixed.
+    initialization, summation order and line search are all fixed.  Each
+    Armijo trial step is scored by the objective itself.
     ``trace.termination`` names the stop: ``"converged"`` when the
     three-part test of Gill, Murray & Wright (*Practical Optimization*,
     §8.2.3) holds with tau = ``rel_tolerance``: the objective fell by less
     than tau (1 + |f|), the step moved x by less than sqrt(tau) (1 + ||x||)
     and the gradient norm is at most tau^(1/3) (1 + |f|).  A step that
     passes the first part only restarts CG along steepest descent.
-    ``"no_progress"`` when an accepted step does not lower the directly
-    evaluated objective (progress below float resolution; the previous
-    iterate is kept), ``"stalled"`` when the line search fails, or
-    ``"max_iterations"``.
+    ``"no_progress"`` when an accepted step does not lower the objective
+    (progress below float resolution; the previous iterate is kept),
+    ``"stalled"`` when the line search fails, or ``"max_iterations"``.
     """
     if tensor.observed_count == 0:
         raise ValueError("cannot fit an empty tensor")
@@ -215,15 +192,13 @@ def fit_map(tensor: RelationalTensor, model_config: ModelConfig,
     tau = map_config.rel_tolerance
     trials = 0
 
-    def search(x, grad, direction):
-        """Armijo step along ``direction``, and the line objective it was found on."""
-        along = loss.line(x, direction)
-
+    def search(x, f, grad, direction):
+        """Armijo step along ``direction``, each trial scored by the objective itself."""
         def trial(step):
             nonlocal trials
             trials += 1
-            return along(step)
-        return _backtrack(_inner(grad, direction), trial, along(0.0)), along
+            return loss.value_and_gradient(x + step * direction, with_gradient=False)[0]
+        return _backtrack(_inner(grad, direction), trial, f)
 
     # U, V and R drawn in that order, as one flat vector
     x = map_config.init_scale * substream(map_config.seed, "map-init").standard_normal(
@@ -238,19 +213,15 @@ def fit_map(tensor: RelationalTensor, model_config: ModelConfig,
             direction = -grad
             trace.restarts += 1
         trials = 0
-        # ``along`` stays referenced until the next search replaces it: freeing
-        # its coefficient arrays early lets the allocator trim the heap, and
-        # the gradient's arrays fault their pages back in (a 10-iteration
-        # fit_map on a 104 x 104 x 26 tensor ran about 7% slower).
         try:
             try:
-                step, along = search(x, grad, direction)
+                step = search(x, f, grad, direction)
             except StallError:
                 if np.array_equal(direction, -grad):
                     raise
                 direction = -grad  # restart CG and retry once from steepest descent
                 trace.restarts += 1
-                step, along = search(x, grad, direction)
+                step = search(x, f, grad, direction)
         except StallError:
             trace.termination = "stalled"
             break
@@ -259,9 +230,8 @@ def fit_map(tensor: RelationalTensor, model_config: ModelConfig,
         if not np.isfinite(f_new):
             raise DivergenceError(
                 f"objective became non-finite at iteration {iteration}", iteration=iteration)
-        if f_new > f:
-            # progress below float resolution between the directional and
-            # direct evaluations; keep the previous iterate
+        if f_new >= f:
+            # progress below float resolution; keep the previous iterate
             trace.termination = "no_progress"
             break
         x = x_trial

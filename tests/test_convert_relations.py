@@ -1,4 +1,7 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,3 +71,15 @@ def test_matrix_drop_self_pairs_symmetrized_bytes(convert, tmp_path):
                 "1 0 0 1\n1 2 0 0\n"
                 "2 0 1 1\n2 1 0 0\n")
     assert out.read_bytes() == expected.encode()
+
+
+def test_script_runs_from_another_directory(tmp_path):
+    # the script finds the package beside it, not under the working directory
+    (tmp_path / "edges.txt").write_text("0 1 0\n")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    result = subprocess.run(
+        [sys.executable, str(SCRIPT), "--format", "edgelist", "--n-objects", "2",
+         "--n-relations", "1", "--out", "out.tsv", "edges.txt"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "out.tsv").read_bytes() == b"2 1\n0 1 0 1\n"

@@ -137,22 +137,29 @@ def test_line_search_rejects_ascent_direction():
 
 
 @BOTH_FORMS
-def test_line_objective_matches_objective_along_direction(use_logistic, dense):
-    # fit_map's line search scores trial steps with the kernel's polynomial
-    # form; it must agree with the objective the oracles check
+def test_accepted_trial_value_is_the_traced_objective(use_logistic, dense, monkeypatch):
+    # fit_map's line search scores each trial step with the loss kernel the
+    # oracles check, so the last trial of every iteration, the accepted
+    # step, is bitwise the objective the trace records for it
+    trial_values = []
+    value_and_gradient = optimize._Loss.value_and_gradient
+
+    def recording(self, x, with_gradient=True):
+        value, grad = value_and_gradient(self, x, with_gradient)
+        if not with_gradient:
+            trial_values.append(value)
+        return value, grad
+
+    monkeypatch.setattr(optimize._Loss, "value_and_gradient", recording)
+    tensor, _ = instance_on_side(dense)
     model_cfg = ModelConfig(2, use_logistic=use_logistic)
-    map_cfg = MapConfig(gamma_u=0.05, gamma_v=0.02, gamma_r=0.08)
-    tensor, factors = instance_on_side(dense)
-    rng = np.random.default_rng(21)
-    blocks = (factors.U, factors.V, factors.R)
-    x = np.concatenate([block.ravel() for block in blocks])
-    direction = np.concatenate([rng.normal(0, 0.5, block.shape).ravel() for block in blocks])
-    loss = optimize._Loss(tensor, model_cfg, map_cfg)
-    at = loss.line(x, direction)
-    for step in (0.0, 1e-3, 0.37, 1.0):
-        moved = LatentFactors(*loss.blocks(x + step * direction), 1.0)
-        assert at(step) == pytest.approx(objective(moved, tensor, model_cfg, map_cfg),
-                                         rel=1e-12, abs=0.0)
+    map_cfg = MapConfig(gamma_u=0.05, gamma_v=0.02, gamma_r=0.08, seed=4, max_iterations=40)
+    _factors, trace = fit_map(tensor, model_cfg, map_cfg)
+    assert trace.iterations > 0
+    ends = np.cumsum(trace.trials)
+    assert ends[-1] <= len(trial_values)
+    for k, end in enumerate(ends):
+        assert trial_values[end - 1] == trace.objectives[k + 1]
 
 
 def planted_rank1_tensor():
@@ -248,20 +255,21 @@ def test_fit_map_rejects_empty_tensor():
 
 
 def test_fit_map_trials_count_line_objective_calls(monkeypatch):
-    # every trial step of the Armijo search (step > 0; step 0 is the
-    # search's reference value) is one evaluation of the line objective
+    # every trial step of the Armijo search is one evaluation of the
+    # objective without its gradient
     calls = []
-    line = optimize._Loss.line
+    value_and_gradient = optimize._Loss.value_and_gradient
 
-    def counting_line(self, blocks, direction):
-        at = line(self, blocks, direction)
-        return lambda step: calls.append(step) or at(step)
+    def counting(self, x, with_gradient=True):
+        if not with_gradient:
+            calls.append(x)
+        return value_and_gradient(self, x, with_gradient)
 
-    monkeypatch.setattr(optimize._Loss, "line", counting_line)
+    monkeypatch.setattr(optimize._Loss, "value_and_gradient", counting)
     tensor, _ = random_instance(seed=9, n=4, t=2)
     _factors, trace = fit_map(tensor, LOGISTIC, MapConfig(seed=7, max_iterations=60))
     assert len(trace.trials) == trace.iterations > 0
-    assert sum(trace.trials) == sum(step > 0 for step in calls)
+    assert sum(trace.trials) == len(calls)
     for step, trials in zip(trace.step_sizes, trace.trials):
         # an accepted step 0.5**k took k + 1 trials, more after a stall retry
         assert trials >= round(-np.log2(step)) + 1
