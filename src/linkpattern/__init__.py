@@ -2,8 +2,9 @@
 
 Predicts all relation types between object pairs at once by factorizing a
 partially observed N x N x T binary tensor into sender, receiver and
-relation-type latent factors, trained either by MAP conjugate gradient or
-by a fully conjugate hierarchical Bayesian Gibbs sampler.
+relation-type latent factors, trained either by MAP (alternating least
+squares under the identity link, conjugate gradient under the logistic
+link) or by a fully conjugate hierarchical Bayesian Gibbs sampler.
 """
 
 from .evaluate import (ExperimentResult, SplitSpec, TrainSettings, auc,

@@ -283,8 +283,10 @@ def build_parser() -> _Parser:
                        help="key=value file supplying defaults for any flag")
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
 
-    p = sub.add_parser("fit-map", parents=[], help="MAP training by conjugate gradient",
-                       description="Fit latent factors by MAP conjugate-gradient descent.")
+    p = sub.add_parser("fit-map", parents=[], help="MAP training",
+                       description="Fit latent factors by MAP: conjugate gradient under the "
+                                   "logistic link, alternating least squares under "
+                                   "--identity-link.")
     add_common(p)
     p.add_argument("--input", required=True, help="triple text file")
     p.add_argument("--out", required=True, help="output factor file")

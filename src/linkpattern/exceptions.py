@@ -43,7 +43,8 @@ class StallError(LinkPatternError):
 
 
 class NotPositiveDefiniteError(LinkPatternError):
-    """A matrix stayed non positive-definite after jitter retries."""
+    """A matrix that must be positive-definite is not: a Gibbs precision
+    after jitter retries, or a singular ridge system of a MAP row."""
 
 
 class UndefinedMetricError(LinkPatternError):

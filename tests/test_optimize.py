@@ -3,7 +3,7 @@ import pytest
 
 from linkpattern import model, optimize
 from linkpattern.evaluate import SplitSpec, auc, split_fibers
-from linkpattern.exceptions import StallError
+from linkpattern.exceptions import NotPositiveDefiniteError, StallError
 from linkpattern.model import LatentFactors, ModelConfig, log_likelihood
 from linkpattern.optimize import MapConfig, fit_map, gradients, objective
 from linkpattern.tensor import RelationalTensor
@@ -140,7 +140,9 @@ def test_line_search_rejects_ascent_direction():
 def test_accepted_trial_value_is_the_traced_objective(use_logistic, dense, monkeypatch):
     # fit_map's line search scores each trial step with the loss kernel the
     # oracles check, so the last trial of every iteration, the accepted
-    # step, is bitwise the objective the trace records for it
+    # step, is bitwise the objective the trace records for it.  An ALS
+    # sweep (identity link) counts as one trial, its one evaluation, and
+    # the ALS fit evaluates its start point first.
     trial_values = []
     value_and_gradient = optimize._Loss.value_and_gradient
 
@@ -156,8 +158,10 @@ def test_accepted_trial_value_is_the_traced_objective(use_logistic, dense, monke
     map_cfg = MapConfig(gamma_u=0.05, gamma_v=0.02, gamma_r=0.08, seed=4, max_iterations=40)
     _factors, trace = fit_map(tensor, model_cfg, map_cfg)
     assert trace.iterations > 0
-    ends = np.cumsum(trace.trials)
+    first = 0 if use_logistic else 1
+    ends = first + np.cumsum(trace.trials)
     assert ends[-1] <= len(trial_values)
+    assert use_logistic or trial_values[0] == trace.objectives[0]
     for k, end in enumerate(ends):
         assert trial_values[end - 1] == trace.objectives[k + 1]
 
@@ -178,6 +182,36 @@ def test_fit_map_recovers_planted_rank1():
     assert trace.objectives[-1] <= 1e-6
     assert objective(factors, tensor, ModelConfig(1, use_logistic=False),
                      zero_gamma()) <= 1e-6
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "coordinate"])
+def test_als_traces_true_gradient_norms_and_strict_descent(dense):
+    # each identity-link sweep's gradient norm, built from the normal terms,
+    # is the norm of the MTTKRP gradient the oracles check at that iterate
+    tensor, _ = instance_on_side(dense)
+    model_cfg = ModelConfig(2, use_logistic=False)
+    sweeps = 6
+    config = dict(gamma_u=0.05, gamma_v=0.02, gamma_r=0.08, seed=4)
+    _factors, trace = fit_map(tensor, model_cfg, MapConfig(max_iterations=sweeps, **config))
+    assert trace.termination == "max_iterations"
+    assert all(b < a for a, b in zip(trace.objectives, trace.objectives[1:]))
+    assert trace.step_sizes == [1.0] * sweeps and trace.trials == [1] * sweeps
+    assert trace.restarts == 0
+    for k in range(1, sweeps + 1):
+        map_cfg = MapConfig(max_iterations=k, **config)
+        factors, _trace = fit_map(tensor, model_cfg, map_cfg)
+        norm = np.sqrt(sum(np.sum(g * g) for g in gradients(factors, tensor, model_cfg,
+                                                            map_cfg)))
+        assert trace.gradient_norms[k - 1] == pytest.approx(norm, rel=1e-10)
+
+
+def test_als_singular_row_raises_typed_error():
+    # at zero ridge weights an object with no observations has an all-zero
+    # Gram, so its row's system cannot be solved
+    triples = [(i, j, t, (i + j + t) % 2) for i in range(3) for j in range(3) for t in range(2)]
+    tensor = RelationalTensor.build(4, 2, triples)
+    with pytest.raises(NotPositiveDefiniteError, match="U row 3"):
+        fit_map(tensor, IDENTITY, zero_gamma(seed=0))
 
 
 def test_fit_map_descends_on_all_zero_data():
@@ -257,12 +291,11 @@ def test_fit_map_rejects_empty_tensor():
 def test_fit_map_trials_count_line_objective_calls(monkeypatch):
     # every trial step of the Armijo search is one evaluation of the
     # objective without its gradient
-    calls = []
+    calls, gradient_calls = [], []
     value_and_gradient = optimize._Loss.value_and_gradient
 
     def counting(self, x, with_gradient=True):
-        if not with_gradient:
-            calls.append(x)
+        (gradient_calls if with_gradient else calls).append(x)
         return value_and_gradient(self, x, with_gradient)
 
     monkeypatch.setattr(optimize._Loss, "value_and_gradient", counting)
@@ -270,6 +303,9 @@ def test_fit_map_trials_count_line_objective_calls(monkeypatch):
     _factors, trace = fit_map(tensor, LOGISTIC, MapConfig(seed=7, max_iterations=60))
     assert len(trace.trials) == trace.iterations > 0
     assert sum(trace.trials) == len(calls)
+    # the gradient is asked for only at the start point; an accepted step
+    # takes its gradient from its last trial's residual
+    assert len(gradient_calls) == 1
     for step, trials in zip(trace.step_sizes, trace.trials):
         # an accepted step 0.5**k took k + 1 trials, more after a stall retry
         assert trials >= round(-np.log2(step)) + 1
