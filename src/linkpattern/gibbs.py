@@ -289,11 +289,14 @@ def sample_alpha(factors: LatentFactors, tensor: RelationalTensor,
 
 
 class ObservationGroups:
-    """A tensor's observed entries, arranged once per chain for the conditionals.
+    """A tensor's observed entries, arranged once per chain or MAP fit for
+    the conditionals and the gradient.
 
-    ``entries`` is the chain's one ``model._Entries``; the noise-precision
-    residual and the chain's log-likelihoods run on it, and its form decides
-    the form of the normal equations:
+    ``entries`` is the one ``model._Entries``; the noise-precision residual,
+    the chain's log-likelihoods and the MAP loss run on it, and its form
+    decides the form of the normal equations.  The right-hand sides take
+    the labels (:meth:`normal_terms`) or, for the MAP gradient, per-entry
+    weights (:meth:`right_hand_sides`) along one path:
 
     * **masked**, when the entries take the masked-dense form (at most
       ``DENSE_CELLS_PER_ENTRY`` cells per entry).  ``slices`` holds the
@@ -303,12 +306,12 @@ class ObservationGroups:
       m_ijt, otherwise.  Each Gram is a sum over k of Hadamard products of
       small Grams (Kolda & Bader 2009, §3.4), and each right-hand side one
       batched product ``Y_t @ V`` or ``Y_t^T @ U`` contracted with the third
-      factor.  Every BLAS product sums over N into D columns, which rounds
-      alike under any thread count;
+      factor; weights fill slices of their own.  Every BLAS product sums
+      over N into D columns, which rounds alike under any thread count;
     * **row**, for the coordinate form (``masks`` is None): the entries are
-      sorted once by each axis, and each row's Gram is summed over its
-      contiguous segment.  Summing over the masks costs K N^2 D^2 whatever
-      the entry count, which sparse tensors do not repay.
+      sorted once by each axis, and each row's Gram and right-hand side are
+      summed over its contiguous segment.  Summing over the masks costs
+      K N^2 D^2 whatever the entry count, which sparse tensors do not repay.
     """
 
     def __init__(self, tensor: RelationalTensor):
@@ -317,16 +320,21 @@ class ObservationGroups:
         self.entries = _Entries(ii, jj, tt, n, T)
         self.masks = None
         if self.entries.dense:
-            self.masks = np.zeros((T, n, n))
-            self.masks[tt, ii, jj] = 1.0
+            self.cells = (tt * n + ii) * n + jj  # flat index into a (T, N, N) stack
+            self.masks = self._slices(1.0)
             if (self.masks == self.masks[:1]).all():  # every observed fiber is whole
                 self.masks = self.masks[:1].copy()
-            self.slices = np.zeros((T, n, n))
-            self.slices[tt, ii, jj] = self.y
+            self.slices = self._slices(self.y)
         else:
             self.by_axis = (_AxisGroups(ii, jj, tt, self.y, n),
                             _AxisGroups(jj, ii, tt, self.y, n),
                             _AxisGroups(tt, ii, jj, self.y, T))
+
+    def _slices(self, values) -> np.ndarray:
+        """Per-entry ``values`` in zero-filled (T, N, N) slices."""
+        slices = np.zeros((self.entries.t, self.entries.n, self.entries.n))
+        slices.ravel()[self.cells] = values
+        return slices
 
     def residual(self, factors: LatentFactors) -> np.ndarray:
         """Observed values minus the identity-link reconstruction."""
@@ -345,18 +353,46 @@ class ObservationGroups:
             left, right = ((V, R), (U, R), (U, V))[mode]
             return self.by_axis[mode].normal_terms(left, right)
         if mode == 2:  # sum_i (U_i U_i^T) o (sum_j m_ijk V_j V_j^T), per mask k
-            return (np.einsum("ia,ib,kiab->kab", U, U, _masked_grams(self.masks, V)),
-                    np.einsum("tid,id->td", np.matmul(self.slices, V), U))
-        # row i of U: sum_k (sum_j m_ijk V_j V_j^T) o RR_k and sum_t R_t o (Y_t V)_i,
-        # with RR = R^T R under the fiber mask and RR_t = R_t R_t^T under the
-        # entry masks; V likewise over i, with Y_t^T and U
-        other, masks, slices = ((V, self.masks, self.slices) if mode == 0 else
-                                (U, self.masks.transpose(0, 2, 1),
-                                 self.slices.transpose(0, 2, 1)))
-        rr = (np.einsum("td,te->de", R, R)[None] if len(masks) == 1
-              else R[:, :, None] * R[:, None, :])
-        return (np.einsum("kiab,kab->iab", _masked_grams(masks, other), rr),
-                np.einsum("tid,td->id", np.matmul(slices, other), R))
+            gram = np.einsum("ia,ib,kiab->kab", U, U, _masked_grams(self.masks, V))
+        else:
+            # row i of U: sum_k (sum_j m_ijk V_j V_j^T) o RR_k, with RR = R^T R
+            # under the fiber mask and RR_t = R_t R_t^T under the entry masks;
+            # V likewise over i, with U
+            other, masks = (V, self.masks) if mode == 0 else (U, self.masks.transpose(0, 2, 1))
+            rr = (np.einsum("td,te->de", R, R)[None] if len(masks) == 1
+                  else R[:, :, None] * R[:, None, :])
+            gram = np.einsum("kiab,kab->iab", _masked_grams(masks, other), rr)
+        return gram, _slice_rhs(self.slices, mode, U, V, R)
+
+    def right_hand_sides(self, w: np.ndarray, U, V, R):
+        """The right-hand sides of all three factors with the per-entry
+        weights ``w`` (in entry order) in place of the labels.
+
+        Row i of U gets ``sum w_ijt V_j o R_t`` over its observed entries, and
+        V and R likewise: the weighted MTTKRPs (matricized tensor times
+        Khatri-Rao products) of a CP gradient (Acar et al. 2011; Kolda &
+        Bader 2009, §3.4).  The weights take the labels' path: zero-filled
+        (T, N, N) slices in the masked form, the per-row loop without its
+        Grams in the row form.
+        """
+        if self.masks is None:
+            return [axis.normal_terms(left, right, weights=w)[1] for axis, (left, right)
+                    in zip(self.by_axis, ((V, R), (U, R), (U, V)))]
+        slices = self._slices(w)
+        return [_slice_rhs(slices, mode, U, V, R) for mode in range(3)]
+
+
+def _slice_rhs(slices: np.ndarray, mode: int, U, V, R) -> np.ndarray:
+    """Factor ``mode``'s right-hand side from (T, N, N) slices S_t of entry values.
+
+    U gets ``sum_t R_t o (S_t V)_i``, V gets ``sum_t R_t o (S_t^T U)_j`` and R
+    gets ``sum_i U_i o (S_t V)_i``: one batched product over the T slices,
+    whose BLAS sums run over N into D columns, and one ``einsum``.
+    """
+    if mode == 1:
+        return np.einsum("tid,td->id", np.matmul(slices.transpose(0, 2, 1), U), R)
+    sv = np.matmul(slices, V)
+    return np.einsum("tid,td->id", sv, R) if mode == 0 else np.einsum("tid,id->td", sv, U)
 
 
 def _masked_grams(masks: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -372,19 +408,22 @@ def _masked_grams(masks: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 class _AxisGroups:
     def __init__(self, axis, other1, other2, yy, n_groups):
-        order = np.argsort(axis, kind="stable")
+        self.order = np.argsort(axis, kind="stable")
         self.n_groups = n_groups
-        self.o1 = other1[order]
-        self.o2 = other2[order]
-        self.y = yy[order]
+        self.o1 = other1[self.order]
+        self.o2 = other2[self.order]
+        self.y = yy[self.order]
         counts = np.bincount(axis, minlength=n_groups)
         self.offsets = np.concatenate([[0], np.cumsum(counts)])
 
-    def normal_terms(self, left: np.ndarray, right: np.ndarray):
+    def normal_terms(self, left: np.ndarray, right: np.ndarray, weights=None):
         """Per-row Grams and right-hand sides of the design ``left[o1] * right[o2]``;
-        rows with no observations get zeros."""
+        rows with no observations get zeros.  Given per-entry ``weights`` (in
+        entry order), the right-hand sides sum them in place of the labels,
+        and no Grams are built (``gram`` is None)."""
         n, d = self.n_groups, left.shape[1]
-        gram = np.zeros((n, d, d))
+        y = self.y if weights is None else weights[self.order]
+        gram = np.zeros((n, d, d)) if weights is None else None
         xty = np.zeros((n, d))
         bounds = self.offsets.tolist()
         for k in range(n):
@@ -393,8 +432,9 @@ class _AxisGroups:
                 continue
             design = (left.take(self.o1[start:stop], axis=0)
                       * right.take(self.o2[start:stop], axis=0))
-            gram[k] = np.dot(design.T, design)
-            xty[k] = np.dot(self.y[start:stop], design)
+            if gram is not None:
+                gram[k] = np.dot(design.T, design)
+            xty[k] = np.dot(y[start:stop], design)
         return gram, xty
 
 
@@ -551,7 +591,9 @@ def predictive_scores(samples: SampleSet, ii, jj, tt,
     running total, so memory beyond the result stays O(block D).  Every
     score sees the same products, sum and draw order as gathering whole
     (E, D) arrays per draw, and is bitwise equal to it.  Scoring does not
-    go through the CP kernels of ``model._Entries``; ROADMAP item 1 says why.
+    go through ``model._Entries``: its whole-array dense form peaks at
+    several times the result's memory, and choosing the form per block
+    would make a score depend on the other coordinates in its call.
     """
     if len(samples) == 0:
         raise ValueError("empty sample set")

@@ -92,21 +92,27 @@ def logistic(x):
     return out if arr.ndim else float(out[0])
 
 
-# The CP kernels evaluate on the masked-dense N x N x T form when the tensor
-# has at most this many cells per coordinate, and on gathered coordinate rows
-# otherwise; the Gibbs Grams (gibbs.ObservationGroups) follow the same form.
+# The reconstruction evaluates on the masked-dense N x N x T form when the
+# tensor has at most this many cells per coordinate, and on gathered
+# coordinate rows otherwise; the Gibbs normal equations, and with them the
+# MAP gradient (gibbs.ObservationGroups), follow the same form.
 # Whole fit_map times, 10 logistic iterations on random tensors (distinct
 # uniform cells, 30% ones), coordinate / dense, medians of 5 (one BLAS
-# thread, 2-vCPU Xeon VM, numpy 2.4):
+# thread, 2-vCPU Xeon VM, numpy 2.4), with the gradient from the Gibbs
+# right-hand sides:
 #   cells per entry           1.25   2.5    5     10    20    40    80
-#   N=50,  T=5,  D=5          3.20   1.54  1.01  0.65  0.49  0.42
-#   N=104, T=26, D=11         7.79   4.52  2.45  1.34  0.53  0.26  0.13
-#   N=200, T=10, D=10                3.94  2.54  1.04  0.53  0.26  0.15
-#   N=300, T=20, D=11                            1.62  0.90  0.33  0.14
-# The forms break even between about 5 (N=50) and 18 (N=300) cells per
-# entry, near 13 at the kinship data's size.  The Gibbs Grams' masked form
-# is slower than a per-row loop just under the threshold at N >= 100, and
-# faster from about 3 cells per entry down and on the battery data.  U/V/R
+#   N=50,  T=5,  D=5          3.80   3.75  2.97  3.05  3.45  3.43
+#   N=104, T=26, D=11        10.03   7.04  4.34  3.38  2.61  1.15  0.77
+#   N=200, T=10, D=10                4.82  4.72  3.02  2.22  1.59  1.30
+#   N=300, T=20, D=11                            3.07  1.54  1.02  0.58
+# The forms break even near 40 cells per entry at N=300 and between 40 and
+# 80 at the kinship data's size; at N=50 and N=200 the dense form wins at
+# every density tried.  The threshold is the break-even of the earlier
+# einsum/bincount gradient (5 to 18 cells per entry); raising it would
+# trade memory, T N^2 cells per slice stack, for speed.  The Gibbs Grams'
+# masked form is slower than a per-row loop just under the threshold at
+# N >= 100, and faster from about 3 cells per entry down and on the battery
+# data.  U/V/R
 # block times in ms on partially observed fibers, row loop / masked form
 # with K = T (medians, one BLAS thread, same VM):
 #   shape            cells per entry   row loop         masked
@@ -138,20 +144,10 @@ def _khatri_rao(B, C):
 def _gather(M, index):
     """Rows ``M[index]`` laid out as a (D, len(index)) array.
 
-    One contiguous row per factor column makes the per-coordinate products,
-    the sum over D and the bincounts below run on contiguous memory.
+    One contiguous row per factor column makes the per-coordinate products
+    and the sum over D run on contiguous memory.
     """
     return M.T.take(index, axis=1)
-
-
-def _scatter_rows(index, weighted, n_rows):
-    """Sum the columns of the (D, E) array ``weighted`` into ``n_rows`` bins.
-
-    bincount keeps summation deterministic (input order per bin) and is far
-    faster than ufunc.at on large coordinate lists.
-    """
-    return np.stack([np.bincount(index, weights=row, minlength=n_rows) for row in weighted],
-                    axis=1)
 
 
 def _coordinates(ii, jj, tt, n_objects: int, n_relations: int):
@@ -169,15 +165,17 @@ def _coordinates(ii, jj, tt, n_objects: int, n_relations: int):
 
 
 class _Entries:
-    """Range-checked coordinates of an N x N x T tensor and the CP primitives on them.
+    """Range-checked coordinates of an N x N x T tensor and their reconstruction.
 
-    :meth:`reconstruct` and :meth:`mttkrp` hold the one choice between two
-    forms of the same sums.  The masked-dense form, used when the tensor has
-    at most ``DENSE_CELLS_PER_ENTRY`` cells per coordinate, works on whole
-    unfoldings (Kolda & Bader 2009): the reconstruction is one
-    ``A @ khatri_rao(B, C).T`` read at the flat indices ``(i N + j) T + t``,
-    and the MTTKRPs contract a zero-filled weight tensor with Khatri-Rao
-    products.  The coordinate form gathers one factor row per coordinate.
+    ``dense`` is the one choice between two forms of the CP sums.  The
+    masked-dense form, used when the tensor has at most
+    ``DENSE_CELLS_PER_ENTRY`` cells per coordinate, works on a whole
+    unfolding (Kolda & Bader 2009): :meth:`reconstruct` is one
+    ``A @ khatri_rao(B, C).T`` read at the flat indices ``(i N + j) T + t``.
+    The coordinate form gathers one factor row per coordinate.  The
+    gradient's sums over the entries of each factor row are the Gibbs
+    right-hand sides, in ``gibbs.ObservationGroups``, which takes its form
+    from ``dense``.
     """
 
     def __init__(self, ii, jj, tt, n_objects: int, n_relations: int):
@@ -191,35 +189,10 @@ class _Entries:
         """sum_d A[i,d] B[j,d] C[t,d] at every coordinate."""
         if self.dense:
             # The BLAS product sums only D terms per cell; sums that short
-            # round alike under one and two OpenBLAS threads, unlike the
-            # N*T-term MTTKRP sums below (tests/test_blas_threads.py).
+            # round alike under one and two OpenBLAS threads, unlike an
+            # N*T-term sum over an unfolding (tests/test_blas_threads.py).
             return (A @ _khatri_rao(B, C).T).take(self.flat)
         return (_gather(A, self.ii) * _gather(B, self.jj) * _gather(C, self.tt)).sum(axis=0)
-
-    def mttkrp(self, w, A, B, C):
-        """Weighted MTTKRPs of all three modes (A, B, C): per row, the sum
-        of ``w`` times the products of the other two factors' rows, e.g.
-        ``sum w B[j] o C[t]`` over the coordinates of row i of A.
-
-        The coordinates must be distinct.  For coordinates in sorted
-        (i, j, t) order, as ``RelationalTensor.entry_arrays`` gives them,
-        both forms add the same products in the same order and agree
-        bitwise.  The dense sums use ``einsum`` rather than BLAS, whose long
-        reductions round differently with different thread counts.
-        """
-        n, T = self.n, self.t
-        if not self.dense:
-            a, b, c = _gather(A, self.ii), _gather(B, self.jj), _gather(C, self.tt)
-            return (_scatter_rows(self.ii, w * (b * c), n),
-                    _scatter_rows(self.jj, w * (a * c), n),
-                    _scatter_rows(self.tt, w * (a * b), T))
-        weights = np.zeros(n * n * T)
-        weights[self.flat] = w
-        weights = weights.reshape(n, n, T)
-        return (np.einsum("ik,kd->id", weights.reshape(n, n * T), _khatri_rao(B, C)),
-                np.einsum("jk,kd->jd", weights.transpose(1, 0, 2).reshape(n, n * T),
-                          _khatri_rao(A, C)),
-                np.einsum("kt,kd->td", weights.reshape(n * n, T), _khatri_rao(A, B)))
 
 
 def reconstruct_entries(factors: LatentFactors, ii, jj, tt) -> np.ndarray:

@@ -16,7 +16,9 @@ exact block coordinate descent on E (Tomasi & Bro 2005, "PARAFAC and
 missing values").  Under the logistic link all three factor blocks are
 optimized jointly as one flattened variable; the direction update uses
 beta = max(0, beta_PR) with periodic restarts to steepest descent, and an
-Armijo backtracking line search.
+Armijo backtracking line search.  Its gradient in each block is that
+block's Gibbs right-hand side with the residual weights in place of the
+labels (``gibbs.ObservationGroups.right_hand_sides``), plus the ridge term.
 """
 
 import logging
@@ -27,7 +29,7 @@ import numpy as np
 
 from .exceptions import DivergenceError, NotPositiveDefiniteError, StallError
 from .gibbs import ObservationGroups
-from .model import LatentFactors, ModelConfig, _Entries, _inner, logistic
+from .model import LatentFactors, ModelConfig, _inner, logistic
 from .rng import substream
 from .tensor import RelationalTensor
 
@@ -105,14 +107,17 @@ class _Loss:
 
     The one loss kernel: :func:`fit_map` records its objectives with it and
     scores its line search trials with it, and :func:`objective` and
-    :func:`gradients` expose it to the oracles.  It owns the layout of the
-    parameters as one flat vector: U, V and R raveled, in that order.
+    :func:`gradients` expose it to the oracles.  It is built over the fit's
+    one ``gibbs.ObservationGroups``: its ``entries`` reconstruct, its
+    labels ``y`` give the residuals, and its right-hand sides the gradient;
+    ALS solves on the same groups' normal equations.  It owns the layout of
+    the parameters as one flat vector: U, V and R raveled, in that order.
     """
 
     def __init__(self, tensor: RelationalTensor, model_config: ModelConfig,
                  map_config: MapConfig):
-        ii, jj, tt, self.yy = tensor.entry_arrays()
-        self.entries = _Entries(ii, jj, tt, tensor.n_objects, tensor.n_relations)
+        self.groups = ObservationGroups(tensor)
+        self.entries = self.groups.entries
         self.use_logistic = model_config.use_logistic
         self.gammas = (map_config.gamma_u, map_config.gamma_v, map_config.gamma_r)
         self.n, self.t, self.d = tensor.n_objects, tensor.n_relations, model_config.rank
@@ -138,7 +143,7 @@ class _Loss:
         blocks = self.blocks(x)
         s = self.entries.reconstruct(*blocks)
         m = logistic(s) if self.use_logistic else s
-        resid = self.yy - m
+        resid = self.groups.y - m
         value = 0.5 * _inner(resid, resid) + 0.5 * self._ridge(blocks)
         self._last = (x, value, m, resid)
         return value, (self.last_point()[2] if with_gradient else None)
@@ -152,12 +157,13 @@ class _Loss:
         derivative l (1 for the identity link, g(s)(1-g(s)) for the
         logistic), row i of dU accumulates -e * l * (V_j o R_t) over the
         observed entries of row i, plus the ridge term; dV and dR are
-        symmetric.
+        symmetric.  Those sums are the Gibbs right-hand sides with weights
+        -e * l in place of the labels.
         """
         x, value, m, resid = self._last
         blocks = self.blocks(x)
         w = -resid * m * (1.0 - m) if self.use_logistic else -resid
-        products = self.entries.mttkrp(w, *blocks)
+        products = self.groups.right_hand_sides(w, *blocks)
         return x, value, np.concatenate([(gamma * block + product).ravel() for gamma, block, product
                                          in zip(self.gammas, blocks, products)])
 
@@ -234,10 +240,8 @@ def fit_map(tensor: RelationalTensor, model_config: ModelConfig,
     # U, V and R drawn in that order, as one flat vector
     x = map_config.init_scale * substream(map_config.seed, "map-init").standard_normal(
         (2 * n + T) * d)
-    if model_config.use_logistic:
-        x, trace = _conjugate_gradient(loss, x, map_config)
-    else:
-        x, trace = _alternating_least_squares(ObservationGroups(tensor), loss, x, map_config)
+    fit = _conjugate_gradient if model_config.use_logistic else _alternating_least_squares
+    x, trace = fit(loss, x, map_config)
     logger.debug("fit_map: %s after %d iterations, objective %.6g, %d restarts",
                  trace.termination, trace.iterations, trace.objectives[-1], trace.restarts)
 
@@ -279,7 +283,7 @@ def _block_gradient(gram, xty, block, gamma):
     return np.matmul(gram, block[..., None])[..., 0] + gamma * block - xty
 
 
-def _alternating_least_squares(groups: ObservationGroups, loss: _Loss, x, map_config):
+def _alternating_least_squares(loss: _Loss, x, map_config):
     """Identity-link ALS sweeps from ``x``; returns the last accepted ``x`` and the trace.
 
     A sweep takes 4 ``normal_terms`` calls: the V and R solves, V's terms
@@ -287,7 +291,7 @@ def _alternating_least_squares(groups: ObservationGroups, loss: _Loss, x, map_co
     gradient and the next sweep's U solve.  R's solve terms give R's
     gradient at the swept point, since they do not depend on R.
     """
-    tau = map_config.rel_tolerance
+    groups, tau = loss.groups, map_config.rel_tolerance
     gamma_u, gamma_v, gamma_r = loss.gammas
     f = loss.value_and_gradient(x, with_gradient=False)[0]
     trace = OptTrace(objectives=[f])

@@ -17,9 +17,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # Prints one SHA-256 over the MAP fit, the Gibbs chain, its predictive scores
 # over all pairs under both links and an evaluate CSV (the per-slice baseline
 # included) on a fully observed 104 x 104 x 26 tensor (the kinship data's
-# shape), and over Gibbs chains on the same shape at 50% of entries, whose
-# partial fibers take the entry masks (K = T), and at 5%, which takes the
-# coordinate form and its row loop.
+# shape), and over Gibbs chains and 2-iteration logistic MAP fits on the same
+# shape at 50% of entries, whose partial fibers take the entry masks (K = T),
+# and at 5%, which takes the coordinate form and its row loop.
 SCRIPT = """
 import hashlib, sys
 from pathlib import Path
@@ -53,6 +53,9 @@ for fraction in (0.5, 0.05):
                           ChainConfig(num_samples=2, burn_in=0, seed=1)).draws:
         for values in (draw.U, draw.V, draw.R, [draw.alpha]):
             digest.update(np.asarray(values).tobytes())
+    factors, trace = fit_map(partial, ModelConfig(11), MapConfig(max_iterations=2, seed=1))
+    for values in (factors.U, factors.V, factors.R, trace.objectives, trace.gradient_norms):
+        digest.update(np.asarray(values).tobytes())
 ii, jj, tt = (axis.ravel() for axis in np.indices((104, 104, 26)))
 for use_logistic in (True, False):
     digest.update(predictive_scores(samples, ii, jj, tt,

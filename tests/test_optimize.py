@@ -116,6 +116,30 @@ def test_gradients_match_central_differences(use_logistic, dense):
     assert max_rel_error(analytic, numeric) <= 1e-5
 
 
+@pytest.mark.parametrize("use_logistic", [False, True])
+@pytest.mark.parametrize("layout", ["fibers", "entries"])
+def test_gradients_agree_in_masked_and_row_forms(use_logistic, layout, monkeypatch):
+    # The gradient's right-hand sides come from the Gibbs groups: weighted
+    # (T, N, N) slices under the fiber mask (K = 1) or the entry masks
+    # (K = T), and the per-row loop once the row form is forced.
+    rng = np.random.default_rng(12)
+    n, t, d = 7, 3, 2
+    fibers = [(i, j) for i in range(n) for j in range(n) if rng.random() < 0.7]
+    cells = [(i, j, k) for i, j in fibers for k in range(t)
+             if layout == "fibers" or rng.random() < 0.6]
+    tensor = RelationalTensor.build(n, t, [(*cell, int(rng.random() < 0.5)) for cell in cells])
+    factors = LatentFactors(*(rng.normal(0, 0.7, (m, d)) for m in (n, n, t)), 1.0)
+    model_cfg = ModelConfig(d, use_logistic=use_logistic)
+    map_cfg = MapConfig(gamma_u=0.05, gamma_v=0.02, gamma_r=0.08)
+    masks = optimize._Loss(tensor, model_cfg, map_cfg).groups.masks
+    assert len(masks) == (1 if layout == "fibers" else t)
+    masked = gradients(factors, tensor, model_cfg, map_cfg)
+    monkeypatch.setattr(model, "DENSE_CELLS_PER_ENTRY", 0)
+    assert optimize._Loss(tensor, model_cfg, map_cfg).groups.masks is None
+    for a, b in zip(masked, gradients(factors, tensor, model_cfg, map_cfg)):
+        np.testing.assert_allclose(a, b, rtol=1e-12)
+
+
 def backtrack_along(current, direction, grad, f_current, evaluate):
     return optimize._backtrack(float(np.dot(grad, direction)),
                                lambda step: evaluate(current + step * direction), f_current)
