@@ -14,6 +14,7 @@ per-sample predictive means are clamped into [0, 1] at reporting time.
 
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -153,12 +154,21 @@ class SampleSet:
 
 @dataclass
 class GibbsState:
-    """Full sampler state: model factors and per-factor hyper states."""
+    """Full sampler state: model factors and per-factor hyper states.
+
+    ``residual``, when set, holds the observed values minus the
+    identity-link reconstruction at ``factors``, in entry order.
+    :func:`run_chain` fills it in from the log-likelihood it records after
+    each sweep, and the next :func:`gibbs_sweep` draws the noise precision
+    from it without reconstructing again.  Nothing tracks edits to the
+    factors: a caller that edits them must set it back to None.
+    """
 
     factors: LatentFactors
     hyper_u: FactorHyperState
     hyper_v: FactorHyperState
     hyper_r: FactorHyperState
+    residual: Optional[np.ndarray] = None
 
 
 def _chol_jitter(mat: np.ndarray) -> np.ndarray:
@@ -208,12 +218,19 @@ def _sample_gaussian_stack(rng: np.random.Generator, precision: np.ndarray,
     """One draw per row k from N(P_k^-1 b_k, P_k^-1), rows drawn together.
 
     ``precision`` is a (rows, D, D) stack (or anything that broadcasts to
-    it) and ``rhs`` the (rows, D) right-hand sides b_k.  The whole stack is
-    factorised by one Cholesky; only if that fails does each row go through
-    :func:`_chol_jitter`, which raises :class:`NotPositiveDefiniteError` for
-    a row it cannot repair.  The fallback and each jittered row log a
-    warning.  The noise is one ``standard_normal((rows, D))``
-    call, the same numbers in the same order as one call per row.  The
+    it) and ``rhs`` the (rows, D) right-hand sides b_k.  Each row is drawn by
+    perturb-then-solve (Papandreou & Yuille 2010; Orieux, Feron & Giovannelli
+    2012): x = P^-1 (b + L z) with P = L L^T and z standard normal, which has
+    mean P^-1 b and covariance P^-1 L L^T P^-1 = P^-1.  The whole stack takes
+    one Cholesky, for L, and one LU solve, the solve ALS makes for MAP.  The
+    price is accuracy: the noise term's rounding error grows with the
+    condition number kappa(P), where the two triangular solves of
+    P^-1 b + L^-T z kept it to sqrt(kappa(P)).  Only if the stacked Cholesky
+    fails does each row go through :func:`_chol_jitter`, which raises
+    :class:`NotPositiveDefiniteError` for a row it cannot repair; each row
+    then solves its own, possibly jittered, L L^T.  The fallback and each
+    jittered row log a warning.  The noise is one ``standard_normal((rows,
+    D))`` call, the same numbers in the same order as one call per row.  The
     synthetic generator, which knows its rows' mean, passes zero right-hand
     sides and adds the mean afterwards, which keeps the rounding of
     P^-1 (P mu) out of ill-conditioned draws.
@@ -226,10 +243,11 @@ def _sample_gaussian_stack(rng: np.random.Generator, precision: np.ndarray,
         logger.warning("stacked Cholesky of %d precision matrices failed: "
                        "factorising each on its own", len(sym))
         chol = np.stack([_chol_jitter(p) for p in sym])
+        sym = np.matmul(chol, np.swapaxes(chol, -1, -2))  # the jittered systems
     z = rng.standard_normal(rhs.shape)
-    # mean + L^-T z == L^-T (L^-1 b + z) for P = L L^T
-    half = np.linalg.solve(chol, rhs[..., None])
-    return np.linalg.solve(np.swapaxes(chol, -1, -2), half + z[..., None])[..., 0]
+    # P^-1 (b + L z) == P^-1 b + L^-T z for P = L L^T
+    perturbed = rhs[..., None] + np.matmul(chol, z[..., None])
+    return np.linalg.solve(sym, perturbed)[..., 0]
 
 
 def gaussian_wishart_posterior(rows: np.ndarray, priors: HyperPriors, kappa: float):
@@ -278,13 +296,18 @@ def sample_alpha(factors: LatentFactors, tensor: RelationalTensor,
     """
     _check_tensor(factors, tensor)
     ii, jj, tt, yy = tensor.entry_arrays()
-    shape = priors.gamma_shape + 0.5 * yy.size
+    resid = yy
     if yy.size:
         resid = (groups.residual(factors) if groups is not None
                  else yy - reconstruct_entries(factors, ii, jj, tt))
-        scale = 1.0 / (1.0 / priors.gamma_scale + 0.5 * _inner(resid, resid))
-    else:
-        scale = priors.gamma_scale
+    return _draw_alpha(resid, priors, rng)
+
+
+def _draw_alpha(resid: np.ndarray, priors: HyperPriors, rng: np.random.Generator) -> float:
+    """The noise-precision draw of :func:`sample_alpha` from the residuals ``resid``."""
+    shape = priors.gamma_shape + 0.5 * resid.size
+    scale = (1.0 / (1.0 / priors.gamma_scale + 0.5 * _inner(resid, resid)) if resid.size
+             else priors.gamma_scale)
     return float(rng.gamma(shape, scale))
 
 
@@ -316,19 +339,39 @@ class ObservationGroups:
 
     def __init__(self, tensor: RelationalTensor):
         ii, jj, tt, self.y = tensor.entry_arrays()
-        n, T = tensor.n_objects, tensor.n_relations
-        self.entries = _Entries(ii, jj, tt, n, T)
-        self.masks = None
-        if self.entries.dense:
-            self.cells = (tt * n + ii) * n + jj  # flat index into a (T, N, N) stack
-            self.masks = self._slices(1.0)
-            if (self.masks == self.masks[:1]).all():  # every observed fiber is whole
-                self.masks = self.masks[:1].copy()
-            self.slices = self._slices(self.y)
-        else:
-            self.by_axis = (_AxisGroups(ii, jj, tt, self.y, n),
-                            _AxisGroups(jj, ii, tt, self.y, n),
-                            _AxisGroups(tt, ii, jj, self.y, T))
+        self.entries = _Entries(ii, jj, tt, tensor.n_objects, tensor.n_relations)
+
+    # The arrays below serve only the normal equations and the right-hand
+    # sides, so each is built on first use: a value-only MAP objective reads
+    # no more than ``entries`` and ``y``.
+
+    @cached_property
+    def cells(self) -> np.ndarray:
+        """Each entry's flat index into a (T, N, N) stack (masked form)."""
+        e = self.entries
+        return (e.tt * e.n + e.ii) * e.n + e.jj
+
+    @cached_property
+    def masks(self) -> Optional[np.ndarray]:
+        """The (K, N, N) 0/1 mask stack of the masked form; None in the row form."""
+        if not self.entries.dense:
+            return None
+        masks = self._slices(1.0)
+        if (masks == masks[:1]).all():  # every observed fiber is whole
+            masks = masks[:1].copy()
+        return masks
+
+    @cached_property
+    def slices(self) -> np.ndarray:
+        """The zero-filled (T, N, N) label slices Y_t of the masked form."""
+        return self._slices(self.y)
+
+    @cached_property
+    def by_axis(self):
+        """The entries sorted once by each axis, for the row form."""
+        e, y = self.entries, self.y
+        return (_AxisGroups(e.ii, e.jj, e.tt, y, e.n), _AxisGroups(e.jj, e.ii, e.tt, y, e.n),
+                _AxisGroups(e.tt, e.ii, e.jj, y, e.t))
 
     def _slices(self, values) -> np.ndarray:
         """Per-entry ``values`` in zero-filled (T, N, N) slices."""
@@ -349,7 +392,7 @@ class ObservationGroups:
         under a fiber mask, and ``xty`` is (rows, D).
         """
         U, V, R = factors.U, factors.V, factors.R
-        if self.masks is None:
+        if not self.entries.dense:
             left, right = ((V, R), (U, R), (U, V))[mode]
             return self.by_axis[mode].normal_terms(left, right)
         if mode == 2:  # sum_i (U_i U_i^T) o (sum_j m_ijk V_j V_j^T), per mask k
@@ -375,7 +418,7 @@ class ObservationGroups:
         (T, N, N) slices in the masked form, the per-row loop without its
         Grams in the row form.
         """
-        if self.masks is None:
+        if not self.entries.dense:
             return [axis.normal_terms(left, right, weights=w)[1] for axis, (left, right)
                     in zip(self.by_axis, ((V, R), (U, R), (U, V)))]
         slices = self._slices(w)
@@ -500,11 +543,15 @@ def gibbs_sweep(state: GibbsState, tensor: RelationalTensor, priors: HyperPriors
     Order: noise precision, then the hyperparameters of U, V and R, then
     the rows of U, then V conditioned on the new U, then R conditioned on
     the new U and V.  With ``sample_relations=False`` the relation factor
-    and its hyperparameters are left untouched (frozen-R mode).
+    and its hyperparameters are left untouched (frozen-R mode).  The noise
+    precision is drawn from ``state.residual`` when it is set (a chain's
+    last log-likelihood residual), by :func:`sample_alpha` otherwise; the
+    returned state has no residual.
     """
     f = state.factors
     groups = _groups(f, tensor, groups)
-    alpha = sample_alpha(f, tensor, priors, rng, groups)
+    alpha = (_draw_alpha(state.residual, priors, rng) if state.residual is not None
+             else sample_alpha(f, tensor, priors, rng, groups))
     hyper_u = sample_factor_hypers(f.U, priors, priors.kappa0, rng)
     hyper_v = sample_factor_hypers(f.V, priors, priors.kappa0, rng)
     hyper_r = (sample_factor_hypers(f.R, priors, priors.kappa_t, rng)
@@ -532,7 +579,9 @@ def run_chain(tensor: RelationalTensor, model_config: ModelConfig,
     (conjugacy requires it); the flag only affects downstream prediction.
     ``frozen_relations`` fixes R to the given T x D matrix and excludes it
     from sampling (used by the per-slice baseline).  Deterministic for a
-    fixed config.
+    fixed config.  One reconstruction per sweep: the residual behind each
+    sweep's log-likelihood is kept on the state, and the next sweep draws
+    its noise precision from it.
     """
     d = model_config.rank
     if priors.rank != d:
@@ -568,8 +617,9 @@ def run_chain(tensor: RelationalTensor, model_config: ModelConfig,
     samples = SampleSet()
     for sweep in range(config.num_samples):
         state = gibbs_sweep(state, tensor, priors, rng, groups, sample_relations)
+        state.residual = groups.residual(state.factors)
         samples.log_likelihoods.append(  # model.log_likelihood under the identity link
-            _gaussian_log_likelihood(groups.residual(state.factors), state.factors.alpha))
+            _gaussian_log_likelihood(state.residual, state.factors.alpha))
         if sweep >= config.burn_in and (sweep - config.burn_in + 1) % config.thin == 0:
             samples.draws.append(state.factors)
     return samples

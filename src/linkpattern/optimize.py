@@ -110,8 +110,10 @@ class _Loss:
     :func:`gradients` expose it to the oracles.  It is built over the fit's
     one ``gibbs.ObservationGroups``: its ``entries`` reconstruct, its
     labels ``y`` give the residuals, and its right-hand sides the gradient;
-    ALS solves on the same groups' normal equations.  It owns the layout of
-    the parameters as one flat vector: U, V and R raveled, in that order.
+    ALS solves on the same groups' normal equations.  The groups build the
+    arrays behind those on first use, so a value-only call builds none of
+    them.  It owns the layout of the parameters as one flat vector: U, V and
+    R raveled, in that order.
     """
 
     def __init__(self, tensor: RelationalTensor, model_config: ModelConfig,

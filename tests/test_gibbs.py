@@ -274,6 +274,28 @@ def test_gaussian_stack_fallback_and_jitter_are_logged(caplog):
     assert "jitter 1e-10" in messages[1]
 
 
+@pytest.mark.parametrize("zero_rhs", [False, True], ids=["rhs", "zero-rhs"])
+def test_gaussian_stack_moments(zero_rhs):
+    # one call on a stack of 40,000 copies of one 3 x 3 precision P with
+    # condition number 1e4; zero right-hand sides are the generator's path.
+    # The mean is checked per coordinate against P^-1 b, and the covariance
+    # S in P's own metric: with L = chol(P), L^T (x - P^-1 b) ~ N(0, I), and
+    # L^T S L = I exactly when S = P^-1
+    rng = np.random.default_rng(20261019)
+    q, _r = np.linalg.qr(rng.standard_normal((3, 3)))
+    precision = q @ np.diag([100.0, 1.0, 0.01]) @ q.T
+    assert 0.9e4 < np.linalg.cond(precision) < 1.1e4
+    b = np.zeros(3) if zero_rhs else precision @ rng.standard_normal(3) + rng.standard_normal(3)
+    n = 40_000
+    draws = gibbs._sample_gaussian_stack(rng, np.broadcast_to(precision, (n, 3, 3)),
+                                         np.broadcast_to(b, (n, 3)))
+    mean, cov = np.linalg.solve(precision, b), np.linalg.inv(precision)
+    assert np.all(np.abs(draws.mean(axis=0) - mean) < 4 * np.sqrt(np.diag(cov) / n))
+    white = (draws - mean) @ np.linalg.cholesky(precision)
+    assert np.abs(white.mean(axis=0)).max() < 4 / np.sqrt(n)
+    np.testing.assert_allclose(np.cov(white, rowvar=False), np.eye(3), rtol=0, atol=0.03)
+
+
 def test_factor_rows_indefinite_row_raises_typed_error():
     factors, tensor = four_object_instance()
     hyper = FactorHyperState(np.zeros(1), -np.eye(1))
@@ -323,6 +345,25 @@ def test_gibbs_sweep_deterministic_and_shape_preserving(tiny_tensor):
     # every sampled precision admits a Cholesky factorization
     for state in (out1.hyper_u, out1.hyper_v, out1.hyper_r):
         np.linalg.cholesky(state.precision)
+
+
+def test_gibbs_sweep_draws_alpha_from_the_state_residual(tiny_tensor):
+    # run_chain hands each sweep the residual behind its last log-likelihood;
+    # the sweep must draw exactly what it draws from its own reconstruction,
+    # and must read the residual it is given
+    priors = HyperPriors.default(2)
+    rng = np.random.default_rng(2)
+    factors = LatentFactors(*(rng.standard_normal((m, 2)) for m in (3, 3, 2)), alpha=1.0)
+    hyper = FactorHyperState(np.zeros(2), np.eye(2))
+    groups = gibbs.ObservationGroups(tiny_tensor)
+    residual = groups.residual(factors)
+    outs = [gibbs_sweep(GibbsState(factors, hyper, hyper, hyper, resid), tiny_tensor, priors,
+                        np.random.default_rng(5), groups)
+            for resid in (None, residual, np.zeros_like(residual))]
+    for name in ("U", "V", "R", "alpha"):
+        assert np.array_equal(getattr(outs[0].factors, name), getattr(outs[1].factors, name))
+    assert outs[2].factors.alpha != outs[0].factors.alpha
+    assert outs[1].residual is None
 
 
 def test_gibbs_sweep_reproduces_prior_with_no_data():

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -10,6 +11,8 @@ from linkpattern.io import (SynthSpec, _generate, generate_synthetic,
                             save_triples)
 from linkpattern.model import LatentFactors
 from linkpattern.tensor import RelationalTensor
+
+from test_acceptance import acceptance_dataset
 
 
 def test_load_triples_basic(tmp_path):
@@ -203,6 +206,23 @@ def test_generate_synthetic_deterministic():
     assert np.array_equal(f1.U, f2.U) and f1.alpha == f2.alpha
     t3, _ = generate_synthetic(SynthSpec(6, 2, 2, observed_fraction=0.5, seed=8))
     assert t3 != t1
+
+
+@pytest.mark.parametrize("make,digest", [
+    pytest.param(acceptance_dataset,
+                 "3967b6d8acbb58938728509c2f2c8e83e2bf237da20d31017bb59dbf7c953ad9",
+                 id="acceptance"),
+    pytest.param(lambda: generate_synthetic(SynthSpec(104, 26, 11, seed=1))[0],
+                 "29813caae5f15b240d5e69bb8bea9131690232a4294a82e2bf284d6ce290c376",
+                 id="kinship-shaped-seed-1"),
+])
+def test_generated_triple_files_are_pinned(tmp_path, make, digest):
+    # The generator draws its true factor rows through the Gibbs block
+    # sampler; a change there that flipped a single label would move every
+    # acceptance margin, so the triple files' bytes are pinned.
+    path = tmp_path / "data.tsv"
+    save_triples(make(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_generate_synthetic_validation():
