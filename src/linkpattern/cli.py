@@ -28,7 +28,7 @@ from .exceptions import (ConfigError, DataConflictError, DegenerateSplitError,
 from .gibbs import ChainConfig, HyperPriors, SampleSet, predictive_scores, run_chain
 from .io import (SynthSpec, _int_table, generate_synthetic, load_factors, load_triples,
                  save_factors, save_triples)
-from .model import ModelConfig, predict_entries
+from .model import ModelConfig
 from .optimize import MapConfig, fit_map
 
 
@@ -234,7 +234,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     loaded = load_factors(args.factors)
-    factors = loaded.draws[0] if isinstance(loaded, SampleSet) else loaded
+    # a single factor file scores as a one-draw sample set
+    samples = loaded if isinstance(loaded, SampleSet) else SampleSet(draws=[loaded])
+    factors = samples.draws[0]
     n_objects, T = factors.n_objects, factors.n_relations
     with open(args.pairs, "r", encoding="utf-8") as fh:
         pairs = _int_table(fh.readlines(), (n_objects, n_objects))
@@ -242,12 +244,9 @@ def cmd_predict(args) -> int:
         raise FormatError("pair list holds no pairs")
     ii, jj = np.repeat(pairs[:, 0], T), np.repeat(pairs[:, 1], T)
     tt = np.tile(np.arange(T), len(pairs))
-    if isinstance(loaded, SampleSet):
-        config = ModelConfig(factors.rank, use_logistic=False)
-        scores = predictive_scores(loaded, ii, jj, tt, config)
-    else:
-        config = ModelConfig(factors.rank, use_logistic=not args.identity_link)
-        scores = np.clip(predict_entries(loaded, ii, jj, tt, config), 0.0, 1.0)
+    # sample sets are drawn under the identity link
+    use_logistic = not (isinstance(loaded, SampleSet) or args.identity_link)
+    scores = predictive_scores(samples, ii, jj, tt, ModelConfig(factors.rank, use_logistic))
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         for (i, j), row in zip(pairs.tolist(), scores.reshape(len(pairs), T)):
             fh.write(f"{i} {j} " + " ".join(f"{s:.6f}" for s in row) + "\n")

@@ -10,18 +10,19 @@ over the retained samples.
 
 Conjugacy requires the identity link, so sweeps always use it internally;
 per-sample predictive means are clamped into [0, 1] at reporting time.
+A chain's residuals, log-likelihoods and per-row normal equations come
+from one ``model.ObservationGroups``, the CP kernel the MAP fit shares.
 """
 
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .exceptions import ConfigError, DimensionMismatchError, NotPositiveDefiniteError
-from .model import (LatentFactors, ModelConfig, _check_tensor, _coordinates, _Entries,
-                    _gaussian_log_likelihood, _inner, logistic, reconstruct_entries)
+from .model import (LatentFactors, ModelConfig, ObservationGroups, _check_tensor, _coordinates,
+                    _gather_blocks, _gathered_sums, _gaussian_log_likelihood, _inner, logistic)
 from .rng import substream
 from .tensor import RelationalTensor
 
@@ -29,19 +30,7 @@ logger = logging.getLogger(__name__)
 
 _JITTER_RETRIES = 3
 
-# Coordinates per block of predictive_scores.  Whole predictive_scores
-# times in ms over all N x N x T coordinates, identity link, medians of 15
-# interleaved runs (one BLAS thread, 2-vCPU Xeon VM, numpy 2.4):
-#   block                          1024  2048  4096  8192  16384  whole
-#   N=104, T=26, D=11,   4 draws     70    57    53    61     65    109
-#   N=50,  T=5,  D=5,  250 draws    150   118   106    92    102     95
-#   N=300, T=20, D=11,   4 draws    403   339   314   352    392    824
-# The three (block, D) buffers and the block's totals stay in cache near
-# 4096 rows; whole-array gathers ("whole") spill at the larger sizes.
-_SCORE_BLOCK = 4096
-
-
-@dataclass
+@dataclass(frozen=True)
 class HyperPriors:
     """Fixed top-level hyperparameters of the hierarchical model.
 
@@ -49,7 +38,9 @@ class HyperPriors:
     precision (shape-scale convention).  (mu0, kappa0, w0, nu0) are the
     Gaussian-Wishart hyperprior for the object-factor rows; kappa_t
     replaces kappa0 for the relation-factor rows.  ``w0_inv``, the inverse
-    of w0, is derived on construction.
+    of w0, is derived on construction.  Instances are frozen, so w0_inv and
+    the checks always match the fields; ``dataclasses.replace`` makes a
+    checked copy with fields changed.
     """
 
     mu0: np.ndarray
@@ -61,8 +52,8 @@ class HyperPriors:
     kappa_t: float = 1.0
 
     def __post_init__(self):
-        self.mu0 = np.asarray(self.mu0, dtype=np.float64)
-        self.w0 = np.asarray(self.w0, dtype=np.float64)
+        object.__setattr__(self, "mu0", np.asarray(self.mu0, dtype=np.float64))
+        object.__setattr__(self, "w0", np.asarray(self.w0, dtype=np.float64))
         d = self.mu0.size
         if self.mu0.ndim != 1 or self.w0.shape != (d, d):
             raise DimensionMismatchError(
@@ -78,7 +69,7 @@ class HyperPriors:
         except np.linalg.LinAlgError:
             raise ValueError("w0 must be positive-definite") from None
         # derived, not a field: every hyper draw reads it
-        self.w0_inv = np.linalg.inv(self.w0)
+        object.__setattr__(self, "w0_inv", np.linalg.inv(self.w0))
 
     @property
     def rank(self) -> int:
@@ -285,22 +276,16 @@ def sample_factor_hypers(rows: np.ndarray, priors: HyperPriors, kappa: float,
 
 def sample_alpha(factors: LatentFactors, tensor: RelationalTensor,
                  priors: HyperPriors, rng: np.random.Generator,
-                 groups: Optional["ObservationGroups"] = None) -> float:
+                 groups: Optional[ObservationGroups] = None) -> float:
     """Draw the noise precision from its Gamma conditional.
 
     Shape gains half the observation count; the scale update adds half the
     identity-link squared error to the inverse scale.  With no data the
-    posterior is the prior.  A chain passes its ``groups``, whose CP kernel
-    it reuses every sweep.  Raises DimensionMismatchError when the factors
-    do not fit the tensor.
+    posterior is the prior.  The residuals come from the chain's ``groups``
+    when it passes them, from a kernel built over ``tensor`` otherwise.
+    Raises DimensionMismatchError when the factors do not fit the tensor.
     """
-    _check_tensor(factors, tensor)
-    ii, jj, tt, yy = tensor.entry_arrays()
-    resid = yy
-    if yy.size:
-        resid = (groups.residual(factors) if groups is not None
-                 else yy - reconstruct_entries(factors, ii, jj, tt))
-    return _draw_alpha(resid, priors, rng)
+    return _draw_alpha(_groups(factors, tensor, groups).residual(factors), priors, rng)
 
 
 def _draw_alpha(resid: np.ndarray, priors: HyperPriors, rng: np.random.Generator) -> float:
@@ -309,176 +294,6 @@ def _draw_alpha(resid: np.ndarray, priors: HyperPriors, rng: np.random.Generator
     scale = (1.0 / (1.0 / priors.gamma_scale + 0.5 * _inner(resid, resid)) if resid.size
              else priors.gamma_scale)
     return float(rng.gamma(shape, scale))
-
-
-class ObservationGroups:
-    """A tensor's observed entries, arranged once per chain or MAP fit for
-    the conditionals and the gradient.
-
-    ``entries`` is the one ``model._Entries``; the noise-precision residual,
-    the chain's log-likelihoods and the MAP loss run on it, and its form
-    decides the form of the normal equations.  The right-hand sides take
-    the labels (:meth:`normal_terms`) or, for the MAP gradient, per-entry
-    weights (:meth:`right_hand_sides`) along one path:
-
-    * **masked**, when the entries take the masked-dense form (at most
-      ``DENSE_CELLS_PER_ENTRY`` cells per entry).  ``slices`` holds the
-      zero-filled (T, N, N) labels Y_t and ``masks`` a (K, N, N) stack of
-      0/1 masks: K = 1, the fiber mask m_ij, when every observed fiber holds
-      all T entries (m_ijt = m_ij for every t), and K = T, the entry masks
-      m_ijt, otherwise.  Each Gram is a sum over k of Hadamard products of
-      small Grams (Kolda & Bader 2009, §3.4), and each right-hand side one
-      batched product ``Y_t @ V`` or ``Y_t^T @ U`` contracted with the third
-      factor; weights fill slices of their own.  Every BLAS product sums
-      over N into D columns, which rounds alike under any thread count;
-    * **row**, for the coordinate form (``masks`` is None): the entries are
-      sorted once by each axis, and each row's Gram and right-hand side are
-      summed over its contiguous segment.  Summing over the masks costs
-      K N^2 D^2 whatever the entry count, which sparse tensors do not repay.
-    """
-
-    def __init__(self, tensor: RelationalTensor):
-        ii, jj, tt, self.y = tensor.entry_arrays()
-        self.entries = _Entries(ii, jj, tt, tensor.n_objects, tensor.n_relations)
-
-    # The arrays below serve only the normal equations and the right-hand
-    # sides, so each is built on first use: a value-only MAP objective reads
-    # no more than ``entries`` and ``y``.
-
-    @cached_property
-    def cells(self) -> np.ndarray:
-        """Each entry's flat index into a (T, N, N) stack (masked form)."""
-        e = self.entries
-        return (e.tt * e.n + e.ii) * e.n + e.jj
-
-    @cached_property
-    def masks(self) -> Optional[np.ndarray]:
-        """The (K, N, N) 0/1 mask stack of the masked form; None in the row form."""
-        if not self.entries.dense:
-            return None
-        masks = self._slices(1.0)
-        if (masks == masks[:1]).all():  # every observed fiber is whole
-            masks = masks[:1].copy()
-        return masks
-
-    @cached_property
-    def slices(self) -> np.ndarray:
-        """The zero-filled (T, N, N) label slices Y_t of the masked form."""
-        return self._slices(self.y)
-
-    @cached_property
-    def by_axis(self):
-        """The entries sorted once by each axis, for the row form."""
-        e, y = self.entries, self.y
-        return (_AxisGroups(e.ii, e.jj, e.tt, y, e.n), _AxisGroups(e.jj, e.ii, e.tt, y, e.n),
-                _AxisGroups(e.tt, e.ii, e.jj, y, e.t))
-
-    def _slices(self, values) -> np.ndarray:
-        """Per-entry ``values`` in zero-filled (T, N, N) slices."""
-        slices = np.zeros((self.entries.t, self.entries.n, self.entries.n))
-        slices.ravel()[self.cells] = values
-        return slices
-
-    def residual(self, factors: LatentFactors) -> np.ndarray:
-        """Observed values minus the identity-link reconstruction."""
-        return self.y - self.entries.reconstruct(factors.U, factors.V, factors.R)
-
-    def normal_terms(self, mode: int, factors: LatentFactors):
-        """``(gram, xty)`` of factor ``mode`` (0: U, 1: V, 2: R) given the others.
-
-        Row k's least-squares terms over its observed entries, with design
-        vectors the products of the other two factors' rows: ``gram`` is a
-        (rows, D, D) stack, or one (1, D, D) Gram shared by every row of R
-        under a fiber mask, and ``xty`` is (rows, D).
-        """
-        U, V, R = factors.U, factors.V, factors.R
-        if not self.entries.dense:
-            left, right = ((V, R), (U, R), (U, V))[mode]
-            return self.by_axis[mode].normal_terms(left, right)
-        if mode == 2:  # sum_i (U_i U_i^T) o (sum_j m_ijk V_j V_j^T), per mask k
-            gram = np.einsum("ia,ib,kiab->kab", U, U, _masked_grams(self.masks, V))
-        else:
-            # row i of U: sum_k (sum_j m_ijk V_j V_j^T) o RR_k, with RR = R^T R
-            # under the fiber mask and RR_t = R_t R_t^T under the entry masks;
-            # V likewise over i, with U
-            other, masks = (V, self.masks) if mode == 0 else (U, self.masks.transpose(0, 2, 1))
-            rr = (np.einsum("td,te->de", R, R)[None] if len(masks) == 1
-                  else R[:, :, None] * R[:, None, :])
-            gram = np.einsum("kiab,kab->iab", _masked_grams(masks, other), rr)
-        return gram, _slice_rhs(self.slices, mode, U, V, R)
-
-    def right_hand_sides(self, w: np.ndarray, U, V, R):
-        """The right-hand sides of all three factors with the per-entry
-        weights ``w`` (in entry order) in place of the labels.
-
-        Row i of U gets ``sum w_ijt V_j o R_t`` over its observed entries, and
-        V and R likewise: the weighted MTTKRPs (matricized tensor times
-        Khatri-Rao products) of a CP gradient (Acar et al. 2011; Kolda &
-        Bader 2009, §3.4).  The weights take the labels' path: zero-filled
-        (T, N, N) slices in the masked form, the per-row loop without its
-        Grams in the row form.
-        """
-        if not self.entries.dense:
-            return [axis.normal_terms(left, right, weights=w)[1] for axis, (left, right)
-                    in zip(self.by_axis, ((V, R), (U, R), (U, V)))]
-        slices = self._slices(w)
-        return [_slice_rhs(slices, mode, U, V, R) for mode in range(3)]
-
-
-def _slice_rhs(slices: np.ndarray, mode: int, U, V, R) -> np.ndarray:
-    """Factor ``mode``'s right-hand side from (T, N, N) slices S_t of entry values.
-
-    U gets ``sum_t R_t o (S_t V)_i``, V gets ``sum_t R_t o (S_t^T U)_j`` and R
-    gets ``sum_i U_i o (S_t V)_i``: one batched product over the T slices,
-    whose BLAS sums run over N into D columns, and one ``einsum``.
-    """
-    if mode == 1:
-        return np.einsum("tid,td->id", np.matmul(slices.transpose(0, 2, 1), U), R)
-    sv = np.matmul(slices, V)
-    return np.einsum("tid,td->id", sv, R) if mode == 0 else np.einsum("tid,id->td", sv, U)
-
-
-def _masked_grams(masks: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """``sum_j masks[k, i, j] M_j M_j^T`` for every k and i: a (K, N, D, D) stack.
-
-    K D products (N, N) @ (N, D), one per mask and column a of
-    ``M_j M_j^T``.  As one (N, N) @ (N, D^2) product the sums rounded
-    differently under one and two OpenBLAS threads
-    (tests/test_blas_threads.py).
-    """
-    return np.matmul(masks[:, None], M.T[:, :, None] * M).transpose(0, 2, 1, 3)
-
-
-class _AxisGroups:
-    def __init__(self, axis, other1, other2, yy, n_groups):
-        self.order = np.argsort(axis, kind="stable")
-        self.n_groups = n_groups
-        self.o1 = other1[self.order]
-        self.o2 = other2[self.order]
-        self.y = yy[self.order]
-        counts = np.bincount(axis, minlength=n_groups)
-        self.offsets = np.concatenate([[0], np.cumsum(counts)])
-
-    def normal_terms(self, left: np.ndarray, right: np.ndarray, weights=None):
-        """Per-row Grams and right-hand sides of the design ``left[o1] * right[o2]``;
-        rows with no observations get zeros.  Given per-entry ``weights`` (in
-        entry order), the right-hand sides sum them in place of the labels,
-        and no Grams are built (``gram`` is None)."""
-        n, d = self.n_groups, left.shape[1]
-        y = self.y if weights is None else weights[self.order]
-        gram = np.zeros((n, d, d)) if weights is None else None
-        xty = np.zeros((n, d))
-        bounds = self.offsets.tolist()
-        for k in range(n):
-            start, stop = bounds[k], bounds[k + 1]
-            if start == stop:
-                continue
-            design = (left.take(self.o1[start:stop], axis=0)
-                      * right.take(self.o2[start:stop], axis=0))
-            if gram is not None:
-                gram[k] = np.dot(design.T, design)
-            xty[k] = np.dot(y[start:stop], design)
-        return gram, xty
 
 
 def _groups(factors: LatentFactors, tensor: RelationalTensor,
@@ -635,15 +450,14 @@ def predictive_scores(samples: SampleSet, ii, jj, tt,
     one that is not an exact integer, and DimensionMismatchError when the
     draws differ in shape.
 
-    The coordinates are walked in blocks of ``_SCORE_BLOCK``: each draw's
-    factor rows for a block are gathered into three reused (block, D)
-    buffers and that draw's clamped prediction is added to the block's
-    running total, so memory beyond the result stays O(block D).  Every
-    score sees the same products, sum and draw order as gathering whole
-    (E, D) arrays per draw, and is bitwise equal to it.  Scoring does not
-    go through ``model._Entries``: its whole-array dense form peaks at
-    several times the result's memory, and choosing the form per block
-    would make a score depend on the other coordinates in its call.
+    The coordinates are walked in the blocks of the one gather of bare
+    coordinates (``model._gather_blocks``), which ``predict_entries`` takes
+    too: each draw's factor rows for a block are gathered into three reused
+    (block, D) buffers and that draw's clamped prediction is added to the
+    block's running total, so memory beyond the result stays O(block D).
+    Every score sees the same products, sum and draw order as gathering
+    whole (E, D) arrays per draw, and is bitwise equal to it; one draw
+    scores as ``predict_entries`` clamped into [0, 1].
     """
     if len(samples) == 0:
         raise ValueError("empty sample set")
@@ -653,18 +467,9 @@ def predictive_scores(samples: SampleSet, ii, jj, tt,
         raise DimensionMismatchError("draws of one sample set must share their shapes")
     ii, jj, tt = _coordinates(ii, jj, tt, first.n_objects, first.n_relations)
     total = np.zeros(ii.size, dtype=np.float64)
-    buffers = np.empty((3, min(ii.size, _SCORE_BLOCK), first.rank))
-    for start in range(0, ii.size, _SCORE_BLOCK):
-        rows = slice(start, start + _SCORE_BLOCK)
-        i, j, t, block_total = ii[rows], jj[rows], tt[rows], total[rows]
-        u, v, r = buffers[:, :i.size]
+    for rows, block in _gather_blocks(ii, jj, tt, first.rank):
+        block_total = total[rows]
         for factors in samples.draws:
-            # The coordinates are range-checked and the shapes equal, so
-            # "clip" never clips; it spares the copy that "raise" makes.
-            np.take(factors.U, i, axis=0, out=u, mode="clip")
-            np.take(factors.V, j, axis=0, out=v, mode="clip")
-            np.take(factors.R, t, axis=0, out=r, mode="clip")
-            u *= v
-            s = np.einsum("nd,nd->n", u, r)
+            s = _gathered_sums(factors.U, factors.V, factors.R, *block)
             block_total += np.clip(logistic(s) if model_config.use_logistic else s, 0.0, 1.0)
     return total / len(samples)

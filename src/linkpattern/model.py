@@ -1,11 +1,21 @@
-"""CP latent-factor model: reconstruction, logistic link, likelihood.
+"""CP latent-factor model: reconstruction, logistic link, likelihood, and
+the one CP kernel.
 
 The model approximates tensor entries by the triple inner product
 ``sum_d U[i,d] * V[j,d] * R[t,d]`` of sender, receiver and relation-type
 factors, optionally squashed through a logistic link for prediction.
+
+Every CP sum over a tensor's observed entries runs in one kernel,
+:class:`ObservationGroups`, shared by the MAP fit, the Gibbs sampler and
+:func:`log_likelihood`; it chooses between a masked-dense and a row form
+once per tensor.  Bare coordinate arrays (:func:`reconstruct_entries`,
+:func:`predict_entries` and ``gibbs.predictive_scores``) take one blocked
+gather, which the kernel's row form shares.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -92,10 +102,10 @@ def logistic(x):
     return out if arr.ndim else float(out[0])
 
 
-# The reconstruction evaluates on the masked-dense N x N x T form when the
-# tensor has at most this many cells per coordinate, and on gathered
-# coordinate rows otherwise; the Gibbs normal equations, and with them the
-# MAP gradient (gibbs.ObservationGroups), follow the same form.
+# The CP kernel (ObservationGroups) takes the masked-dense form when the
+# tensor has at most this many cells per observed entry, and the row form
+# otherwise: the reconstruction, the Gibbs normal equations and with them
+# the MAP gradient.
 # Whole fit_map times, 10 logistic iterations on random tensors (distinct
 # uniform cells, 30% ones), coordinate / dense, medians of 5 (one BLAS
 # thread, 2-vCPU Xeon VM, numpy 2.4), with the gradient from the Gibbs
@@ -126,6 +136,18 @@ def logistic(x):
 # One threshold for both keeps one form decision.
 DENSE_CELLS_PER_ENTRY = 10
 
+# Coordinates per block of the gathered CP sums: bare coordinates and the
+# kernel's row form.  Whole predictive_scores times in ms over all
+# N x N x T coordinates, identity link, medians of 15 interleaved runs (one
+# BLAS thread, 2-vCPU Xeon VM, numpy 2.4):
+#   block                          1024  2048  4096  8192  16384  whole
+#   N=104, T=26, D=11,   4 draws     70    57    53    61     65    109
+#   N=50,  T=5,  D=5,  250 draws    150   118   106    92    102     95
+#   N=300, T=20, D=11,   4 draws    403   339   314   352    392    824
+# The three (block, D) buffers and the block's totals stay in cache near
+# 4096 rows; whole-array gathers ("whole") spill at the larger sizes.
+_SCORE_BLOCK = 4096
+
 
 def _inner(a, b) -> float:
     """<a, b> of two 1-D arrays, summed without BLAS.
@@ -139,15 +161,6 @@ def _inner(a, b) -> float:
 def _khatri_rao(B, C):
     """Column-wise Khatri-Rao product: row ``j * len(C) + t`` is ``B[j] * C[t]``."""
     return (B[:, None, :] * C[None, :, :]).reshape(-1, B.shape[1])
-
-
-def _gather(M, index):
-    """Rows ``M[index]`` laid out as a (D, len(index)) array.
-
-    One contiguous row per factor column makes the per-coordinate products
-    and the sum over D run on contiguous memory.
-    """
-    return M.T.take(index, axis=1)
 
 
 def _coordinates(ii, jj, tt, n_objects: int, n_relations: int):
@@ -164,45 +177,245 @@ def _coordinates(ii, jj, tt, n_objects: int, n_relations: int):
                                         (tt, n_relations, "relation indices"))]
 
 
-class _Entries:
-    """Range-checked coordinates of an N x N x T tensor and their reconstruction.
+def _gather_blocks(ii, jj, tt, rank: int):
+    """The coordinates in blocks of ``_SCORE_BLOCK``: yields each block's
+    slice and its arguments for :func:`_gathered_sums`.
 
-    ``dense`` is the one choice between two forms of the CP sums.  The
-    masked-dense form, used when the tensor has at most
-    ``DENSE_CELLS_PER_ENTRY`` cells per coordinate, works on a whole
-    unfolding (Kolda & Bader 2009): :meth:`reconstruct` is one
-    ``A @ khatri_rao(B, C).T`` read at the flat indices ``(i N + j) T + t``.
-    The coordinate form gathers one factor row per coordinate.  The
-    gradient's sums over the entries of each factor row are the Gibbs
-    right-hand sides, in ``gibbs.ObservationGroups``, which takes its form
-    from ``dense``.
+    The arguments are the block's coordinates and three (block, D) buffers,
+    views of one allocation that every block reuses, so the gathers add
+    O(block D) memory whatever the coordinate count.
+    """
+    buffers = np.empty((3, min(ii.size, _SCORE_BLOCK), rank))
+    for start in range(0, ii.size, _SCORE_BLOCK):
+        rows = slice(start, start + _SCORE_BLOCK)
+        i = ii[rows]
+        yield rows, (i, jj[rows], tt[rows], *buffers[:, :i.size])
+
+
+def _gathered_sums(A, B, C, i, j, t, a, b, c) -> np.ndarray:
+    """sum_d A[i,d] B[j,d] C[t,d] over one block, its rows gathered into a, b, c.
+
+    Each sum is ``(A_i o B_j) . C_t`` with the products and their order of
+    whole gathered (E, D) arrays, so a value depends neither on its block
+    nor on the other coordinates.  The coordinates must lie within the
+    factors' rows: the callers range-check them.
+    """
+    # "clip" never clips in range; it spares the copy that "raise" makes.
+    np.take(A, i, axis=0, out=a, mode="clip")
+    np.take(B, j, axis=0, out=b, mode="clip")
+    np.take(C, t, axis=0, out=c, mode="clip")
+    a *= b
+    return np.einsum("nd,nd->n", a, c)
+
+
+def _cp_sums(A, B, C, ii, jj, tt) -> np.ndarray:
+    """sum_d A[i,d] B[j,d] C[t,d] at every coordinate, block by block."""
+    out = np.empty(ii.size)
+    for rows, block in _gather_blocks(ii, jj, tt, A.shape[1]):
+        out[rows] = _gathered_sums(A, B, C, *block)
+    return out
+
+
+class ObservationGroups:
+    """The one CP kernel: a tensor's observed entries, arranged once per
+    chain or MAP fit for every CP sum over them.
+
+    The sums are the reconstruction (:meth:`reconstruct`, :meth:`residual`),
+    behind the MAP loss, the Gibbs noise precision and log-likelihoods and
+    :func:`log_likelihood`; the Gibbs normal equations (:meth:`normal_terms`);
+    and the right-hand sides with per-entry weights in place of the labels
+    (:meth:`right_hand_sides`), which are the MAP gradient.  ``dense`` is the
+    one choice between their two forms:
+
+    * **masked**, when the tensor has at most ``DENSE_CELLS_PER_ENTRY`` cells
+      per observed entry.  The reconstruction is one
+      ``A @ khatri_rao(B, C).T`` over a whole unfolding, read at the ``flat``
+      indices ``(i N + j) T + t`` (Kolda & Bader 2009).  ``slices`` holds the
+      zero-filled (T, N, N) labels Y_t and ``masks`` a (K, N, N) stack of
+      0/1 masks: K = 1, the fiber mask m_ij, when every observed fiber holds
+      all T entries (m_ijt = m_ij for every t), and K = T, the entry masks
+      m_ijt, otherwise.  Each Gram is a sum over k of Hadamard products of
+      small Grams (Kolda & Bader 2009, §3.4), and each right-hand side one
+      batched product ``Y_t @ V`` or ``Y_t^T @ U`` contracted with the third
+      factor; weights fill slices of their own.  Every BLAS product sums
+      over N into D columns, or over D alone in the reconstruction, which
+      rounds alike under any thread count;
+    * **row**, for sparser tensors (``masks`` is None).  The reconstruction
+      is the blocked gather that bare coordinates take
+      (:func:`reconstruct_entries`), and the entries are sorted once by each
+      axis, so that each row's Gram and right-hand side are summed over its
+      contiguous segment.  Summing over the masks costs K N^2 D^2 whatever
+      the entry count, which sparse tensors do not repay.
+
+    The arrays beyond the tensor's own are built on first use: a value-only
+    MAP objective builds no more than ``flat``.  The factors passed in must
+    fit the tensor; the callers check them.
     """
 
-    def __init__(self, ii, jj, tt, n_objects: int, n_relations: int):
-        self.ii, self.jj, self.tt = _coordinates(ii, jj, tt, n_objects, n_relations)
-        self.n, self.t = n_objects, n_relations
-        self.dense = n_objects * n_objects * n_relations <= DENSE_CELLS_PER_ENTRY * self.ii.size
-        if self.dense:
-            self.flat = (self.ii * n_objects + self.jj) * n_relations + self.tt
+    def __init__(self, tensor: RelationalTensor):
+        self.ii, self.jj, self.tt, self.y = tensor.entry_arrays()
+        self.n, self.t = tensor.n_objects, tensor.n_relations
+        self.dense = self.n * self.n * self.t <= DENSE_CELLS_PER_ENTRY * self.y.size
+
+    @cached_property
+    def flat(self) -> np.ndarray:
+        """Each entry's flat index into an (N, N, T) array (masked form)."""
+        return (self.ii * self.n + self.jj) * self.t + self.tt
+
+    @cached_property
+    def cells(self) -> np.ndarray:
+        """Each entry's flat index into a (T, N, N) stack (masked form)."""
+        return (self.tt * self.n + self.ii) * self.n + self.jj
+
+    @cached_property
+    def masks(self) -> Optional[np.ndarray]:
+        """The (K, N, N) 0/1 mask stack of the masked form; None in the row form."""
+        if not self.dense:
+            return None
+        masks = self._slices(1.0)
+        if (masks == masks[:1]).all():  # every observed fiber is whole
+            masks = masks[:1].copy()
+        return masks
+
+    @cached_property
+    def slices(self) -> np.ndarray:
+        """The zero-filled (T, N, N) label slices Y_t of the masked form."""
+        return self._slices(self.y)
+
+    @cached_property
+    def by_axis(self):
+        """The entries sorted once by each axis, for the row form."""
+        ii, jj, tt, y = self.ii, self.jj, self.tt, self.y
+        return (_AxisGroups(ii, jj, tt, y, self.n), _AxisGroups(jj, ii, tt, y, self.n),
+                _AxisGroups(tt, ii, jj, y, self.t))
+
+    def _slices(self, values) -> np.ndarray:
+        """Per-entry ``values`` in zero-filled (T, N, N) slices."""
+        slices = np.zeros((self.t, self.n, self.n))
+        slices.ravel()[self.cells] = values
+        return slices
 
     def reconstruct(self, A, B, C) -> np.ndarray:
-        """sum_d A[i,d] B[j,d] C[t,d] at every coordinate."""
+        """sum_d A[i,d] B[j,d] C[t,d] at every observed entry, in entry order."""
         if self.dense:
             # The BLAS product sums only D terms per cell; sums that short
             # round alike under one and two OpenBLAS threads, unlike an
             # N*T-term sum over an unfolding (tests/test_blas_threads.py).
             return (A @ _khatri_rao(B, C).T).take(self.flat)
-        return (_gather(A, self.ii) * _gather(B, self.jj) * _gather(C, self.tt)).sum(axis=0)
+        return _cp_sums(A, B, C, self.ii, self.jj, self.tt)
+
+    def residual(self, factors: LatentFactors) -> np.ndarray:
+        """Observed values minus the identity-link reconstruction."""
+        return self.y - self.reconstruct(factors.U, factors.V, factors.R)
+
+    def normal_terms(self, mode: int, factors: LatentFactors):
+        """``(gram, xty)`` of factor ``mode`` (0: U, 1: V, 2: R) given the others.
+
+        Row k's least-squares terms over its observed entries, with design
+        vectors the products of the other two factors' rows: ``gram`` is a
+        (rows, D, D) stack, or one (1, D, D) Gram shared by every row of R
+        under a fiber mask, and ``xty`` is (rows, D).
+        """
+        U, V, R = factors.U, factors.V, factors.R
+        if not self.dense:
+            left, right = ((V, R), (U, R), (U, V))[mode]
+            return self.by_axis[mode].normal_terms(left, right)
+        if mode == 2:  # sum_i (U_i U_i^T) o (sum_j m_ijk V_j V_j^T), per mask k
+            gram = np.einsum("ia,ib,kiab->kab", U, U, _masked_grams(self.masks, V))
+        else:
+            # row i of U: sum_k (sum_j m_ijk V_j V_j^T) o RR_k, with RR = R^T R
+            # under the fiber mask and RR_t = R_t R_t^T under the entry masks;
+            # V likewise over i, with U
+            other, masks = (V, self.masks) if mode == 0 else (U, self.masks.transpose(0, 2, 1))
+            rr = (np.einsum("td,te->de", R, R)[None] if len(masks) == 1
+                  else R[:, :, None] * R[:, None, :])
+            gram = np.einsum("kiab,kab->iab", _masked_grams(masks, other), rr)
+        return gram, _slice_rhs(self.slices, mode, U, V, R)
+
+    def right_hand_sides(self, w: np.ndarray, U, V, R):
+        """The right-hand sides of all three factors with the per-entry
+        weights ``w`` (in entry order) in place of the labels.
+
+        Row i of U gets ``sum w_ijt V_j o R_t`` over its observed entries, and
+        V and R likewise: the weighted MTTKRPs (matricized tensor times
+        Khatri-Rao products) of a CP gradient (Acar et al. 2011; Kolda &
+        Bader 2009, §3.4).  The weights take the labels' path: zero-filled
+        (T, N, N) slices in the masked form, the per-row loop without its
+        Grams in the row form.
+        """
+        if not self.dense:
+            return [axis.normal_terms(left, right, weights=w)[1] for axis, (left, right)
+                    in zip(self.by_axis, ((V, R), (U, R), (U, V)))]
+        slices = self._slices(w)
+        return [_slice_rhs(slices, mode, U, V, R) for mode in range(3)]
+
+
+def _slice_rhs(slices: np.ndarray, mode: int, U, V, R) -> np.ndarray:
+    """Factor ``mode``'s right-hand side from (T, N, N) slices S_t of entry values.
+
+    U gets ``sum_t R_t o (S_t V)_i``, V gets ``sum_t R_t o (S_t^T U)_j`` and R
+    gets ``sum_i U_i o (S_t V)_i``: one batched product over the T slices,
+    whose BLAS sums run over N into D columns, and one ``einsum``.
+    """
+    if mode == 1:
+        return np.einsum("tid,td->id", np.matmul(slices.transpose(0, 2, 1), U), R)
+    sv = np.matmul(slices, V)
+    return np.einsum("tid,td->id", sv, R) if mode == 0 else np.einsum("tid,id->td", sv, U)
+
+
+def _masked_grams(masks: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``sum_j masks[k, i, j] M_j M_j^T`` for every k and i: a (K, N, D, D) stack.
+
+    K D products (N, N) @ (N, D), one per mask and column a of
+    ``M_j M_j^T``.  As one (N, N) @ (N, D^2) product the sums rounded
+    differently under one and two OpenBLAS threads
+    (tests/test_blas_threads.py).
+    """
+    return np.matmul(masks[:, None], M.T[:, :, None] * M).transpose(0, 2, 1, 3)
+
+
+class _AxisGroups:
+    def __init__(self, axis, other1, other2, yy, n_groups):
+        self.order = np.argsort(axis, kind="stable")
+        self.n_groups = n_groups
+        self.o1 = other1[self.order]
+        self.o2 = other2[self.order]
+        self.y = yy[self.order]
+        counts = np.bincount(axis, minlength=n_groups)
+        self.offsets = np.concatenate([[0], np.cumsum(counts)])
+
+    def normal_terms(self, left: np.ndarray, right: np.ndarray, weights=None):
+        """Per-row Grams and right-hand sides of the design ``left[o1] * right[o2]``;
+        rows with no observations get zeros.  Given per-entry ``weights`` (in
+        entry order), the right-hand sides sum them in place of the labels,
+        and no Grams are built (``gram`` is None)."""
+        n, d = self.n_groups, left.shape[1]
+        y = self.y if weights is None else weights[self.order]
+        gram = np.zeros((n, d, d)) if weights is None else None
+        xty = np.zeros((n, d))
+        bounds = self.offsets.tolist()
+        for k in range(n):
+            start, stop = bounds[k], bounds[k + 1]
+            if start == stop:
+                continue
+            design = (left.take(self.o1[start:stop], axis=0)
+                      * right.take(self.o2[start:stop], axis=0))
+            if gram is not None:
+                gram[k] = np.dot(design.T, design)
+            xty[k] = np.dot(y[start:stop], design)
+        return gram, xty
 
 
 def reconstruct_entries(factors: LatentFactors, ii, jj, tt) -> np.ndarray:
     """Triple inner products sum_d U[i,d] V[j,d] R[t,d] over coordinate arrays.
 
-    Raises IndexError for a coordinate outside [0, N) or [0, T), and
-    ValueError for one that is not an exact integer.
+    Bare coordinates take one blocked gather whatever their count, the one
+    ``gibbs.predictive_scores`` takes, so a value depends only on its own
+    coordinate.  Raises IndexError for a coordinate outside [0, N) or
+    [0, T), and ValueError for one that is not an exact integer.
     """
-    entries = _Entries(ii, jj, tt, factors.n_objects, factors.n_relations)
-    return entries.reconstruct(factors.U, factors.V, factors.R)
+    ii, jj, tt = _coordinates(ii, jj, tt, factors.n_objects, factors.n_relations)
+    return _cp_sums(factors.U, factors.V, factors.R, ii, jj, tt)
 
 
 def predict_entries(factors: LatentFactors, ii, jj, tt, config: ModelConfig) -> np.ndarray:
@@ -226,8 +439,9 @@ def log_likelihood(factors: LatentFactors, tensor: RelationalTensor,
     mean under the configured link; unobserved entries contribute nothing.
     """
     _check_tensor(factors, tensor)
-    ii, jj, tt, yy = tensor.entry_arrays()
-    return _gaussian_log_likelihood(yy - predict_entries(factors, ii, jj, tt, config),
+    groups = ObservationGroups(tensor)
+    s = groups.reconstruct(factors.U, factors.V, factors.R)
+    return _gaussian_log_likelihood(groups.y - (logistic(s) if config.use_logistic else s),
                                     factors.alpha)
 
 

@@ -11,14 +11,14 @@ with m the model mean under the configured link.  Under the identity link
 E is a ridge least-squares problem in each factor block given the other
 two, so each sweep solves every row of U, then of V, then of R exactly
 from the block's normal equations, the ones the Gibbs sampler builds
-(``gibbs.ObservationGroups.normal_terms``): alternating least squares,
+(``model.ObservationGroups.normal_terms``): alternating least squares,
 exact block coordinate descent on E (Tomasi & Bro 2005, "PARAFAC and
 missing values").  Under the logistic link all three factor blocks are
 optimized jointly as one flattened variable; the direction update uses
 beta = max(0, beta_PR) with periodic restarts to steepest descent, and an
 Armijo backtracking line search.  Its gradient in each block is that
 block's Gibbs right-hand side with the residual weights in place of the
-labels (``gibbs.ObservationGroups.right_hand_sides``), plus the ridge term.
+labels (``model.ObservationGroups.right_hand_sides``), plus the ridge term.
 """
 
 import logging
@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DivergenceError, NotPositiveDefiniteError, StallError
-from .gibbs import ObservationGroups
-from .model import LatentFactors, ModelConfig, _inner, logistic
+from .model import LatentFactors, ModelConfig, ObservationGroups, _inner, logistic
 from .rng import substream
 from .tensor import RelationalTensor
 
@@ -108,18 +107,17 @@ class _Loss:
     The one loss kernel: :func:`fit_map` records its objectives with it and
     scores its line search trials with it, and :func:`objective` and
     :func:`gradients` expose it to the oracles.  It is built over the fit's
-    one ``gibbs.ObservationGroups``: its ``entries`` reconstruct, its
-    labels ``y`` give the residuals, and its right-hand sides the gradient;
-    ALS solves on the same groups' normal equations.  The groups build the
-    arrays behind those on first use, so a value-only call builds none of
-    them.  It owns the layout of the parameters as one flat vector: U, V and
-    R raveled, in that order.
+    one ``model.ObservationGroups``, the CP kernel: the groups reconstruct,
+    their labels ``y`` give the residuals, and their right-hand sides the
+    gradient; ALS solves on the same groups' normal equations.  The groups
+    build the arrays behind those on first use, so a value-only call builds
+    none of the gradient's.  It owns the layout of the parameters as one
+    flat vector: U, V and R raveled, in that order.
     """
 
     def __init__(self, tensor: RelationalTensor, model_config: ModelConfig,
                  map_config: MapConfig):
         self.groups = ObservationGroups(tensor)
-        self.entries = self.groups.entries
         self.use_logistic = model_config.use_logistic
         self.gammas = (map_config.gamma_u, map_config.gamma_v, map_config.gamma_r)
         self.n, self.t, self.d = tensor.n_objects, tensor.n_relations, model_config.rank
@@ -143,7 +141,7 @@ class _Loss:
         :meth:`last_point`.
         """
         blocks = self.blocks(x)
-        s = self.entries.reconstruct(*blocks)
+        s = self.groups.reconstruct(*blocks)
         m = logistic(s) if self.use_logistic else s
         resid = self.groups.y - m
         value = 0.5 * _inner(resid, resid) + 0.5 * self._ridge(blocks)

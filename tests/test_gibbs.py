@@ -1,10 +1,11 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from linkpattern import gibbs
+from linkpattern import gibbs, model
 from linkpattern.exceptions import (ConfigError, DimensionMismatchError,
                                     NotPositiveDefiniteError)
 from linkpattern.gibbs import (ChainConfig, FactorHyperState, GibbsState,
@@ -13,7 +14,7 @@ from linkpattern.gibbs import (ChainConfig, FactorHyperState, GibbsState,
                                run_chain, sample_alpha, sample_factor_hypers,
                                sample_r_rows, sample_u_rows, sample_v_rows)
 from linkpattern.io import SynthSpec, generate_synthetic
-from linkpattern.model import LatentFactors, ModelConfig, log_likelihood
+from linkpattern.model import LatentFactors, ModelConfig, log_likelihood, predict_entries
 from linkpattern.optimize import MapConfig, fit_map
 from linkpattern.tensor import RelationalTensor
 
@@ -40,6 +41,19 @@ def test_hyperpriors_validation():
 def test_hyperpriors_reject_a_scalar_mean():
     with pytest.raises(DimensionMismatchError):
         HyperPriors(mu0=0.0, w0=[[1.0]], nu0=1.0)
+
+
+def test_hyperpriors_are_frozen():
+    # w0_inv is derived once, so a field changed in place would leave it stale
+    priors = HyperPriors.default(2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        priors.w0 = 2 * np.eye(2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        priors.nu0 = 1.0
+    np.testing.assert_array_equal(dataclasses.replace(priors, w0=2 * np.eye(2)).w0_inv,
+                                  np.eye(2) / 2)
+    with pytest.raises(ValueError):
+        dataclasses.replace(priors, nu0=1.0)
 
 
 def test_chain_config_retained_counts():
@@ -400,9 +414,9 @@ def test_run_chain_single_retained_draw(tiny_tensor):
 
 
 def test_run_chain_log_likelihoods_match_model_bitwise():
-    # the chain scores its draws on its own _Entries; the trace must be
-    # model.log_likelihood's, for the entry masks, the fiber mask and the
-    # row-form Grams
+    # the chain scores its draws on its own ObservationGroups and
+    # model.log_likelihood on one of its own; the two must agree under the
+    # entry masks, the fiber mask and the row form
     partial = small_chain_data()
     complete, _truth = generate_synthetic(SynthSpec(12, 3, 2, seed=4))
     sparse, _truth = generate_synthetic(SynthSpec(30, 4, 2, observed_fraction=0.05, seed=4))
@@ -552,7 +566,7 @@ def random_sample_set(n, t, d, n_draws, seed=0):
 @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)],
                          ids=["1", "block-1", "block", "block+1", "3block+7"])
 def test_predictive_scores_match_whole_array_reference_bitwise(blocks, extra, d, use_logistic):
-    n_coords = blocks * gibbs._SCORE_BLOCK + extra
+    n_coords = blocks * model._SCORE_BLOCK + extra
     rng = np.random.default_rng(n_coords + d)
     samples = random_sample_set(7, 3, d, 3, seed=d)
     # Random coordinates: unsorted, and repeated whenever n_coords > 7 * 7 * 3.
@@ -564,15 +578,19 @@ def test_predictive_scores_match_whole_array_reference_bitwise(blocks, extra, d,
 
 
 def test_predictive_scores_memory_stays_blocked():
+    # MAP scores (predict_entries) take the same blocked gather
     samples = random_sample_set(104, 26, 11, 2)
     ii, jj, tt = (axis.ravel() for axis in np.indices((104, 104, 26)))
-    tracemalloc.start()
-    try:
-        scores = predictive_scores(samples, ii, jj, tt, ModelConfig(11, use_logistic=False))
-        _current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * scores.nbytes
+    identity = ModelConfig(11, use_logistic=False)
+    for score in (lambda: predictive_scores(samples, ii, jj, tt, identity),
+                  lambda: predict_entries(samples.draws[0], ii, jj, tt, identity)):
+        tracemalloc.start()
+        try:
+            scores = score()
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * scores.nbytes
 
 
 def test_predictive_scores_rejects_draws_of_different_shapes():

@@ -56,6 +56,7 @@ def random_factors(seed, n, t, d):
 
 @pytest.mark.parametrize("dense", [True, False])
 def test_reconstruct_entries_matches_per_entry_loop(dense):
+    # the coordinates themselves, and as a tensor on each side of the kernel
     n, t = 6, 4
     f = random_factors(7, n, t, 3)
     if dense:  # every cell: one cell per coordinate
@@ -63,30 +64,39 @@ def test_reconstruct_entries_matches_per_entry_loop(dense):
     else:
         rng = np.random.default_rng(8)
         ii, jj, tt = rng.integers(0, n, 4), rng.integers(0, n, 4), rng.integers(0, t, 4)
-    assert model._Entries(ii, jj, tt, n, t).dense is dense
     np.testing.assert_allclose(reconstruct_entries(f, ii, jj, tt),
                                reference_entries(f, ii, jj, tt), rtol=1e-12, atol=1e-13)
+    groups = model.ObservationGroups(RelationalTensor(n, t, ii, jj, tt, np.ones_like(ii)))
+    assert groups.dense is dense
+    np.testing.assert_allclose(groups.reconstruct(f.U, f.V, f.R),
+                               reference_entries(f, groups.ii, groups.jj, groups.tt),
+                               rtol=1e-12, atol=1e-13)
 
 
-def test_reconstruct_forms_agree():
+def test_reconstruct_forms_agree(monkeypatch):
     f = random_factors(10, 5, 3, 2)
     rng = np.random.default_rng(11)
     ii, jj, tt = np.nonzero(rng.random((5, 5, 3)) < 0.7)
-    dense = model._Entries(ii, jj, tt, 5, 3)
-    coordinate = model._Entries(ii, jj, tt, 5, 3)
-    coordinate.dense = False
-    assert dense.dense
+    tensor = RelationalTensor(5, 3, ii, jj, tt, np.ones_like(ii))
+    dense = model.ObservationGroups(tensor)
+    monkeypatch.setattr(model, "DENSE_CELLS_PER_ENTRY", 0)
+    coordinate = model.ObservationGroups(tensor)
+    assert dense.dense and not coordinate.dense
     np.testing.assert_allclose(dense.reconstruct(f.U, f.V, f.R),
                                coordinate.reconstruct(f.U, f.V, f.R), rtol=1e-12)
 
 
+# every cell of an N = 2, T = 8 grid, or two coordinates
+SCORED_COORDINATES = {True: [a.ravel() for a in np.indices((2, 2, 8))],
+                      False: [[1, 0], [1, 1], [3, 7]]}
+
+
 @pytest.mark.parametrize("bad", [(0, 2, 0), (-1, 0, 0), (0, 0, 8), (0, 0, -1)])
-@pytest.mark.parametrize("dense", [True, False])
-def test_scoring_rejects_out_of_range_coordinates(bad, dense):
+@pytest.mark.parametrize("all_cells", [True, False])
+def test_scoring_rejects_out_of_range_coordinates(bad, all_cells):
     # N = 2, T = 8: flat indexing would read (0, 2, 0) as cell (1, 0, 0)
     f = random_factors(9, 2, 8, 2)
-    good = [a.ravel() for a in np.indices((2, 2, 8))] if dense else [[1], [1], [3]]
-    assert model._Entries(*good, 2, 8).dense is dense
+    good = SCORED_COORDINATES[all_cells]
     ii, jj, tt = (np.append(axis, value) for axis, value in zip(good, bad))
     samples = SampleSet(draws=[f])
     for score in (lambda: reconstruct_entries(f, ii, jj, tt),
@@ -96,12 +106,11 @@ def test_scoring_rejects_out_of_range_coordinates(bad, dense):
             score()
 
 
-@pytest.mark.parametrize("dense", [True, False])
-def test_scoring_accepts_the_coordinates_the_tensor_accepts(dense):
+@pytest.mark.parametrize("all_cells", [True, False])
+def test_scoring_accepts_the_coordinates_the_tensor_accepts(all_cells):
     # exact-integer floats score as their ints, as RelationalTensor takes them
     f = random_factors(9, 2, 8, 2)
-    ints = [a.ravel() for a in np.indices((2, 2, 8))] if dense else [[1, 0], [1, 1], [3, 7]]
-    assert model._Entries(*ints, 2, 8).dense is dense
+    ints = SCORED_COORDINATES[all_cells]
     floats = [np.asarray(axis, dtype=np.float64) for axis in ints]
     fractional = [floats[0], floats[1], floats[2].copy()]
     fractional[2][0] = 0.5
@@ -116,6 +125,25 @@ def test_scoring_accepts_the_coordinates_the_tensor_accepts(dense):
             score(*fractional)
         with pytest.raises(IndexError):
             score(*out_of_range)
+
+
+@pytest.mark.parametrize("coordinates", ["unsorted", "grid"])
+def test_map_score_is_the_one_draw_posterior_mean(coordinates):
+    # a MAP model scores as a sample set holding it alone, bit for bit
+    n, t, d = 30, 7, 11
+    f = random_factors(12, n, t, d)
+    if coordinates == "grid":
+        ii, jj, tt = (a.ravel() for a in np.indices((n, n, t)))
+    else:  # 3 blocks and part of a fourth, in no order
+        rng = np.random.default_rng(13)
+        size = 3 * model._SCORE_BLOCK + 100
+        ii, jj, tt = rng.integers(0, n, size), rng.integers(0, n, size), rng.integers(0, t, size)
+    one_draw = SampleSet(draws=[f])
+    logistic_link, identity = ModelConfig(d), ModelConfig(d, use_logistic=False)
+    assert (predict_entries(f, ii, jj, tt, logistic_link).tobytes()
+            == predictive_scores(one_draw, ii, jj, tt, logistic_link).tobytes())
+    assert (np.clip(predict_entries(f, ii, jj, tt, identity), 0.0, 1.0).tobytes()
+            == predictive_scores(one_draw, ii, jj, tt, identity).tobytes())
 
 
 def test_logistic_properties():

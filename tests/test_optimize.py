@@ -95,7 +95,7 @@ def instance_on_side(dense):
     else:
         tensor, factors = random_instance(seed=5, n=8, t=3,
                                           fill=0.5 / model.DENSE_CELLS_PER_ENTRY)
-    assert optimize._Loss(tensor, IDENTITY, MapConfig()).entries.dense is dense
+    assert optimize._Loss(tensor, IDENTITY, MapConfig()).groups.dense is dense
     assert tensor.observed_count >= 3
     return tensor, factors
 
