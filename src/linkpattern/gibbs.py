@@ -361,10 +361,15 @@ def gibbs_sweep(state: GibbsState, tensor: RelationalTensor, priors: HyperPriors
     and its hyperparameters are left untouched (frozen-R mode).  The noise
     precision is drawn from ``state.residual`` when it is set (a chain's
     last log-likelihood residual), by :func:`sample_alpha` otherwise; the
-    returned state has no residual.
+    returned state has no residual.  Raises DimensionMismatchError when the
+    factors do not fit the tensor, or a residual is not one value per
+    observed entry.
     """
     f = state.factors
     groups = _groups(f, tensor, groups)
+    if state.residual is not None and np.shape(state.residual) != (tensor.observed_count,):
+        raise DimensionMismatchError(f"residual shape {np.shape(state.residual)}, expected "
+                                     f"({tensor.observed_count},)")
     alpha = (_draw_alpha(state.residual, priors, rng) if state.residual is not None
              else sample_alpha(f, tensor, priors, rng, groups))
     hyper_u = sample_factor_hypers(f.U, priors, priors.kappa0, rng)

@@ -19,8 +19,23 @@ beta = max(0, beta_PR) with periodic restarts to steepest descent, and an
 Armijo backtracking line search.  Its gradient in each block is that
 block's Gibbs right-hand side with the residual weights in place of the
 labels (``model.ObservationGroups.right_hand_sides``), plus the ridge term.
+
+:func:`fit_map` runs both in one loop, one step (an ALS sweep, or a CG
+direction and its Armijo search) per iteration, and stops by the same
+rules, named in ``OptTrace.termination``: ``"converged"`` when the
+three-part test of Gill, Murray & Wright (*Practical Optimization*,
+§8.2.3) holds with tau = ``rel_tolerance``: the objective fell by less
+than tau (1 + |f|), the step moved x by less than sqrt(tau) (1 + ||x||)
+and the gradient norm is at most tau^(1/3) (1 + |f|) (a CG step that
+passes the first part only restarts CG along steepest descent);
+``"no_progress"`` when a step does not lower the objective (progress below
+float resolution; the previous iterate is kept); ``"stalled"`` when the CG
+line search fails, as it does on NaN trials; or ``"max_iterations"``.  A
+step with a non-finite objective raises :class:`DivergenceError` naming
+the iteration.
 """
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -112,7 +127,8 @@ class _Loss:
     gradient; ALS solves on the same groups' normal equations.  The groups
     build the arrays behind those on first use, so a value-only call builds
     none of the gradient's.  It owns the layout of the parameters as one
-    flat vector: U, V and R raveled, in that order.
+    flat vector: U, V and R raveled, in that order.  ``evaluations`` counts
+    the :meth:`value` calls, which :func:`fit_map` records as trials.
     """
 
     def __init__(self, tensor: RelationalTensor, model_config: ModelConfig,
@@ -121,6 +137,7 @@ class _Loss:
         self.use_logistic = model_config.use_logistic
         self.gammas = (map_config.gamma_u, map_config.gamma_v, map_config.gamma_r)
         self.n, self.t, self.d = tensor.n_objects, tensor.n_relations, model_config.rank
+        self.evaluations = 0
         self._last = None
 
     def blocks(self, x):
@@ -134,81 +151,76 @@ class _Loss:
         return sum(gamma * float(np.sum(block * block))
                    for gamma, block in zip(self.gammas, blocks))
 
-    def value_and_gradient(self, x, with_gradient=True):
-        """Objective at ``x`` and its flat gradient (None unless requested).
-
-        The point's residual is kept until the next call, for
-        :meth:`last_point`.
-        """
+    def value(self, x) -> float:
+        """Objective at ``x``.  The point's residual is kept until the next
+        call, for :meth:`gradient`."""
         blocks = self.blocks(x)
         s = self.groups.reconstruct(*blocks)
         m = logistic(s) if self.use_logistic else s
         resid = self.groups.y - m
-        value = 0.5 * _inner(resid, resid) + 0.5 * self._ridge(blocks)
-        self._last = (x, value, m, resid)
-        return value, (self.last_point()[2] if with_gradient else None)
+        self.evaluations += 1
+        self._last = (blocks, m, resid)
+        return 0.5 * _inner(resid, resid) + 0.5 * self._ridge(blocks)
 
-    def last_point(self):
-        """``(x, value, gradient)`` at the point of the latest :meth:`value_and_gradient`.
+    def gradient(self):
+        """Flat gradient at the point of the latest :meth:`value`.
 
-        The gradient is built from that call's residual, so a point scored
-        without its gradient (an accepted line-search trial) gets it
-        without a second reconstruction.  With residual e = y - m and link
-        derivative l (1 for the identity link, g(s)(1-g(s)) for the
-        logistic), row i of dU accumulates -e * l * (V_j o R_t) over the
-        observed entries of row i, plus the ridge term; dV and dR are
-        symmetric.  Those sums are the Gibbs right-hand sides with weights
-        -e * l in place of the labels.
+        It is built from that call's residual, so a point already scored
+        (an accepted line-search trial) gets it without a second
+        reconstruction.  With residual e = y - m and link derivative l (1
+        for the identity link, g(s)(1-g(s)) for the logistic), row i of dU
+        accumulates -e * l * (V_j o R_t) over the observed entries of row
+        i, plus the ridge term; dV and dR are symmetric.  Those sums are
+        the Gibbs right-hand sides with weights -e * l in place of the
+        labels.
         """
-        x, value, m, resid = self._last
-        blocks = self.blocks(x)
+        blocks, m, resid = self._last
         w = -resid * m * (1.0 - m) if self.use_logistic else -resid
         products = self.groups.right_hand_sides(w, *blocks)
-        return x, value, np.concatenate([(gamma * block + product).ravel() for gamma, block, product
-                                         in zip(self.gammas, blocks, products)])
+        return np.concatenate([(gamma * block + product).ravel() for gamma, block, product
+                               in zip(self.gammas, blocks, products)])
 
 
 def objective(factors: LatentFactors, tensor: RelationalTensor,
               model_config: ModelConfig, map_config: MapConfig) -> float:
     """Regularized weighted squared error at ``factors``."""
-    loss = _Loss(tensor, model_config, map_config)
-    return loss.value_and_gradient(_flat(factors), with_gradient=False)[0]
+    return _Loss(tensor, model_config, map_config).value(_flat(factors))
 
 
 def gradients(factors: LatentFactors, tensor: RelationalTensor,
               model_config: ModelConfig, map_config: MapConfig):
     """Exact gradient ``(dU, dV, dR)`` of :func:`objective` w.r.t. (U, V, R)."""
     loss = _Loss(tensor, model_config, map_config)
-    return loss.blocks(loss.value_and_gradient(_flat(factors))[1])
+    loss.value(_flat(factors))
+    return loss.blocks(loss.gradient())
 
 
 def _flat(factors: LatentFactors) -> np.ndarray:
     return np.concatenate([factors.U.ravel(), factors.V.ravel(), factors.R.ravel()])
 
 
-def _backtrack(slope: float, objective_at, f_current: float) -> float:
-    """Armijo backtracking in the step domain; ``objective_at(step) -> value``.
+def _backtrack(objective, x, f, grad, direction):
+    """Armijo backtracking from ``x``, whose objective is ``f``, along
+    ``direction``; returns the accepted step and its objective.
 
-    Raises :class:`StallError` on a non-descent slope, or when the step
+    Raises :class:`StallError` on a non-descent direction, or when the step
     underflows ``STEP_FLOOR`` without sufficient decrease.
     """
+    slope = _inner(grad, direction)
     if slope >= 0:
         raise StallError(f"not a descent direction (slope {slope:.3e})")
     step = INITIAL_STEP
     while step >= STEP_FLOOR:
-        if objective_at(step) <= f_current + SUFFICIENT_DECREASE * step * slope:
-            return step
+        value = objective(x + step * direction)
+        if value <= f + SUFFICIENT_DECREASE * step * slope:
+            return step, value
         step *= SHRINK
     raise StallError(f"line search step underflowed below {STEP_FLOOR}")
 
 
-def _three_part_test(tau, f, f_new, moved, x, grad_norm):
-    """``(small_change, converged)`` for an iteration from objective ``f`` to
-    ``f_new`` that moved the parameters by ``moved`` to ``x``; see :func:`fit_map`."""
-    small_change = f - f_new < tau * (1.0 + abs(f_new))
-    return small_change, (small_change
-                          and moved < math.sqrt(tau) * (1.0 + math.sqrt(_inner(x, x)))
-                          and grad_norm <= tau ** (1.0 / 3.0) * (1.0 + abs(f_new)))
+def _small_change(tau, f, f_new) -> bool:
+    """First part of the three-part test: ``f`` fell to ``f_new`` by under tau (1 + |f_new|)."""
+    return f - f_new < tau * (1.0 + abs(f_new))
 
 
 def fit_map(tensor: RelationalTensor, model_config: ModelConfig,
@@ -220,28 +232,50 @@ def fit_map(tensor: RelationalTensor, model_config: ModelConfig,
     initialization, summation order, solves and line search are all fixed.
     Every traced objective is the loss kernel's value; each Armijo trial
     step is scored by the objective itself.  ``trace.termination`` names
-    the stop: ``"converged"`` when the three-part test of Gill, Murray &
-    Wright (*Practical Optimization*, §8.2.3) holds with tau =
-    ``rel_tolerance``: the objective fell by less than tau (1 + |f|), the
-    iteration (a CG step, or an ALS sweep's displacement) moved x by less
-    than sqrt(tau) (1 + ||x||) and the gradient norm is at most tau^(1/3)
-    (1 + |f|).  A CG step that passes the first part only restarts CG along
-    steepest descent.  ``"no_progress"`` when an accepted step or a sweep
-    does not lower the objective (progress below float resolution; the
-    previous iterate is kept), ``"stalled"`` when the CG line search fails,
-    or ``"max_iterations"``.  Under the identity link a row whose ridge
-    system is singular (a zero ridge weight and no observations in the
-    row) raises :class:`NotPositiveDefiniteError`.
+    the stop, by the rules in the module docstring.  Under the identity
+    link a row whose ridge system is singular (a zero ridge weight and no
+    observations in the row) raises :class:`NotPositiveDefiniteError`.
     """
     if tensor.observed_count == 0:
         raise ValueError("cannot fit an empty tensor")
-    n, T, d = tensor.n_objects, tensor.n_relations, model_config.rank
+    tau = map_config.rel_tolerance
     loss = _Loss(tensor, model_config, map_config)
     # U, V and R drawn in that order, as one flat vector
     x = map_config.init_scale * substream(map_config.seed, "map-init").standard_normal(
-        (2 * n + T) * d)
-    fit = _conjugate_gradient if model_config.use_logistic else _alternating_least_squares
-    x, trace = fit(loss, x, map_config)
+        (2 * loss.n + loss.t) * loss.d)
+    f = loss.value(x)
+    trace = OptTrace(objectives=[f])
+    # each step yields (x, f, gradient, moved, step, restart) at its new point
+    steps = (_conjugate_gradient(loss, x, f, tau, trace) if model_config.use_logistic
+             else _alternating_least_squares(loss, x))
+    for iteration in range(map_config.max_iterations):
+        evaluations = loss.evaluations
+        try:
+            x_new, f_new, grad, moved, step, restart = next(steps)
+        except StallError:
+            trace.termination = "stalled"
+            break
+        if not np.isfinite(f_new):
+            raise DivergenceError(
+                f"objective became non-finite at iteration {iteration}", iteration=iteration)
+        if f_new >= f:
+            # progress below float resolution; keep the previous iterate
+            trace.termination = "no_progress"
+            break
+        grad_norm = math.sqrt(_inner(grad, grad))
+        trace.objectives.append(f_new)
+        trace.gradient_norms.append(grad_norm)
+        trace.step_sizes.append(step)
+        trace.trials.append(loss.evaluations - evaluations)
+        small_change = _small_change(tau, f, f_new)
+        x, f = x_new, f_new
+        if (small_change and moved < math.sqrt(tau) * (1.0 + math.sqrt(_inner(x, x)))
+                and grad_norm <= tau ** (1.0 / 3.0) * (1.0 + abs(f))):
+            trace.termination = "converged"
+            break
+        trace.restarts += restart  # made for the next step, so not after a stop
+    else:
+        trace.termination = "max_iterations"
     logger.debug("fit_map: %s after %d iterations, objective %.6g, %d restarts",
                  trace.termination, trace.iterations, trace.objectives[-1], trace.restarts)
 
@@ -283,122 +317,63 @@ def _block_gradient(gram, xty, block, gamma):
     return np.matmul(gram, block[..., None])[..., 0] + gamma * block - xty
 
 
-def _alternating_least_squares(loss: _Loss, x, map_config):
-    """Identity-link ALS sweeps from ``x``; returns the last accepted ``x`` and the trace.
+def _alternating_least_squares(loss: _Loss, x):
+    """Identity-link ALS sweeps from ``x``: steps of size 1.0 that never restart.
 
     A sweep takes 4 ``normal_terms`` calls: the V and R solves, V's terms
     at the swept point, and U's terms there, which give both this sweep's U
     gradient and the next sweep's U solve.  R's solve terms give R's
     gradient at the swept point, since they do not depend on R.
     """
-    groups, tau = loss.groups, map_config.rel_tolerance
+    groups = loss.groups
     gamma_u, gamma_v, gamma_r = loss.gammas
-    f = loss.value_and_gradient(x, with_gradient=False)[0]
-    trace = OptTrace(objectives=[f])
     U, V, R = loss.blocks(x)
     terms_u = groups.normal_terms(0, LatentFactors(U, V, R))
-    for sweep in range(map_config.max_iterations):
+    while True:
         U = _ridge_solve(*terms_u, gamma_u, "U")
         V = _ridge_solve(*groups.normal_terms(1, LatentFactors(U, V, R)), gamma_v, "V")
         terms_r = groups.normal_terms(2, LatentFactors(U, V, R))
         R = _ridge_solve(*terms_r, gamma_r, "R")
         swept = LatentFactors(U, V, R)
         x_new = _flat(swept)
-        f_new = loss.value_and_gradient(x_new, with_gradient=False)[0]
-        if not np.isfinite(f_new):
-            raise DivergenceError(f"objective became non-finite at sweep {sweep}",
-                                  iteration=sweep)
-        if f_new >= f:
-            # progress below float resolution; keep the previous iterate
-            trace.termination = "no_progress"
-            break
+        f = loss.value(x_new)
         terms_u = groups.normal_terms(0, swept)
         grad = np.concatenate([
             _block_gradient(*terms, block, gamma).ravel() for terms, block, gamma
             in ((terms_u, U, gamma_u), (groups.normal_terms(1, swept), V, gamma_v),
                 (terms_r, R, gamma_r))])
-        grad_norm = math.sqrt(_inner(grad, grad))
         moved = x_new - x
-        trace.objectives.append(f_new)
-        trace.gradient_norms.append(grad_norm)
-        trace.step_sizes.append(1.0)
-        trace.trials.append(1)
-        _small_change, converged = _three_part_test(
-            tau, f, f_new, math.sqrt(_inner(moved, moved)), x_new, grad_norm)
-        x, f = x_new, f_new
-        if converged:
-            trace.termination = "converged"
-            break
-    if not trace.termination:
-        trace.termination = "max_iterations"
-    return x, trace
+        x = x_new
+        yield x, f, grad, math.sqrt(_inner(moved, moved)), 1.0, False
 
 
-def _conjugate_gradient(loss: _Loss, x, map_config):
-    """Polak-Ribiere CG with Armijo backtracking from ``x``; returns the last
-    accepted ``x`` and the trace."""
-    n, T, d = loss.n, loss.t, loss.d
-    tau = map_config.rel_tolerance
-    trials = 0
-
-    def search(x, f, grad, direction):
-        """Armijo step along ``direction``, each trial scored by the objective itself."""
-        def trial(step):
-            nonlocal trials
-            trials += 1
-            return loss.value_and_gradient(x + step * direction, with_gradient=False)[0]
-        return _backtrack(_inner(grad, direction), trial, f)
-
-    f, grad = loss.value_and_gradient(x)
-    trace = OptTrace(objectives=[f])
+def _conjugate_gradient(loss: _Loss, x, f, tau, trace):
+    """Polak-Ribiere CG steps with Armijo backtracking from ``x``, the point
+    of the loss's latest value ``f``.  A step counts its search's restarts
+    in ``trace``; its ``restart`` says that the next step starts from
+    steepest descent, which :func:`fit_map` counts unless it stops there.
+    A search that fails again from steepest descent raises StallError.
+    """
+    restart_every = (loss.n + loss.t) * loss.d
+    grad = loss.gradient()
     direction = -grad
-    restart_every = (n + T) * d
-
-    for iteration in range(map_config.max_iterations):
-        if _inner(grad, direction) >= 0:
-            direction = -grad
-            trace.restarts += 1
-        trials = 0
-        try:
-            try:
-                step = search(x, f, grad, direction)
-            except StallError:
-                if np.array_equal(direction, -grad):
-                    raise
-                direction = -grad  # restart CG and retry once from steepest descent
-                trace.restarts += 1
-                step = search(x, f, grad, direction)
+    for iteration in itertools.count(1):
+        try:  # a non-descent direction fails at once, with no trial
+            step, f_new = _backtrack(loss.value, x, f, grad, direction)
         except StallError:
-            trace.termination = "stalled"
-            break
-        # the accepted trial is the search's last evaluation
-        x_trial, f_new, grad_new = loss.last_point()
-        if not np.isfinite(f_new):
-            raise DivergenceError(
-                f"objective became non-finite at iteration {iteration}", iteration=iteration)
-        if f_new >= f:
-            # progress below float resolution; keep the previous iterate
-            trace.termination = "no_progress"
-            break
-        x = x_trial
-        grad_norm = math.sqrt(_inner(grad_new, grad_new))
-        trace.objectives.append(f_new)
-        trace.gradient_norms.append(grad_norm)
-        trace.step_sizes.append(step)
-        trace.trials.append(trials)
-
-        small_change, converged = _three_part_test(
-            tau, f, f_new, step * math.sqrt(_inner(direction, direction)), x, grad_norm)
-        if converged:
-            trace.termination = "converged"
-            break
-        if small_change or (iteration + 1) % restart_every == 0:
-            direction = -grad_new
+            if np.array_equal(direction, -grad):
+                raise
+            direction = -grad  # restart CG and retry once from steepest descent
             trace.restarts += 1
+            step, f_new = _backtrack(loss.value, x, f, grad, direction)
+        # the accepted trial is the search's last evaluation
+        grad_new = loss.gradient()
+        restart = _small_change(tau, f, f_new) or iteration % restart_every == 0
+        x = x + step * direction
+        yield x, f_new, grad_new, step * math.sqrt(_inner(direction, direction)), step, restart
+        if restart:
+            direction = -grad_new
         else:
             beta = max(0.0, _inner(grad_new, grad_new - grad) / _inner(grad, grad))
             direction = -grad_new + beta * direction
         f, grad = f_new, grad_new
-    if not trace.termination:
-        trace.termination = "max_iterations"
-    return x, trace

@@ -20,17 +20,24 @@ import numpy as np
 from .exceptions import DataConflictError
 
 
-def _checked(values, bound: int, what: str, error=IndexError) -> np.ndarray:
+def _integers(values, what: str) -> np.ndarray:
     """``values`` as int64.  Raises ValueError unless every entry is an exact
-    integer, and ``error`` unless it lies in [0, bound)."""
+    integer."""
     arr = np.asarray(values)
     if arr.dtype.kind == "f" and np.isfinite(arr).all() and (np.trunc(arr) == arr).all():
         arr = arr.astype(np.int64)
     if arr.dtype.kind not in "biu":
         raise ValueError(f"{what} must be exact integers")
+    return arr.astype(np.int64, copy=False)
+
+
+def _checked(values, bound: int, what: str, error=IndexError) -> np.ndarray:
+    """``values`` as int64 exact integers (:func:`_integers`).  Raises
+    ``error`` unless every entry lies in [0, bound)."""
+    arr = _integers(values, what)
     if arr.size and (arr.min() < 0 or arr.max() >= bound):
         raise error(f"{what} must lie in [0, {bound})")
-    return arr.astype(np.int64, copy=False)
+    return arr
 
 
 def _rows(items, width: int, what: str) -> np.ndarray:
@@ -47,16 +54,16 @@ class RelationalTensor:
     """Sparse N x N x T binary tensor with an explicit observed mask.
 
     The constructor is the one validation: it raises IndexError for a
-    coordinate out of range, ValueError for a field that is not an exact
-    integer or a value outside {0, 1}, and :class:`DataConflictError` for
+    coordinate out of range, ValueError for a dimension or field that is not
+    an exact integer or a value outside {0, 1}, and :class:`DataConflictError` for
     duplicates that disagree; agreeing duplicates are merged.
     """
 
     __slots__ = ("n_objects", "n_relations", "_entries")
 
     def __init__(self, n_objects: int, n_relations: int, ii, jj, tt, yy):
-        self.n_objects = n = int(n_objects)
-        self.n_relations = T = int(n_relations)
+        self.n_objects, self.n_relations = n, T = _integers(
+            (n_objects, n_relations), "tensor dimensions").tolist()
         if n < 1 or T < 1:
             raise ValueError("tensor dimensions must be positive")
         ii, jj = (_checked(a, n, "object indices") for a in (ii, jj))

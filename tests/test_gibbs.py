@@ -380,6 +380,19 @@ def test_gibbs_sweep_draws_alpha_from_the_state_residual(tiny_tensor):
     assert outs[1].residual is None
 
 
+def test_gibbs_sweep_rejects_a_residual_of_another_shape(tiny_tensor):
+    # a residual from a larger tensor, or a short one, once drew alpha silently
+    priors = HyperPriors.default(2)
+    rng = np.random.default_rng(2)
+    factors = LatentFactors(*(rng.standard_normal((m, 2)) for m in (3, 3, 2)), alpha=1.0)
+    hyper = FactorHyperState(np.zeros(2), np.eye(2))
+    count = tiny_tensor.observed_count
+    for resid in (np.zeros(count + 43), np.zeros(3), np.zeros((count, 1))):
+        state = GibbsState(factors, hyper, hyper, hyper, resid)
+        with pytest.raises(DimensionMismatchError, match="residual shape"):
+            gibbs_sweep(state, tiny_tensor, priors, np.random.default_rng(5))
+
+
 def test_gibbs_sweep_reproduces_prior_with_no_data():
     empty = RelationalTensor.build(3, 2, {})
     priors = HyperPriors.default(1)

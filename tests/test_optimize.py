@@ -1,15 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from linkpattern import model, optimize
 from linkpattern.evaluate import SplitSpec, auc, split_fibers
-from linkpattern.exceptions import NotPositiveDefiniteError, StallError
+from linkpattern.exceptions import DivergenceError, NotPositiveDefiniteError, StallError
 from linkpattern.model import LatentFactors, ModelConfig, log_likelihood
 from linkpattern.optimize import MapConfig, fit_map, gradients, objective
 from linkpattern.tensor import RelationalTensor
 
 IDENTITY = ModelConfig(1, use_logistic=False)
 LOGISTIC = ModelConfig(1, use_logistic=True)
+LOGISTIC_RANK2 = ModelConfig(2, use_logistic=True)
 
 
 def factors_from_rows(u, v, r, alpha=1.0):
@@ -140,24 +143,48 @@ def test_gradients_agree_in_masked_and_row_forms(use_logistic, layout, monkeypat
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
-def backtrack_along(current, direction, grad, f_current, evaluate):
-    return optimize._backtrack(float(np.dot(grad, direction)),
-                               lambda step: evaluate(current + step * direction), f_current)
+def square(x):
+    return float(x @ x)
 
 
 def test_line_search_quadratic_accepts():
     current = np.array([2.0])
     grad = np.array([4.0])
-    step = backtrack_along(current, -grad, grad, 4.0, lambda x: float(x @ x))
+    step, value = optimize._backtrack(square, current, 4.0, grad, -grad)
     assert step > 0
-    assert float((current - step * grad)[0] ** 2) < 4.0
+    assert value == float((current - step * grad)[0] ** 2) < 4.0
 
 
 def test_line_search_rejects_ascent_direction():
     current = np.array([2.0])
     grad = np.array([4.0])
     with pytest.raises(StallError):
-        backtrack_along(current, grad, grad, 4.0, lambda x: float(x @ x))
+        optimize._backtrack(square, current, 4.0, grad, grad)
+
+
+def record_loss_calls(monkeypatch):
+    """Record every objective value, gradient and reconstruction of the loss
+    kernel; returns the three lists."""
+    values, gradient_calls, reconstructions = [], [], []
+    value, gradient = optimize._Loss.value, optimize._Loss.gradient
+    reconstruct = model.ObservationGroups.reconstruct
+
+    def recording_value(self, x):
+        values.append(value(self, x))
+        return values[-1]
+
+    def recording_gradient(self):
+        gradient_calls.append(len(values))
+        return gradient(self)
+
+    def recording_reconstruct(self, A, B, C):
+        reconstructions.append(len(values))
+        return reconstruct(self, A, B, C)
+
+    monkeypatch.setattr(optimize._Loss, "value", recording_value)
+    monkeypatch.setattr(optimize._Loss, "gradient", recording_gradient)
+    monkeypatch.setattr(model.ObservationGroups, "reconstruct", recording_reconstruct)
+    return values, gradient_calls, reconstructions
 
 
 @BOTH_FORMS
@@ -166,26 +193,16 @@ def test_accepted_trial_value_is_the_traced_objective(use_logistic, dense, monke
     # oracles check, so the last trial of every iteration, the accepted
     # step, is bitwise the objective the trace records for it.  An ALS
     # sweep (identity link) counts as one trial, its one evaluation, and
-    # the ALS fit evaluates its start point first.
-    trial_values = []
-    value_and_gradient = optimize._Loss.value_and_gradient
-
-    def recording(self, x, with_gradient=True):
-        value, grad = value_and_gradient(self, x, with_gradient)
-        if not with_gradient:
-            trial_values.append(value)
-        return value, grad
-
-    monkeypatch.setattr(optimize._Loss, "value_and_gradient", recording)
+    # both fits evaluate their start point first.
+    trial_values, _gradients, _reconstructions = record_loss_calls(monkeypatch)
     tensor, _ = instance_on_side(dense)
     model_cfg = ModelConfig(2, use_logistic=use_logistic)
     map_cfg = MapConfig(gamma_u=0.05, gamma_v=0.02, gamma_r=0.08, seed=4, max_iterations=40)
     _factors, trace = fit_map(tensor, model_cfg, map_cfg)
     assert trace.iterations > 0
-    first = 0 if use_logistic else 1
-    ends = first + np.cumsum(trace.trials)
+    ends = 1 + np.cumsum(trace.trials)
     assert ends[-1] <= len(trial_values)
-    assert use_logistic or trial_values[0] == trace.objectives[0]
+    assert trial_values[0] == trace.objectives[0]
     for k, end in enumerate(ends):
         assert trial_values[end - 1] == trace.objectives[k + 1]
 
@@ -268,18 +285,118 @@ def test_fit_map_trace_monotone_and_consistent():
     assert trace.termination in {"converged", "no_progress", "max_iterations", "stalled"}
 
 
-def test_fit_map_reports_no_progress_stop():
+@pytest.mark.parametrize("use_logistic", [False, True])
+def test_fit_map_reports_no_progress_stop(use_logistic):
     # no gradient norm falls below this tolerance's convergence bound, so the
     # fit runs until an accepted step no longer lowers the directly
     # evaluated objective
     tensor, _ = random_instance(seed=11, n=3, t=2)
-    model_cfg = ModelConfig(2, use_logistic=False)
+    model_cfg = ModelConfig(2, use_logistic=use_logistic)
     map_cfg = MapConfig(seed=11, max_iterations=5000, rel_tolerance=1e-300)
     factors, trace = fit_map(tensor, model_cfg, map_cfg)
     assert trace.termination == "no_progress"
     assert trace.iterations < map_cfg.max_iterations
     # the rejected iterate is dropped: the result is the last accepted one
     assert trace.objectives[-1] == objective(factors, tensor, model_cfg, map_cfg)
+
+
+@pytest.mark.parametrize("use_logistic", [False, True])
+def test_fit_map_reports_converged_by_the_three_part_test(use_logistic):
+    tensor, _ = random_instance(seed=9, n=4, t=2)
+    model_cfg = ModelConfig(2, use_logistic=use_logistic)
+    map_cfg = MapConfig(seed=9, max_iterations=5000)
+    _factors, trace = fit_map(tensor, model_cfg, map_cfg)
+    assert trace.termination == "converged"
+    tau = map_cfg.rel_tolerance
+    f, f_new = trace.objectives[-2:]
+    assert f - f_new < tau * (1 + abs(f_new))
+    assert trace.gradient_norms[-1] <= tau ** (1 / 3) * (1 + abs(f_new))
+    # the last iteration is the first to pass: one fewer stops at the cap
+    capped = MapConfig(seed=9, max_iterations=trace.iterations - 1)
+    _factors, shorter = fit_map(tensor, model_cfg, capped)
+    assert shorter.termination == "max_iterations"
+    assert shorter.objectives == trace.objectives[:-1]
+
+
+def flat(factors):
+    return np.concatenate([factors.U.ravel(), factors.V.ravel(), factors.R.ravel()])
+
+
+def nan_reconstructions_after(monkeypatch, calls):
+    """Every reconstruction of the CP kernel after the first ``calls`` is all NaN."""
+    reconstruct = model.ObservationGroups.reconstruct
+    counter = itertools.count(1)
+
+    def failing(self, A, B, C):
+        s = reconstruct(self, A, B, C)
+        return s if next(counter) <= calls else np.full_like(s, np.nan)
+
+    monkeypatch.setattr(model.ObservationGroups, "reconstruct", failing)
+
+
+@pytest.mark.parametrize("use_logistic", [False, True])
+def test_only_the_line_search_stalls(use_logistic, monkeypatch):
+    # with no trial step able to decrease enough, CG fails from its first
+    # direction (steepest descent) and stops at its start point; an ALS
+    # sweep solves each block exactly, with no line search to fail
+    tensor, _ = random_instance(seed=9, n=4, t=2)
+    model_cfg = ModelConfig(2, use_logistic=use_logistic)
+    map_cfg = MapConfig(seed=7, max_iterations=20)
+    reference_factors, reference = fit_map(tensor, model_cfg, map_cfg)
+    monkeypatch.setattr(optimize, "SUFFICIENT_DECREASE", 1e10)
+    factors, trace = fit_map(tensor, model_cfg, map_cfg)
+    if use_logistic:
+        assert trace.termination == "stalled"
+        assert trace.iterations == 0 and trace.objectives == reference.objectives[:1]
+        assert objective(factors, tensor, model_cfg, map_cfg) == trace.objectives[0]
+    else:
+        assert trace == reference
+        assert np.array_equal(flat(factors), flat(reference_factors))
+
+
+def test_cg_stalls_after_its_steepest_descent_retry(monkeypatch):
+    # Every objective after the eighth iteration's is NaN, which no Armijo
+    # test accepts: the ninth iteration's search fails along its CG
+    # direction (beta > 0 there), restarts once from steepest descent, fails
+    # again and ends the fit with the eighth iterate.
+    tensor, _ = random_instance(seed=9, n=4, t=2)
+    factors8, trace8 = fit_map(tensor, LOGISTIC_RANK2, MapConfig(seed=7, max_iterations=8))
+    nan_reconstructions_after(monkeypatch, 1 + sum(trace8.trials))
+    factors, trace = fit_map(tensor, LOGISTIC_RANK2, MapConfig(seed=7, max_iterations=60))
+    assert trace.termination == "stalled"
+    assert trace.objectives == trace8.objectives and trace.trials == trace8.trials
+    assert trace.restarts == trace8.restarts + 1
+    assert np.array_equal(flat(factors), flat(factors8))
+
+
+def test_als_divergence_names_its_iteration(monkeypatch):
+    # ALS scores its start point, then one objective per sweep: a NaN
+    # reconstruction from the fourth call on makes sweep 2's non-finite
+    tensor, _ = random_instance(seed=9, n=4, t=2)
+    nan_reconstructions_after(monkeypatch, 3)
+    with pytest.raises(DivergenceError, match="non-finite") as raised:
+        fit_map(tensor, IDENTITY, MapConfig(seed=7))
+    assert raised.value.iteration == 2
+
+
+def test_cg_divergence_names_its_iteration():
+    # A negative ridge weight leaves the objective unbounded below.  CG
+    # climbs along it until the ridge term overflows to -inf, which the
+    # Armijo test accepts; that iteration, the one after the ten a capped
+    # fit traces, raises.
+    def negative_ridge(max_iterations):
+        map_cfg = MapConfig(seed=9, max_iterations=max_iterations)
+        object.__setattr__(map_cfg, "gamma_u", -50.0)  # past __post_init__'s check
+        return map_cfg
+
+    tensor, _ = random_instance(seed=9, n=4, t=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _factors, capped = fit_map(tensor, LOGISTIC_RANK2, negative_ridge(10))
+        assert capped.termination == "max_iterations"
+        assert np.isfinite(capped.objectives).all()
+        with pytest.raises(DivergenceError, match="non-finite") as raised:
+            fit_map(tensor, LOGISTIC_RANK2, negative_ridge(500))
+    assert raised.value.iteration == 10
 
 
 def test_map_objective_matches_negative_log_posterior_argmin():
@@ -314,22 +431,16 @@ def test_fit_map_rejects_empty_tensor():
 
 def test_fit_map_trials_count_line_objective_calls(monkeypatch):
     # every trial step of the Armijo search is one evaluation of the
-    # objective without its gradient
-    calls, gradient_calls = [], []
-    value_and_gradient = optimize._Loss.value_and_gradient
-
-    def counting(self, x, with_gradient=True):
-        (gradient_calls if with_gradient else calls).append(x)
-        return value_and_gradient(self, x, with_gradient)
-
-    monkeypatch.setattr(optimize._Loss, "value_and_gradient", counting)
+    # objective; the start point takes one more
+    calls, gradient_calls, reconstructions = record_loss_calls(monkeypatch)
     tensor, _ = random_instance(seed=9, n=4, t=2)
     _factors, trace = fit_map(tensor, LOGISTIC, MapConfig(seed=7, max_iterations=60))
     assert len(trace.trials) == trace.iterations > 0
-    assert sum(trace.trials) == len(calls)
-    # the gradient is asked for only at the start point; an accepted step
-    # takes its gradient from its last trial's residual
-    assert len(gradient_calls) == 1
+    assert sum(trace.trials) == len(calls) - 1
+    # the gradient is taken at the start point and at each accepted step,
+    # from its last trial's residual: no gradient costs a reconstruction
+    assert gradient_calls == [1 + end for end in [0, *np.cumsum(trace.trials)]]
+    assert reconstructions == list(range(len(calls)))
     for step, trials in zip(trace.step_sizes, trace.trials):
         # an accepted step 0.5**k took k + 1 trials, more after a stall retry
         assert trials >= round(-np.log2(step)) + 1

@@ -54,8 +54,16 @@ def test_build_rejects_non_integral_fields(triples):
         RelationalTensor.build(2, 1, triples)
 
 
+@pytest.mark.parametrize("dims", [(2.7, 1.9), (3, 1.5), (2.5, 2), (float("nan"), 1)])
+def test_constructor_rejects_non_integral_dimensions(dims):
+    # truncating would build a 2 x 2 x 1 tensor from (2.7, 1.9)
+    with pytest.raises(ValueError, match="tensor dimensions"):
+        RelationalTensor(*dims, [], [], [], [])
+
+
 def test_constructor_sorts_merges_and_accepts_exact_floats():
-    tensor = RelationalTensor(3, 2, [1, 0, 1], [2, 1, 2], [1.0, 0, 1], [0.0, 1, 0])
+    tensor = RelationalTensor(3.0, np.float64(2), [1, 0, 1], [2, 1, 2], [1.0, 0, 1], [0.0, 1, 0])
+    assert [(type(d), d) for d in (tensor.n_objects, tensor.n_relations)] == [(int, 3), (int, 2)]
     ii, jj, tt, yy = tensor.entry_arrays()
     assert [a.tolist() for a in (ii, jj, tt, yy)] == [[0, 1], [1, 2], [0, 1], [1.0, 0.0]]
     assert [a.dtype for a in (ii, jj, tt, yy)] == [np.int64, np.int64, np.int64, np.float64]
