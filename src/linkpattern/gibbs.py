@@ -5,8 +5,11 @@ with Gaussian-Wishart hyperpriors on the rows of each factor matrix.  All
 conditionals are conjugate under the identity link, so one sweep draws, in
 order: the noise precision, the (mean, precision) hyperparameters of U, V
 and R, then the rows of U, the rows of V given the new U, and the rows of
-R given the new U and V.  Predictions average the per-draw model means
-over the retained samples.
+R given the new U and V.  The three hyperparameter draws are one stacked
+Gaussian-Wishart draw, which takes its noise from the chain's generator in
+the U, V, R order; the rows come from the public samplers
+:func:`sample_u_rows`, :func:`sample_v_rows` and :func:`sample_r_rows`.
+Predictions average the per-draw model means over the retained samples.
 
 Conjugacy requires the identity link, so sweeps always use it internally;
 per-sample predictive means are clamped into [0, 1] at reporting time.
@@ -14,6 +17,7 @@ A chain's residuals, log-likelihoods and per-row normal equations come
 from one ``model.ObservationGroups``, the CP kernel the MAP fit shares.
 """
 
+import functools
 import logging
 from dataclasses import dataclass, field
 from typing import Optional
@@ -100,13 +104,14 @@ class FactorHyperState:
                 f"mu {self.mu.shape} and precision {self.precision.shape} are inconsistent")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChainConfig:
     """Gibbs chain settings.
 
     ``init_factors=None`` starts from small random factors; passing a
     fitted :class:`LatentFactors` warm-starts the chain from it.
-    Retained draws number ``(num_samples - burn_in) // thin``.
+    Retained draws number ``(num_samples - burn_in) // thin``.  Frozen, like
+    the other configs: ``dataclasses.replace`` makes a checked copy.
     """
 
     num_samples: int = 300
@@ -185,23 +190,58 @@ def _chol_jitter(mat: np.ndarray) -> np.ndarray:
         f"matrix not positive-definite after {_JITTER_RETRIES} jitter retries")
 
 
-def _sample_gaussian_wishart(rng: np.random.Generator, mu: np.ndarray, kappa: float,
-                             df: float, scale: np.ndarray) -> FactorHyperState:
-    """One (mean, precision) draw from the Gaussian-Wishart NW(mu, kappa, df, scale).
+@functools.lru_cache(maxsize=None)
+def _strict_lower(d: int) -> np.ndarray:
+    """Flat indices of a D x D matrix's strict lower triangle, row by row
+    (read-only: every draw of rank D shares the array)."""
+    below = np.flatnonzero(np.tri(d, k=-1, dtype=bool))
+    below.flags.writeable = False
+    return below
 
-    The precision is a Bartlett draw M M^T with M = chol(scale) A: A is
-    lower triangular with sqrt(chi2(df - k)) on its diagonal and standard
-    normals below it, in row-major order.  M has a positive diagonal, so it
-    is the precision's Cholesky factor, and the mean mu + M^-T z / sqrt(kappa),
-    a draw from N(mu, (kappa precision)^-1), takes one solve with M^T.
+
+def _sample_gaussian_wishart(rng: np.random.Generator, mu: np.ndarray, kappa: np.ndarray,
+                             df: np.ndarray, scale: np.ndarray):
+    """K (mean, precision) draws, draw k from the Gaussian-Wishart
+    NW(mu_k, kappa_k, df_k, scale_k); returns the (K, D) means and the
+    (K, D, D) precisions.
+
+    ``mu`` is (K, D), ``kappa`` and ``df`` are (K,), and ``scale`` is a
+    (K, D, D) stack of symmetric matrices (the Cholesky factor reads their
+    lower triangles).  Each precision is a Bartlett draw M M^T with
+    M = chol(scale) A: A is lower triangular with sqrt(chi2(df - k)) on its
+    diagonal and standard normals below it, in row-major order.  M has a
+    positive diagonal, so it is the precision's Cholesky factor, and the
+    mean mu + M^-T z / sqrt(kappa), a draw from N(mu, (kappa precision)^-1),
+    takes one solve with M^T.
+
+    The generator gives the problems their noise one after another: the
+    chi-square diagonal, then the normals below it and z, in one call.  The
+    Cholesky factors, the products and the solve are one stacked call each,
+    which numpy makes matrix by matrix with the LAPACK or BLAS call of one
+    matrix, so draw k is bitwise a K = 1 draw after the draws before it.
+    Only if the stacked Cholesky fails does each scale go through
+    :func:`_chol_jitter`, which logs a jittered factor.
     """
-    d = mu.size
-    A = np.zeros((d, d))
-    A[np.diag_indices(d)] = np.sqrt(rng.chisquare(df - np.arange(d)))
-    A[np.tri(d, k=-1, dtype=bool)] = rng.standard_normal(d * (d - 1) // 2)
-    M = _chol_jitter(scale) @ A
-    z = rng.standard_normal(d)
-    return FactorHyperState(mu + np.linalg.solve(M.T, z) / np.sqrt(kappa), M @ M.T)
+    k_count, d = mu.shape
+    below = _strict_lower(d)
+    steps = np.arange(d)
+    chi2 = np.empty((k_count, d))
+    normals = np.empty((k_count, below.size + d))
+    for k in range(k_count):
+        chi2[k] = rng.chisquare(df[k] - steps)
+        rng.standard_normal(out=normals[k])
+    A = np.zeros((k_count, d * d))
+    A[:, ::d + 1] = np.sqrt(chi2)
+    A[:, below] = normals[:, :below.size]
+    A = A.reshape(k_count, d, d)
+    try:
+        chol = np.linalg.cholesky(scale)
+    except np.linalg.LinAlgError:
+        chol = np.stack([_chol_jitter(s) for s in scale])
+    M = chol @ A
+    z = normals[:, below.size:, None]
+    mean = mu + np.linalg.solve(M.mT, z)[..., 0] / np.sqrt(kappa)[:, None]
+    return mean, M @ M.mT
 
 
 def _sample_gaussian_stack(rng: np.random.Generator, precision: np.ndarray,
@@ -226,15 +266,15 @@ def _sample_gaussian_stack(rng: np.random.Generator, precision: np.ndarray,
     sides and adds the mean afterwards, which keeps the rounding of
     P^-1 (P mu) out of ill-conditioned draws.
     """
-    precision = np.broadcast_to(precision, rhs.shape + rhs.shape[-1:])
-    sym = 0.5 * (precision + np.swapaxes(precision, -1, -2))
+    sym = 0.5 * (precision + precision.mT)
     try:
         chol = np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
+        sym = np.broadcast_to(sym, rhs.shape + rhs.shape[-1:])
         logger.warning("stacked Cholesky of %d precision matrices failed: "
                        "factorising each on its own", len(sym))
         chol = np.stack([_chol_jitter(p) for p in sym])
-        sym = np.matmul(chol, np.swapaxes(chol, -1, -2))  # the jittered systems
+        sym = chol @ chol.mT  # the jittered systems
     z = rng.standard_normal(rhs.shape)
     # P^-1 (b + L z) == P^-1 b + L^-T z for P = L L^T
     perturbed = rhs[..., None] + np.matmul(chol, z[..., None])
@@ -249,6 +289,22 @@ def gaussian_wishart_posterior(rows: np.ndarray, priors: HyperPriors, kappa: flo
     Raises DimensionMismatchError unless ``rows`` is 2-D with ``priors.rank``
     columns, and ValueError when it has no rows.
     """
+    return tuple(stacked[0] for stacked in _gaussian_wishart_posteriors([(rows, kappa)], priors))
+
+
+def _gaussian_wishart_posteriors(blocks, priors: HyperPriors):
+    """:func:`gaussian_wishart_posterior` of each ``(rows, kappa)`` in ``blocks``,
+    stacked over a leading problem axis: (K, D) means, (K,) kappa* and nu*,
+    and (K, D, D) scales, inverted from their inverses in one call."""
+    mu_star, kappa_star, nu_star, w_inv = zip(*(_scale_inverse(rows, priors, kappa)
+                                                for rows, kappa in blocks))
+    w_star = np.linalg.inv(np.array(w_inv))
+    return (np.array(mu_star), np.array(kappa_star), np.array(nu_star),
+            0.5 * (w_star + w_star.mT))
+
+
+def _scale_inverse(rows, priors: HyperPriors, kappa: float):
+    """``(mu_star, kappa_star, nu_star, w_star^-1)`` of one factor's rows."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != priors.rank:
         raise DimensionMismatchError(
@@ -260,18 +316,23 @@ def gaussian_wishart_posterior(rows: np.ndarray, priors: HyperPriors, kappa: flo
     centered = rows - mean
     scatter = centered.T @ centered
     kappa_star = kappa + m
-    nu_star = priors.nu0 + m
     mu_star = (kappa * priors.mu0 + m * mean) / kappa_star
     shift = mean - priors.mu0
-    w_inv = priors.w0_inv + scatter + (kappa * m / kappa_star) * np.outer(shift, shift)
-    w_star = np.linalg.inv(0.5 * (w_inv + w_inv.T))
-    return mu_star, kappa_star, nu_star, 0.5 * (w_star + w_star.T)
+    w_inv = priors.w0_inv + scatter + (kappa * m / kappa_star) * (shift[:, None] * shift)
+    return mu_star, kappa_star, priors.nu0 + m, 0.5 * (w_inv + w_inv.T)
 
 
 def sample_factor_hypers(rows: np.ndarray, priors: HyperPriors, kappa: float,
                          rng: np.random.Generator) -> FactorHyperState:
     """Draw (mu, precision) for one factor from its Gaussian-Wishart conditional."""
-    return _sample_gaussian_wishart(rng, *gaussian_wishart_posterior(rows, priors, kappa))
+    return _draw_factor_hypers([(rows, kappa)], priors, rng)[0]
+
+
+def _draw_factor_hypers(blocks, priors: HyperPriors, rng: np.random.Generator) -> list:
+    """:func:`sample_factor_hypers` for each ``(rows, kappa)`` in ``blocks``, in
+    order, as one stacked Gaussian-Wishart draw."""
+    mean, precision = _sample_gaussian_wishart(rng, *_gaussian_wishart_posteriors(blocks, priors))
+    return [FactorHyperState(m, p) for m, p in zip(mean, precision)]
 
 
 def sample_alpha(factors: LatentFactors, tensor: RelationalTensor,
@@ -357,13 +418,18 @@ def gibbs_sweep(state: GibbsState, tensor: RelationalTensor, priors: HyperPriors
 
     Order: noise precision, then the hyperparameters of U, V and R, then
     the rows of U, then V conditioned on the new U, then R conditioned on
-    the new U and V.  With ``sample_relations=False`` the relation factor
-    and its hyperparameters are left untouched (frozen-R mode).  The noise
-    precision is drawn from ``state.residual`` when it is set (a chain's
-    last log-likelihood residual), by :func:`sample_alpha` otherwise; the
-    returned state has no residual.  Raises DimensionMismatchError when the
-    factors do not fit the tensor, or a residual is not one value per
-    observed entry.
+    the new U and V.  The hyperparameters are one stacked Gaussian-Wishart
+    draw whose noise ``rng`` gives in the U, V, R order, so they are bitwise
+    three :func:`sample_factor_hypers` calls in that order.  The rows are
+    drawn by the public :func:`sample_u_rows`, :func:`sample_v_rows` and
+    :func:`sample_r_rows`.  With ``sample_relations=False`` the relation
+    factor and its hyperparameters are left untouched (frozen-R mode) and
+    the stack holds U and V alone.  The noise precision is drawn from
+    ``state.residual`` when it is set (a chain's last log-likelihood
+    residual), by :func:`sample_alpha` otherwise; the returned state has no
+    residual.  The returned factors are checked whole, the new draws with
+    them.  Raises DimensionMismatchError when the factors do not fit the
+    tensor, or a residual is not one value per observed entry.
     """
     f = state.factors
     groups = _groups(f, tensor, groups)
@@ -372,21 +438,20 @@ def gibbs_sweep(state: GibbsState, tensor: RelationalTensor, priors: HyperPriors
                                      f"({tensor.observed_count},)")
     alpha = (_draw_alpha(state.residual, priors, rng) if state.residual is not None
              else sample_alpha(f, tensor, priors, rng, groups))
-    hyper_u = sample_factor_hypers(f.U, priors, priors.kappa0, rng)
-    hyper_v = sample_factor_hypers(f.V, priors, priors.kappa0, rng)
-    hyper_r = (sample_factor_hypers(f.R, priors, priors.kappa_t, rng)
-               if sample_relations else state.hyper_r)
-
-    current = LatentFactors(f.U, f.V, f.R, alpha)
-    new_u = sample_u_rows(current, tensor, hyper_u, rng, groups)
-    current = LatentFactors(new_u, f.V, f.R, alpha)
-    new_v = sample_v_rows(current, tensor, hyper_v, rng, groups)
-    current = LatentFactors(new_u, new_v, f.R, alpha)
+    blocks = [(f.U, priors.kappa0), (f.V, priors.kappa0)]
     if sample_relations:
-        new_r = sample_r_rows(current, tensor, hyper_r, rng, groups)
-    else:
-        new_r = f.R
-    return GibbsState(LatentFactors(new_u, new_v, new_r, alpha),
+        blocks.append((f.R, priors.kappa_t))
+    hypers = _draw_factor_hypers(blocks, priors, rng)
+    hyper_u, hyper_v = hypers[:2]
+    hyper_r = hypers[2] if sample_relations else state.hyper_r
+
+    # one working state takes each block's draw in turn
+    current = LatentFactors(f.U, f.V, f.R, alpha)
+    current.U = sample_u_rows(current, tensor, hyper_u, rng, groups)
+    current.V = sample_v_rows(current, tensor, hyper_v, rng, groups)
+    if sample_relations:
+        current.R = sample_r_rows(current, tensor, hyper_r, rng, groups)
+    return GibbsState(LatentFactors(current.U, current.V, current.R, alpha),
                       hyper_u, hyper_v, hyper_r)
 
 

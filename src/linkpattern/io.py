@@ -250,10 +250,12 @@ def _generate(spec: SynthSpec):
     if priors.rank != d:
         raise ValueError(f"hyperprior rank {priors.rank} does not match spec rank {d}")
     rng = substream(spec.seed, "synthetic")
+    scale = 0.5 * (priors.w0 + priors.w0.T)
 
     def factor_rows(count, kappa):
-        hyper = _sample_gaussian_wishart(rng, priors.mu0, kappa, priors.nu0, priors.w0)
-        return hyper.mu + _sample_gaussian_stack(rng, hyper.precision, np.zeros((count, d)))
+        mu, precision = _sample_gaussian_wishart(rng, priors.mu0[None], np.array([kappa]),
+                                                 np.array([priors.nu0]), scale[None])
+        return mu[0] + _sample_gaussian_stack(rng, precision[0], np.zeros((count, d)))
 
     n, T = spec.n_objects, spec.n_relations
     U = factor_rows(n, priors.kappa0)

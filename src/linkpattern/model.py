@@ -23,9 +23,13 @@ from .exceptions import DimensionMismatchError
 from .tensor import RelationalTensor, _checked
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
-    """Model shape: factorization rank and link choice."""
+    """Model shape: factorization rank and link choice.
+
+    Frozen, so the checks hold for the instance's life;
+    ``dataclasses.replace`` makes a checked copy with fields changed.
+    """
 
     rank: int
     use_logistic: bool = True

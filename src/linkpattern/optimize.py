@@ -58,7 +58,7 @@ SUFFICIENT_DECREASE = 1e-4
 STEP_FLOOR = 1e-16
 
 
-@dataclass
+@dataclass(frozen=True)
 class MapConfig:
     """Optimizer settings.
 
@@ -66,7 +66,8 @@ class MapConfig:
     ratios).  ``max_iterations`` caps the ALS sweeps of an identity-link
     fit and the CG iterations of a logistic one.  The CG line search is
     Armijo backtracking with the module constants ``INITIAL_STEP``,
-    ``SHRINK`` and ``SUFFICIENT_DECREASE``.
+    ``SHRINK`` and ``SUFFICIENT_DECREASE``.  Frozen, like the other
+    configs: ``dataclasses.replace`` makes a checked copy.
     """
 
     gamma_u: float = 0.01

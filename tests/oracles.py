@@ -8,7 +8,9 @@ updates, then compared against binned empirical draws by total variation.
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from linkpattern.gibbs import FactorHyperState, HyperPriors, gaussian_wishart_posterior
+from linkpattern.gibbs import (FactorHyperState, GibbsState, HyperPriors,
+                               gaussian_wishart_posterior, sample_factor_hypers, sample_r_rows,
+                               sample_u_rows, sample_v_rows)
 from linkpattern.model import LatentFactors, reconstruct_entries
 from linkpattern.tensor import RelationalTensor
 
@@ -169,3 +171,26 @@ def reference_factor_rows(factors, tensor, hyper, block, rng):
         mean = cho_solve((chol, True), b)
         out[k] = mean + solve_triangular(chol, rng.standard_normal(d), trans="T", lower=True)
     return out
+
+
+def reference_gibbs_sweep(state, tensor, priors, rng, groups, sample_relations=True):
+    """A Gibbs sweep composed of the public per-block draws.
+
+    The noise precision from the kept residual ``state.residual`` (its
+    Gamma conditional written out), then ``sample_factor_hypers`` for U, V
+    and, unless R is frozen, R, then ``sample_u_rows``, ``sample_v_rows``
+    and ``sample_r_rows``, each given the blocks drawn before it.
+    """
+    f, resid = state.factors, state.residual
+    shape = priors.gamma_shape + 0.5 * resid.size
+    alpha = float(rng.gamma(shape, 1.0 / (1.0 / priors.gamma_scale
+                                          + 0.5 * float(np.einsum("i,i->", resid, resid)))))
+    hyper_u = sample_factor_hypers(f.U, priors, priors.kappa0, rng)
+    hyper_v = sample_factor_hypers(f.V, priors, priors.kappa0, rng)
+    hyper_r = (sample_factor_hypers(f.R, priors, priors.kappa_t, rng) if sample_relations
+               else state.hyper_r)
+    U = sample_u_rows(LatentFactors(f.U, f.V, f.R, alpha), tensor, hyper_u, rng, groups)
+    V = sample_v_rows(LatentFactors(U, f.V, f.R, alpha), tensor, hyper_v, rng, groups)
+    R = (sample_r_rows(LatentFactors(U, V, f.R, alpha), tensor, hyper_r, rng, groups)
+         if sample_relations else f.R)
+    return GibbsState(LatentFactors(U, V, R, alpha), hyper_u, hyper_v, hyper_r)

@@ -20,8 +20,8 @@ from linkpattern.tensor import RelationalTensor
 
 from oracles import (TRIPLES, alpha_log_posterior, conjugacy_instance, grid_posterior_mean,
                      r_row_designs, reference_factor_hypers, reference_factor_rows,
-                     reference_predictive_scores, row_log_posterior, tv_binned,
-                     u_row_designs)
+                     reference_gibbs_sweep, reference_predictive_scores, row_log_posterior,
+                     tv_binned, u_row_designs)
 
 IDENTITY1 = ModelConfig(1, use_logistic=False)
 
@@ -149,6 +149,39 @@ def test_sample_factor_hypers_match_twice_factorised_reference(d):
     assert np.array_equal(state.precision, reference.precision)
     assert np.max(np.abs(state.mu - reference.mu)) <= 1e-12 * np.max(np.abs(reference.mu))
     assert rng.standard_normal() == ref_rng.standard_normal()
+
+
+@pytest.mark.parametrize("d,singular", [(1, None), (3, None), (11, None), (3, 2)],
+                         ids=["1", "3", "11", "3-jitter"])
+def test_stacked_gaussian_wishart_draw_is_k_single_draws(d, singular, caplog):
+    # four problems in one call against four K = 1 calls on one generator;
+    # in "3-jitter" the third scale is singular, so the stacked Cholesky
+    # fails and every scale takes the per-matrix jitter path
+    rng = np.random.default_rng(d)
+    k_count = 4
+    mu = rng.standard_normal((k_count, d))
+    kappa = rng.uniform(0.5, 3.0, k_count)
+    df = d + rng.uniform(0.0, 5.0, k_count)
+    a = rng.standard_normal((k_count, d, d))
+    scale = a @ a.mT / d + 0.1 * np.eye(d)
+    if singular is not None:
+        scale[singular] = np.ones((d, d))
+    with caplog.at_level("WARNING", logger="linkpattern.gibbs"):
+        stacked_rng = np.random.default_rng(7)
+        mean, precision = gibbs._sample_gaussian_wishart(stacked_rng, mu, kappa, df, scale)
+        stacked_log = [record.getMessage() for record in caplog.records]
+        caplog.clear()
+        single_rng = np.random.default_rng(7)
+        singles = [gibbs._sample_gaussian_wishart(single_rng, *(x[k:k + 1] for x in
+                                                                (mu, kappa, df, scale)))
+                   for k in range(k_count)]
+        single_log = [record.getMessage() for record in caplog.records]
+    assert np.array_equal(mean, np.concatenate([m for m, _p in singles]))
+    assert np.array_equal(precision, np.concatenate([p for _m, p in singles]))
+    assert stacked_rng.standard_normal() == single_rng.standard_normal()
+    assert stacked_log == single_log
+    assert len(stacked_log) == (0 if singular is None else 1)
+    assert np.all(np.isfinite(mean)) and np.all(np.isfinite(precision))
 
 
 def test_sample_u_rows_prior_fallback_and_scalar_update():
@@ -408,6 +441,40 @@ def test_gibbs_sweep_reproduces_prior_with_no_data():
     result = stats.kstest(alphas, stats.gamma(a=priors.gamma_shape,
                                               scale=priors.gamma_scale).cdf)
     assert result.pvalue > 0.01
+
+
+@pytest.mark.parametrize("sample_relations", [True, False], ids=["R-sampled", "R-frozen"])
+@pytest.mark.parametrize("form", ["masked", "row"])
+def test_gibbs_sweep_is_its_public_block_draws(form, sample_relations):
+    # three chained sweeps, each bitwise the oracle's composition of alpha
+    # from the kept residual, three (or two) sample_factor_hypers calls and
+    # the public row samplers, the generators left in one state
+    n, t, fraction = (20, 4, 0.6) if form == "masked" else (50, 5, 0.02)
+    tensor = generate_synthetic(SynthSpec(n, t, 3, observed_fraction=fraction, seed=4))[0]
+    groups = gibbs.ObservationGroups(tensor)
+    assert (groups.masks is None) == (form == "row")
+    priors = HyperPriors.default(3)
+    rng = np.random.default_rng(8)
+    factors = LatentFactors(*(0.5 * rng.standard_normal((m, 3)) for m in (n, n, t)), alpha=2.0)
+    a = rng.standard_normal((3, 3))
+    hyper = FactorHyperState(rng.standard_normal(3), a @ a.T + np.eye(3))
+    state = GibbsState(factors, hyper, hyper, hyper, groups.residual(factors))
+    for sweep in range(3):
+        rng, ref_rng = np.random.default_rng(sweep), np.random.default_rng(sweep)
+        out = gibbs_sweep(state, tensor, priors, rng, groups, sample_relations)
+        reference = reference_gibbs_sweep(state, tensor, priors, ref_rng, groups,
+                                          sample_relations)
+        for name in ("U", "V", "R", "alpha"):
+            assert np.array_equal(getattr(out.factors, name), getattr(reference.factors, name))
+        for block in ("hyper_u", "hyper_v", "hyper_r"):
+            assert np.array_equal(getattr(out, block).mu, getattr(reference, block).mu)
+            assert np.array_equal(getattr(out, block).precision,
+                                  getattr(reference, block).precision)
+        assert rng.standard_normal() == ref_rng.standard_normal()
+        if not sample_relations:
+            assert out.hyper_r is hyper and out.factors.R is factors.R
+        state = out
+        state.residual = groups.residual(state.factors)
 
 
 def small_chain_data(seed=5):
