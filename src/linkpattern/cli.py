@@ -68,35 +68,16 @@ def _write_manifest(primary_out, subcommand, args, inputs, outputs) -> str:
     return path
 
 
-def _parse_int_list(text: str):
-    return [int(part) for part in text.split(",") if part]
-
-
-def _parse_float_list(text: str):
-    return [float(part) for part in text.split(",") if part]
-
-
-def _add_hyper_flags(parser):
-    group = parser.add_argument_group("hyperpriors")
-    group.add_argument("--gamma-shape", type=float, default=5.0,
-                       help="noise-precision Gamma shape (default 5)")
-    group.add_argument("--gamma-scale", type=float, default=1.0,
-                       help="noise-precision Gamma scale (default 1)")
-    group.add_argument("--kappa0", type=float, default=2.0,
-                       help="object-factor mean concentration (default 2)")
-    group.add_argument("--kappa-t", type=float, default=1.0,
-                       help="relation-factor mean concentration (default 1)")
-    group.add_argument("--nu0", type=float, default=None,
-                       help="Wishart degrees of freedom (default: rank)")
-    group.add_argument("--w0-scale", type=float, default=1.0,
-                       help="Wishart scale matrix is this multiple of I (default 1)")
+def _parse_list(text: str, kind):
+    """The ``kind`` values of a comma list; empty items are skipped."""
+    return [kind(part) for part in text.split(",") if part]
 
 
 def _priors_from_args(args, rank: int) -> HyperPriors:
-    nu0 = args.nu0 if args.nu0 is not None else float(rank)
-    return HyperPriors(mu0=np.zeros(rank), w0=args.w0_scale * np.eye(rank), nu0=nu0,
-                       gamma_shape=args.gamma_shape, gamma_scale=args.gamma_scale,
-                       kappa0=args.kappa0, kappa_t=args.kappa_t)
+    nu0 = {} if args.nu0 is None else {"nu0": args.nu0}
+    return HyperPriors.default(rank, w0=args.w0_scale * np.eye(rank), **nu0,
+                               gamma_shape=args.gamma_shape, gamma_scale=args.gamma_scale,
+                               kappa0=args.kappa0, kappa_t=args.kappa_t)
 
 
 def _map_config_from_args(args) -> MapConfig:
@@ -200,13 +181,13 @@ def cmd_evaluate(args) -> int:
         raise ConfigError(f"--repeats and --jobs must be at least 1, "
                           f"got {args.repeats} and {args.jobs}")
     tensor = load_triples(args.input)
-    methods = [m for m in args.methods.split(",") if m]
+    methods = _parse_list(args.methods, str)
     if not methods:
         raise ConfigError("--methods must name at least one method")
-    fractions = _parse_float_list(args.fraction)
+    fractions = _parse_list(args.fraction, float)
     if not fractions:
         raise ConfigError("--fraction must hold at least one value")
-    ranks = _parse_int_list(args.sweep_ranks) if args.sweep_ranks else [args.rank]
+    ranks = _parse_list(args.sweep_ranks, int) if args.sweep_ranks else [args.rank]
     settings = TrainSettings(gamma=args.gamma,
                              map_max_iterations=args.max_iterations,
                              num_samples=args.samples, burn_in=args.burn_in,
@@ -277,99 +258,95 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
     parser.subcommands = sub.choices  # name -> parser, read by _expand_config
 
-    def add_common(p):
-        p.add_argument("--config", default=None,
-                       help="key=value file supplying defaults for any flag")
-        p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+    # Each option that several subcommands take is declared once, in a parent
+    # parser; a flag that mirrors a library config field takes its default.
+    common, data, map_flags, chain_flags, hyper_flags, trace = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6))
+    common.add_argument("--config", help="key=value file supplying defaults for any flag")
+    common.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
+    data.add_argument("--input", required=True, help="triple text file")
+    map_flags.add_argument("--gamma", type=float, default=MapConfig.gamma_u,
+                           help="MAP ridge weight of every factor (default %(default)s)")
+    map_flags.add_argument("--max-iterations", type=int, default=MapConfig.max_iterations,
+                           help="MAP iteration cap (default %(default)s)")
+    chain_flags.add_argument("--samples", type=int, default=ChainConfig.num_samples,
+                             help="total Gibbs sweeps per chain (default %(default)s)")
+    chain_flags.add_argument("--burn-in", type=int, default=ChainConfig.burn_in,
+                             help="discarded initial sweeps (default %(default)s)")
+    chain_flags.add_argument("--thin", type=int, default=ChainConfig.thin,
+                             help="keep every k-th sweep (default %(default)s)")
+    hypers = hyper_flags.add_argument_group("hyperpriors")
+    hypers.add_argument("--gamma-shape", type=float, default=HyperPriors.gamma_shape,
+                        help="noise-precision Gamma shape (default %(default)s)")
+    hypers.add_argument("--gamma-scale", type=float, default=HyperPriors.gamma_scale,
+                        help="noise-precision Gamma scale (default %(default)s)")
+    hypers.add_argument("--kappa0", type=float, default=HyperPriors.kappa0,
+                        help="object-factor mean concentration (default %(default)s)")
+    hypers.add_argument("--kappa-t", type=float, default=HyperPriors.kappa_t,
+                        help="relation-factor mean concentration (default %(default)s)")
+    hypers.add_argument("--nu0", type=float, help="Wishart degrees of freedom (default: rank)")
+    hypers.add_argument("--w0-scale", type=float, default=1.0,
+                        help="Wishart scale matrix is this multiple of I (default %(default)s)")
+    trace.add_argument("--trace", help="trace CSV path (default: <out>.trace.csv)")
 
-    p = sub.add_parser("fit-map", parents=[], help="MAP training",
+    p = sub.add_parser("fit-map", parents=[common, data, map_flags, trace], help="MAP training",
                        description="Fit latent factors by MAP: conjugate gradient under the "
                                    "logistic link, alternating least squares under "
                                    "--identity-link.")
-    add_common(p)
-    p.add_argument("--input", required=True, help="triple text file")
     p.add_argument("--out", required=True, help="output factor file")
     p.add_argument("--rank", type=int, required=True, help="factorization rank")
-    p.add_argument("--gamma", type=float, default=0.01,
-                   help="ridge weight for all factors (default 0.01)")
-    p.add_argument("--gamma-u", type=float, default=None, help="override U ridge weight")
-    p.add_argument("--gamma-v", type=float, default=None, help="override V ridge weight")
-    p.add_argument("--gamma-r", type=float, default=None, help="override R ridge weight")
-    p.add_argument("--max-iterations", type=int, default=500,
-                   help="iteration cap (default 500)")
-    p.add_argument("--rel-tolerance", type=float, default=1e-6,
-                   help="tolerance tau of the three-part convergence test (default 1e-6)")
-    p.add_argument("--init-scale", type=float, default=0.1,
-                   help="stddev of the random factor initialization (default 0.1)")
+    for block in "uvr":
+        p.add_argument(f"--gamma-{block}", type=float,
+                       help=f"override {block.upper()} ridge weight")
+    p.add_argument("--rel-tolerance", type=float, default=MapConfig.rel_tolerance,
+                   help="tolerance tau of the three-part convergence test "
+                        "(default %(default)s)")
+    p.add_argument("--init-scale", type=float, default=MapConfig.init_scale,
+                   help="stddev of the random factor initialization (default %(default)s)")
     p.add_argument("--identity-link", action=argparse.BooleanOptionalAction,
                    default=False,
                    help="fit without the logistic link (default: logistic on)")
-    p.add_argument("--trace", default=None,
-                   help="trace CSV path (default: <out>.trace.csv)")
     p.set_defaults(func=cmd_fit_map)
 
-    p = sub.add_parser("sample", help="Gibbs sampling of the hierarchical model",
+    p = sub.add_parser("sample", parents=[common, data, chain_flags, trace, hyper_flags],
+                       help="Gibbs sampling of the hierarchical model",
                        description="Draw posterior samples with the Gibbs sampler.")
-    add_common(p)
-    p.add_argument("--input", required=True, help="triple text file")
     p.add_argument("--out", required=True, help="output sample-set file")
     p.add_argument("--init", default="random",
-                   help="'random' or 'map:<factor file>' (default random)")
-    p.add_argument("--rank", type=int, default=None,
+                   help="'random' or 'map:<factor file>' (default %(default)s)")
+    p.add_argument("--rank", type=int,
                    help="rank (required for random init; else from the factor file)")
-    p.add_argument("--samples", type=int, default=300,
-                   help="total Gibbs sweeps (default 300)")
-    p.add_argument("--burn-in", type=int, default=50,
-                   help="discarded initial sweeps (default 50)")
-    p.add_argument("--thin", type=int, default=1, help="keep every k-th sweep (default 1)")
-    p.add_argument("--trace", default=None,
-                   help="log-likelihood trace CSV path (default: <out>.trace.csv)")
-    _add_hyper_flags(p)
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("evaluate", help="holdout evaluation of one or more methods",
+    p = sub.add_parser("evaluate", parents=[common, data, map_flags, chain_flags],
+                       help="holdout evaluation of one or more methods",
                        description="Run the fiber-holdout evaluation protocol.")
-    add_common(p)
-    p.add_argument("--input", required=True, help="triple text file")
     p.add_argument("--out", required=True, help="results CSV path")
     p.add_argument("--methods", default="pltf,hb-r,hb-t,baseline",
-                   help="comma list of pltf,hb-r,hb-t,baseline "
-                        "(default all four)")
+                   help="comma list of pltf,hb-r,hb-t,baseline (default all four)")
     p.add_argument("--fraction", default="0.2",
-                   help="comma list of test fiber fractions (default 0.2)")
-    p.add_argument("--rank", type=int, default=5, help="factorization rank (default 5)")
-    p.add_argument("--sweep-ranks", default=None,
-                   help="comma list of ranks; overrides --rank")
+                   help="comma list of test fiber fractions (default %(default)s)")
+    p.add_argument("--rank", type=int, default=5, help="factorization rank (default %(default)s)")
+    p.add_argument("--sweep-ranks", help="comma list of ranks; overrides --rank")
     p.add_argument("--repeats", type=int, default=5,
-                   help="repeat count; repeat r uses seed+r (default 5)")
-    p.add_argument("--gamma", type=float, default=0.01,
-                   help="MAP ridge weight (default 0.01)")
-    p.add_argument("--max-iterations", type=int, default=500,
-                   help="MAP iteration cap (default 500)")
-    p.add_argument("--samples", type=int, default=300,
-                   help="Gibbs sweeps per chain (default 300)")
-    p.add_argument("--burn-in", type=int, default=50,
-                   help="Gibbs burn-in sweeps (default 50)")
-    p.add_argument("--thin", type=int, default=1,
-                   help="Gibbs thinning interval (default 1)")
+                   help="repeat count; repeat r uses seed+r (default %(default)s)")
     p.add_argument("--macro-average", action=argparse.BooleanOptionalAction,
                    default=False,
                    help="average per-relation AUCs instead of pooling all test entries")
     p.add_argument("--ablate-relations", action=argparse.BooleanOptionalAction,
                    default=False,
                    help="run the relation-restoration ablation instead of the method grid")
-    p.add_argument("--dataset", default=None,
-                   help="dataset label for the CSV (default: input file stem)")
+    p.add_argument("--dataset", help="dataset label for the CSV (default: input file stem)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel worker processes for evaluation cells (default 1)")
+                   help="parallel worker processes for evaluation cells (default %(default)s)")
     p.add_argument("--timing", action=argparse.BooleanOptionalAction, default=False,
                    help="write measured wall times to the CSV; breaks byte-level "
                         "reproducibility of reruns (default off: wall_time_s is 0)")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("predict", help="score pairs with trained factors or samples",
+    p = sub.add_parser("predict", parents=[common],
+                       help="score pairs with trained factors or samples",
                        description="Write length-T score vectors for a list of pairs.")
-    add_common(p)
     p.add_argument("--factors", required=True,
                    help="factor or sample-set file from fit-map/sample")
     p.add_argument("--pairs", required=True, help="text file of 'i j' lines")
@@ -379,21 +356,19 @@ def build_parser() -> _Parser:
                    help="score single factor files without the logistic link")
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("synth", help="generate synthetic data from the generative model",
+    p = sub.add_parser("synth", parents=[common, hyper_flags],
+                       help="generate synthetic data from the generative model",
                        description="Generate a synthetic tensor plus ground-truth factors.")
-    add_common(p)
     p.add_argument("--n-objects", type=int, required=True, help="object count N")
     p.add_argument("--n-relations", type=int, required=True, help="relation count T")
     p.add_argument("--rank", type=int, required=True, help="true generating rank")
-    p.add_argument("--observed-fraction", type=float, default=1.0,
-                   help="fraction of entries kept observed (default 1.0)")
-    p.add_argument("--threshold", type=float, default=0.0,
+    p.add_argument("--observed-fraction", type=float, default=SynthSpec.observed_fraction,
+                   help="fraction of entries kept observed (default %(default)s)")
+    p.add_argument("--threshold", type=float, default=SynthSpec.binarize_threshold,
                    help="binarization threshold on the raw reconstruction scale; "
-                        "0 matches logistic probability 0.5 (default 0)")
+                        "0 matches logistic probability 0.5 (default %(default)s)")
     p.add_argument("--out", required=True, help="output triple file")
-    p.add_argument("--truth-out", default=None,
-                   help="ground-truth factor file (default: <out>.truth.pltf)")
-    _add_hyper_flags(p)
+    p.add_argument("--truth-out", help="ground-truth factor file (default: <out>.truth.pltf)")
     p.set_defaults(func=cmd_synth)
 
     return parser

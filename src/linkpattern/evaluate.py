@@ -47,14 +47,14 @@ class TrainSettings:
     evaluation rank.
     """
 
-    gamma: float = 0.01
-    map_max_iterations: int = 500
-    map_rel_tolerance: float = 1e-6
-    init_scale: float = 0.1
+    gamma: float = MapConfig.gamma_u
+    map_max_iterations: int = MapConfig.max_iterations
+    map_rel_tolerance: float = MapConfig.rel_tolerance
+    init_scale: float = MapConfig.init_scale
     use_logistic_map: bool = True
-    num_samples: int = 300
-    burn_in: int = 50
-    thin: int = 1
+    num_samples: int = ChainConfig.num_samples
+    burn_in: int = ChainConfig.burn_in
+    thin: int = ChainConfig.thin
     priors: Optional[HyperPriors] = None
 
 

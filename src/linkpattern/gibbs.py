@@ -19,14 +19,16 @@ from one ``model.ObservationGroups``, the CP kernel the MAP fit shares.
 
 import functools
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .exceptions import ConfigError, DimensionMismatchError, NotPositiveDefiniteError
-from .model import (LatentFactors, ModelConfig, ObservationGroups, _check_tensor, _coordinates,
-                    _gather_blocks, _gathered_sums, _gaussian_log_likelihood, _inner, logistic)
+from .model import (LatentFactors, ModelConfig, ObservationGroups, _check_count, _check_tensor,
+                    _coordinates, _gather_blocks, _gathered_sums, _gaussian_log_likelihood,
+                    _inner, logistic)
 from .rng import substream
 from .tensor import RelationalTensor
 
@@ -62,10 +64,14 @@ class HyperPriors:
         if self.mu0.ndim != 1 or self.w0.shape != (d, d):
             raise DimensionMismatchError(
                 f"mu0 {self.mu0.shape} and w0 {self.w0.shape} are inconsistent")
-        if self.nu0 < d:
-            raise ValueError(f"nu0 must be >= {d}, got {self.nu0}")
-        if min(self.gamma_shape, self.gamma_scale, self.kappa0, self.kappa_t) <= 0:
-            raise ValueError("gamma_shape, gamma_scale, kappa0, kappa_t must be positive")
+        if not (np.isfinite(self.mu0).all() and np.isfinite(self.w0).all()):
+            raise ValueError("mu0 and w0 must be finite")
+        if not d <= self.nu0 < math.inf:
+            raise ValueError(f"nu0 must be finite and >= {d}, got {self.nu0}")
+        if not all(0 < value < math.inf for value in (self.gamma_shape, self.gamma_scale,
+                                                       self.kappa0, self.kappa_t)):
+            raise ValueError(
+                "gamma_shape, gamma_scale, kappa0, kappa_t must be finite and positive")
         if not np.allclose(self.w0, self.w0.T):
             raise ValueError("w0 must be symmetric")
         try:
@@ -81,8 +87,8 @@ class HyperPriors:
 
     @classmethod
     def default(cls, rank: int, **overrides) -> "HyperPriors":
-        """Untuned defaults: mu0 = 0, w0 = I, nu0 = rank, shape 5, scale 1,
-        kappa0 = 2, kappa_t = 1."""
+        """Untuned defaults: mu0 = 0, w0 = I and nu0 = rank; the other fields
+        keep their class defaults.  ``overrides`` replace any of them."""
         base = dict(mu0=np.zeros(rank), w0=np.eye(rank), nu0=float(rank))
         base.update(overrides)
         return cls(**base)
@@ -121,12 +127,9 @@ class ChainConfig:
     init_factors: Optional[LatentFactors] = None
 
     def __post_init__(self):
-        if self.num_samples < 1:
-            raise ConfigError("num_samples must be positive")
-        if self.burn_in < 0:
-            raise ConfigError("burn_in must be nonnegative")
-        if self.thin < 1:
-            raise ConfigError("thin must be positive")
+        _check_count("num_samples", self.num_samples, 1, ConfigError)
+        _check_count("burn_in", self.burn_in, 0, ConfigError)
+        _check_count("thin", self.thin, 1, ConfigError)
         if self.retained_count < 1:
             raise ConfigError(
                 f"no retained draws: num_samples={self.num_samples}, "
@@ -462,11 +465,11 @@ def run_chain(tensor: RelationalTensor, model_config: ModelConfig,
 
     Sweeps use the identity link regardless of ``model_config.use_logistic``
     (conjugacy requires it); the flag only affects downstream prediction.
-    ``frozen_relations`` fixes R to the given T x D matrix and excludes it
-    from sampling (used by the per-slice baseline).  Deterministic for a
-    fixed config.  One reconstruction per sweep: the residual behind each
-    sweep's log-likelihood is kept on the state, and the next sweep draws
-    its noise precision from it.
+    ``frozen_relations`` fixes R to a copy of the given T x D matrix and
+    excludes it from sampling (used by the per-slice baseline).
+    Deterministic for a fixed config.  One reconstruction per sweep: the
+    residual behind each sweep's log-likelihood is kept on the state, and
+    the next sweep draws its noise precision from it.
     """
     d = model_config.rank
     if priors.rank != d:
@@ -486,7 +489,7 @@ def run_chain(tensor: RelationalTensor, model_config: ModelConfig,
         v0 = 0.1 * rng.standard_normal((n, d))
         alpha0 = 1.0
     if not sample_relations:
-        r0 = np.asarray(frozen_relations, dtype=np.float64)
+        r0 = np.array(frozen_relations, dtype=np.float64)
     elif config.init_factors is not None:
         r0 = config.init_factors.R.copy()
     else:  # drawn after U and V: the draw order fixes every chain

@@ -22,6 +22,7 @@ Two on-disk formats are owned here:
 Both formats round-trip losslessly (bitwise for float payloads).
 """
 
+import math
 import os
 import struct
 import warnings
@@ -32,7 +33,7 @@ import numpy as np
 
 from .exceptions import FormatError, TripleParseError
 from .gibbs import HyperPriors, SampleSet, _sample_gaussian_stack, _sample_gaussian_wishart
-from .model import LatentFactors
+from .model import LatentFactors, _check_count
 from .rng import substream
 from .tensor import RelationalTensor
 
@@ -206,7 +207,7 @@ def load_factors(path):
     return SampleSet(draws=draws, log_likelihoods=diag)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthSpec:
     """Synthetic dataset description.
 
@@ -215,7 +216,8 @@ class SynthSpec:
     Gaussian entries, then binarization of the real entries at
     ``binarize_threshold`` (on the raw reconstruction scale; the default 0
     matches a logistic probability of one half) and uniform subsampling to
-    ``observed_fraction``.
+    ``observed_fraction``.  Frozen, like the other configs:
+    ``dataclasses.replace`` makes a checked copy.
     """
 
     n_objects: int
@@ -227,12 +229,12 @@ class SynthSpec:
     hyperpriors: Optional[HyperPriors] = None
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
+        for name in ("n_objects", "n_relations", "rank"):
+            _check_count(name, getattr(self, name), 1)
         if not 0 < self.observed_fraction <= 1:
             raise ValueError("observed_fraction must be in (0, 1]")
-        if self.n_objects < 1 or self.n_relations < 1:
-            raise ValueError("dimensions must be positive")
+        if not math.isfinite(self.binarize_threshold):
+            raise ValueError("binarize_threshold must be finite")
 
 
 def generate_synthetic(spec: SynthSpec):

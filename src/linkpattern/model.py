@@ -13,6 +13,7 @@ once per tensor.  Bare coordinate arrays (:func:`reconstruct_entries`,
 gather, which the kernel's row form shares.
 """
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -35,8 +36,13 @@ class ModelConfig:
     use_logistic: bool = True
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
+        _check_count("rank", self.rank, 1)
+
+
+def _check_count(name, value, minimum, error=ValueError):
+    """Raise ``error`` unless config field ``name`` is an integer of at least ``minimum``."""
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass

@@ -30,9 +30,9 @@ and the gradient norm is at most tau^(1/3) (1 + |f|) (a CG step that
 passes the first part only restarts CG along steepest descent);
 ``"no_progress"`` when a step does not lower the objective (progress below
 float resolution; the previous iterate is kept); ``"stalled"`` when the CG
-line search fails, as it does on NaN trials; or ``"max_iterations"``.  A
-step with a non-finite objective raises :class:`DivergenceError` naming
-the iteration.
+line search fails; or ``"max_iterations"``.  A step with a non-finite
+objective, or a CG line-search trial with a NaN one, raises
+:class:`DivergenceError` naming the iteration.
 """
 
 import itertools
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DivergenceError, NotPositiveDefiniteError, StallError
-from .model import LatentFactors, ModelConfig, ObservationGroups, _inner, logistic
+from .model import LatentFactors, ModelConfig, ObservationGroups, _check_count, _inner, logistic
 from .rng import substream
 from .tensor import RelationalTensor
 
@@ -79,12 +79,11 @@ class MapConfig:
     init_scale: float = 0.1
 
     def __post_init__(self):
-        if min(self.gamma_u, self.gamma_v, self.gamma_r) < 0:
-            raise ValueError("regularization weights must be nonnegative")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
-        if self.rel_tolerance <= 0 or self.init_scale <= 0:
-            raise ValueError("rel_tolerance and init_scale must be positive")
+        if not all(0 <= gamma < math.inf for gamma in (self.gamma_u, self.gamma_v, self.gamma_r)):
+            raise ValueError("regularization weights must be finite and nonnegative")
+        _check_count("max_iterations", self.max_iterations, 1)
+        if not (0 < self.rel_tolerance < math.inf and 0 < self.init_scale < math.inf):
+            raise ValueError("rel_tolerance and init_scale must be finite and positive")
 
 
 @dataclass
@@ -204,8 +203,10 @@ def _backtrack(objective, x, f, grad, direction):
     """Armijo backtracking from ``x``, whose objective is ``f``, along
     ``direction``; returns the accepted step and its objective.
 
-    Raises :class:`StallError` on a non-descent direction, or when the step
-    underflows ``STEP_FLOOR`` without sufficient decrease.
+    A NaN trial ends the search and is returned, for the caller's
+    divergence check.  Raises :class:`StallError` on a non-descent
+    direction, or when the step underflows ``STEP_FLOOR`` without sufficient
+    decrease.
     """
     slope = _inner(grad, direction)
     if slope >= 0:
@@ -213,7 +214,7 @@ def _backtrack(objective, x, f, grad, direction):
     step = INITIAL_STEP
     while step >= STEP_FLOOR:
         value = objective(x + step * direction)
-        if value <= f + SUFFICIENT_DECREASE * step * slope:
+        if value <= f + SUFFICIENT_DECREASE * step * slope or math.isnan(value):
             return step, value
         step *= SHRINK
     raise StallError(f"line search step underflowed below {STEP_FLOOR}")

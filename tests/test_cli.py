@@ -7,9 +7,11 @@ import pytest
 
 from linkpattern import cli
 from linkpattern.cli import build_parser, main
-from linkpattern.gibbs import SampleSet, predictive_scores
-from linkpattern.io import load_factors, save_triples
+from linkpattern.evaluate import TrainSettings
+from linkpattern.gibbs import ChainConfig, HyperPriors, SampleSet, predictive_scores
+from linkpattern.io import SynthSpec, load_factors, save_triples
 from linkpattern.model import ModelConfig, predict_entries
+from linkpattern.optimize import MapConfig
 from linkpattern.tensor import RelationalTensor
 
 
@@ -390,6 +392,49 @@ def test_help_lists_every_flag():
                 if option.startswith("--") and not option.startswith("--no-"):
                     assert option in text, f"{name} help missing {option}"
         assert "default" in text
+
+
+def test_flags_take_and_print_their_library_defaults():
+    map_cfg, chain_cfg = MapConfig(), ChainConfig()
+    priors, spec = HyperPriors.default(2), SynthSpec(2, 1, 1)
+    mirrored = {
+        ("fit-map", "evaluate"): {"--gamma": map_cfg.gamma_u,
+                                  "--max-iterations": map_cfg.max_iterations},
+        ("fit-map",): {"--rel-tolerance": map_cfg.rel_tolerance,
+                       "--init-scale": map_cfg.init_scale},
+        ("sample", "evaluate"): {"--samples": chain_cfg.num_samples,
+                                 "--burn-in": chain_cfg.burn_in, "--thin": chain_cfg.thin},
+        ("sample", "synth"): {"--gamma-shape": priors.gamma_shape,
+                              "--gamma-scale": priors.gamma_scale,
+                              "--kappa0": priors.kappa0, "--kappa-t": priors.kappa_t},
+        ("synth",): {"--observed-fraction": spec.observed_fraction,
+                     "--threshold": spec.binarize_threshold},
+    }
+    subcommands = build_parser().subcommands
+    for names, flags in mirrored.items():
+        for name in names:
+            sub = subcommands[name]
+            options = " ".join(sub.format_help().split("options:", 1)[1].split())
+            for flag, default in flags.items():
+                action = next(a for a in sub._actions if flag in a.option_strings)
+                assert action.default == default, (name, flag)
+                entry = options.split(f"{flag} {action.dest.upper()} ", 1)[1].split(" --")[0]
+                assert f"(default {default})" in entry, (name, flag, entry)
+    settings = TrainSettings()
+    assert (settings.gamma, settings.map_max_iterations, settings.map_rel_tolerance,
+            settings.init_scale) == (map_cfg.gamma_u, map_cfg.max_iterations,
+                                     map_cfg.rel_tolerance, map_cfg.init_scale)
+    assert (settings.num_samples, settings.burn_in, settings.thin) == (
+        chain_cfg.num_samples, chain_cfg.burn_in, chain_cfg.thin)
+
+
+def test_fit_map_rejects_a_nan_ridge_weight(data_file, tmp_path, capsys):
+    # MapConfig rejects it before any fit, so no factor file is written
+    out = tmp_path / "m.pltf"
+    assert run_cli(["fit-map", "--input", data_file, "--rank", 2, "--gamma", "nan",
+                    "--out", out]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_version_flag(capsys):

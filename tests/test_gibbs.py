@@ -605,6 +605,17 @@ def test_run_chain_frozen_relations():
         assert np.array_equal(draw.R, frozen)
 
 
+def test_run_chain_copies_frozen_relations():
+    # the draws hold a copy of R, not the caller's array
+    tensor = RelationalTensor.build(2, 1, [(0, 1, 0, 1), (1, 0, 0, 0), (0, 0, 0, 1)])
+    frozen = np.ones((1, 2))
+    samples = run_chain(tensor, ModelConfig(2, use_logistic=False), HyperPriors.default(2),
+                        ChainConfig(num_samples=3, burn_in=0, seed=0),
+                        frozen_relations=frozen)
+    frozen[0, 0] = 7.0
+    assert all(np.array_equal(draw.R, [[1.0, 1.0]]) for draw in samples.draws)
+
+
 def test_run_chain_validates_dimensions():
     tensor = small_chain_data()
     with pytest.raises(DimensionMismatchError):

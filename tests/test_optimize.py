@@ -322,16 +322,22 @@ def flat(factors):
     return np.concatenate([factors.U.ravel(), factors.V.ravel(), factors.R.ravel()])
 
 
-def nan_reconstructions_after(monkeypatch, calls):
-    """Every reconstruction of the CP kernel after the first ``calls`` is all NaN."""
+def reconstructions_after(monkeypatch, calls, replace):
+    """Every reconstruction ``s`` of the CP kernel after the first ``calls``
+    becomes ``replace(groups, s)``."""
     reconstruct = model.ObservationGroups.reconstruct
     counter = itertools.count(1)
 
     def failing(self, A, B, C):
         s = reconstruct(self, A, B, C)
-        return s if next(counter) <= calls else np.full_like(s, np.nan)
+        return s if next(counter) <= calls else replace(self, s)
 
     monkeypatch.setattr(model.ObservationGroups, "reconstruct", failing)
+
+
+def nan_reconstructions_after(monkeypatch, calls):
+    """Every reconstruction of the CP kernel after the first ``calls`` is all NaN."""
+    reconstructions_after(monkeypatch, calls, lambda _groups, s: np.full_like(s, np.nan))
 
 
 @pytest.mark.parametrize("use_logistic", [False, True])
@@ -355,18 +361,32 @@ def test_only_the_line_search_stalls(use_logistic, monkeypatch):
 
 
 def test_cg_stalls_after_its_steepest_descent_retry(monkeypatch):
-    # Every objective after the eighth iteration's is NaN, which no Armijo
-    # test accepts: the ninth iteration's search fails along its CG
-    # direction (beta > 0 there), restarts once from steepest descent, fails
-    # again and ends the fit with the eighth iterate.
+    # Every trial after the eighth iteration's scores each label's opposite
+    # under the logistic link, the largest misfit there is: finite, and
+    # above the eighth objective, so no Armijo test accepts it.  The ninth
+    # iteration's search fails along its CG direction (beta > 0 there),
+    # restarts once from steepest descent, fails again and ends the fit
+    # with the eighth iterate.
     tensor, _ = random_instance(seed=9, n=4, t=2)
     factors8, trace8 = fit_map(tensor, LOGISTIC_RANK2, MapConfig(seed=7, max_iterations=8))
-    nan_reconstructions_after(monkeypatch, 1 + sum(trace8.trials))
+    reconstructions_after(monkeypatch, 1 + sum(trace8.trials),
+                          lambda groups, _s: 1e3 * (0.5 - groups.y))
     factors, trace = fit_map(tensor, LOGISTIC_RANK2, MapConfig(seed=7, max_iterations=60))
     assert trace.termination == "stalled"
     assert trace.objectives == trace8.objectives and trace.trials == trace8.trials
     assert trace.restarts == trace8.restarts + 1
     assert np.array_equal(flat(factors), flat(factors8))
+
+
+def test_cg_nan_trial_diverges_naming_its_iteration(monkeypatch):
+    # The ninth iteration's first trial is NaN: the search ends there and
+    # the fit raises, where rejecting the trial would end it "stalled".
+    tensor, _ = random_instance(seed=9, n=4, t=2)
+    _factors8, trace8 = fit_map(tensor, LOGISTIC_RANK2, MapConfig(seed=7, max_iterations=8))
+    nan_reconstructions_after(monkeypatch, 1 + sum(trace8.trials))
+    with pytest.raises(DivergenceError, match="non-finite") as raised:
+        fit_map(tensor, LOGISTIC_RANK2, MapConfig(seed=7, max_iterations=60))
+    assert raised.value.iteration == 8
 
 
 def test_als_divergence_names_its_iteration(monkeypatch):
@@ -381,9 +401,9 @@ def test_als_divergence_names_its_iteration(monkeypatch):
 
 def test_cg_divergence_names_its_iteration():
     # A negative ridge weight leaves the objective unbounded below.  CG
-    # climbs along it until the ridge term overflows to -inf, which the
-    # Armijo test accepts; that iteration, the one after the ten a capped
-    # fit traces, raises.
+    # climbs along it until the factors overflow and a trial's objective is
+    # NaN; that iteration, the one after the six a capped fit traces,
+    # raises.
     def negative_ridge(max_iterations):
         map_cfg = MapConfig(seed=9, max_iterations=max_iterations)
         object.__setattr__(map_cfg, "gamma_u", -50.0)  # past __post_init__'s check
@@ -391,12 +411,12 @@ def test_cg_divergence_names_its_iteration():
 
     tensor, _ = random_instance(seed=9, n=4, t=2)
     with np.errstate(over="ignore", invalid="ignore"):
-        _factors, capped = fit_map(tensor, LOGISTIC_RANK2, negative_ridge(10))
+        _factors, capped = fit_map(tensor, LOGISTIC_RANK2, negative_ridge(6))
         assert capped.termination == "max_iterations"
         assert np.isfinite(capped.objectives).all()
         with pytest.raises(DivergenceError, match="non-finite") as raised:
             fit_map(tensor, LOGISTIC_RANK2, negative_ridge(500))
-    assert raised.value.iteration == 10
+    assert raised.value.iteration == 6
 
 
 def test_map_objective_matches_negative_log_posterior_argmin():
