@@ -18,7 +18,7 @@ from .exceptions import DegenerateSplitError, UndefinedMetricError
 from .gibbs import ChainConfig, HyperPriors, predictive_scores, run_chain
 from .model import ModelConfig, predict_entries
 from .optimize import MapConfig, fit_map
-from .rng import substream
+from .rng import _check_seed, substream
 from .tensor import RelationalTensor
 
 # Methods: MAP point estimate, Gibbs from random init, Gibbs from a MAP
@@ -36,15 +36,18 @@ class SplitSpec:
     def __post_init__(self):
         if not 0 < self.test_fraction < 1:
             raise ValueError(f"test_fraction must be in (0,1), got {self.test_fraction}")
+        _check_seed(self.seed)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainSettings:
     """Training knobs shared across methods.
 
     ``gamma`` feeds all three MAP ridge weights; the chain settings feed
     the Gibbs methods.  ``priors=None`` means untuned defaults at the
-    evaluation rank.
+    evaluation rank.  Construction builds the :class:`MapConfig` and
+    :class:`ChainConfig` the settings stand for, so a bad value raises
+    that config's error before any method runs.  Frozen, like the configs.
     """
 
     gamma: float = MapConfig.gamma_u
@@ -56,6 +59,10 @@ class TrainSettings:
     burn_in: int = ChainConfig.burn_in
     thin: int = ChainConfig.thin
     priors: Optional[HyperPriors] = None
+
+    def __post_init__(self):
+        _map_config(self, seed=0)
+        _chain_config(self, seed=0)
 
 
 @dataclass
@@ -134,11 +141,13 @@ def _score_pltf(train, ii, jj, tt, *, rank, seed, settings):
     return predict_entries(factors, ii, jj, tt, model_cfg)
 
 
-def _chain_settings(settings, rank, seed, init_factors=None):
-    priors = settings.priors if settings.priors is not None else HyperPriors.default(rank)
-    config = ChainConfig(num_samples=settings.num_samples, burn_in=settings.burn_in,
-                         thin=settings.thin, seed=seed, init_factors=init_factors)
-    return priors, config
+def _chain_config(settings, seed, init_factors=None):
+    return ChainConfig(num_samples=settings.num_samples, burn_in=settings.burn_in,
+                       thin=settings.thin, seed=seed, init_factors=init_factors)
+
+
+def _priors(settings, rank):
+    return settings.priors if settings.priors is not None else HyperPriors.default(rank)
 
 
 def _score_hb(train, ii, jj, tt, *, rank, seed, settings, warm_start):
@@ -147,8 +156,8 @@ def _score_hb(train, ii, jj, tt, *, rank, seed, settings, warm_start):
     if warm_start:
         # Warm start on the identity-link scale the chain samples on.
         init, _ = fit_map(train, model_cfg, _map_config(settings, seed))
-    priors, chain_cfg = _chain_settings(settings, rank, seed, init_factors=init)
-    samples = run_chain(train, model_cfg, priors, chain_cfg)
+    samples = run_chain(train, model_cfg, _priors(settings, rank),
+                        _chain_config(settings, seed, init_factors=init))
     return predictive_scores(samples, ii, jj, tt, model_cfg)
 
 
@@ -165,9 +174,8 @@ def _score_per_slice(train, ii, jj, tt, *, rank, seed, settings):
         if not mask.any():
             continue
         slice_train = train.slice(t).to_tensor()
-        priors, chain_cfg = _chain_settings(
-            settings, rank, _derived_seed(seed, "per-slice", str(t)))
-        samples = run_chain(slice_train, model_cfg, priors, chain_cfg,
+        chain_cfg = _chain_config(settings, _derived_seed(seed, "per-slice", str(t)))
+        samples = run_chain(slice_train, model_cfg, _priors(settings, rank), chain_cfg,
                             frozen_relations=np.ones((1, rank)))
         zeros = np.zeros(int(mask.sum()), dtype=np.int64)
         scores[mask] = predictive_scores(samples, ii[mask], jj[mask], zeros, model_cfg)

@@ -15,6 +15,8 @@ Conjugacy requires the identity link, so sweeps always use it internally;
 per-sample predictive means are clamped into [0, 1] at reporting time.
 A chain's residuals, log-likelihoods and per-row normal equations come
 from one ``model.ObservationGroups``, the CP kernel the MAP fit shares.
+The samplers take it as ``groups``; it must have been built over the very
+tensor object passed with it, and ValueError is raised otherwise.
 """
 
 import functools
@@ -29,7 +31,7 @@ from .exceptions import ConfigError, DimensionMismatchError, NotPositiveDefinite
 from .model import (LatentFactors, ModelConfig, ObservationGroups, _check_count, _check_tensor,
                     _coordinates, _gather_blocks, _gathered_sums, _gaussian_log_likelihood,
                     _inner, logistic)
-from .rng import substream
+from .rng import _check_seed, substream
 from .tensor import RelationalTensor
 
 logger = logging.getLogger(__name__)
@@ -130,6 +132,7 @@ class ChainConfig:
         _check_count("num_samples", self.num_samples, 1, ConfigError)
         _check_count("burn_in", self.burn_in, 0, ConfigError)
         _check_count("thin", self.thin, 1, ConfigError)
+        _check_seed(self.seed, ConfigError)
         if self.retained_count < 1:
             raise ConfigError(
                 f"no retained draws: num_samples={self.num_samples}, "
@@ -364,10 +367,15 @@ def _groups(factors: LatentFactors, tensor: RelationalTensor,
             groups: Optional[ObservationGroups]) -> ObservationGroups:
     """A chain's ``groups``, or the tensor's own for a call outside a chain.
 
-    Raises DimensionMismatchError when the factors do not fit the tensor.
+    Raises DimensionMismatchError when the factors do not fit the tensor,
+    and ValueError when ``groups`` was built over another tensor object.
     """
     _check_tensor(factors, tensor)
-    return groups if groups is not None else ObservationGroups(tensor)
+    if groups is None:
+        return ObservationGroups(tensor)
+    if groups.tensor is not tensor:
+        raise ValueError("groups were built over another tensor")
+    return groups
 
 
 def _draw_factor_rows(groups: ObservationGroups, mode: int, factors: LatentFactors,

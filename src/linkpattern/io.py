@@ -34,7 +34,7 @@ import numpy as np
 from .exceptions import FormatError, TripleParseError
 from .gibbs import HyperPriors, SampleSet, _sample_gaussian_stack, _sample_gaussian_wishart
 from .model import LatentFactors, _check_count
-from .rng import substream
+from .rng import _check_seed, substream
 from .tensor import RelationalTensor
 
 MAGIC = b"PLTF"
@@ -125,10 +125,6 @@ def save_triples(tensor: RelationalTensor, path) -> None:
                       zip(ii.tolist(), jj.tolist(), tt.tolist(), yy.astype(np.int64).tolist()))
 
 
-def _write_matrix(fh, mat: np.ndarray) -> None:
-    fh.write(np.ascontiguousarray(mat, dtype="<f8").tobytes())
-
-
 def _read_exact(fh, count: int, what: str) -> bytes:
     data = fh.read(count)
     if len(data) != count:
@@ -136,38 +132,40 @@ def _read_exact(fh, count: int, what: str) -> bytes:
     return data
 
 
-def _read_matrix(fh, rows: int, cols: int, what: str) -> np.ndarray:
-    data = _read_exact(fh, rows * cols * 8, what)
-    return np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
-
-
 def save_factors(obj, path) -> None:
-    """Serialize a LatentFactors or SampleSet to the binary factor format."""
+    """Serialize a LatentFactors or SampleSet to the binary factor format.
+
+    Each draw goes out as one record written from one reused buffer.
+    Raises ValueError, before the file is opened, for a sample set that is
+    empty or whose draws differ in shape.
+    """
     if isinstance(obj, LatentFactors):
         kind, draws, diagnostics = _KIND_FACTORS, [obj], []
     elif isinstance(obj, SampleSet):
-        if not obj.draws:
-            raise ValueError("cannot serialize an empty sample set")
-        kind, draws, diagnostics = _KIND_SAMPLES, obj.draws, list(obj.log_likelihoods)
+        kind, draws, diagnostics = _KIND_SAMPLES, obj.draws, obj.log_likelihoods
+        if len({(f.U.shape, f.R.shape) for f in draws}) != 1:
+            raise ValueError("cannot serialize an empty sample set or draws of different shapes")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    first = draws[0]
+    n, T, d = draws[0].n_objects, draws[0].n_relations, draws[0].rank
+    record = np.empty(1 + (2 * n + T) * d, dtype="<f8")
+    rows = record[1:].reshape(2 * n + T, d)
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<BB", FORMAT_VERSION, kind))
-        fh.write(struct.pack("<IIIII", first.n_objects, first.n_relations,
-                             first.rank, len(draws), len(diagnostics)))
-        if diagnostics:
-            fh.write(np.asarray(diagnostics, dtype="<f8").tobytes())
-        for factors in draws:
-            fh.write(struct.pack("<d", factors.alpha))
-            _write_matrix(fh, factors.U)
-            _write_matrix(fh, factors.V)
-            _write_matrix(fh, factors.R)
+        fh.write(MAGIC + struct.pack("<BBIIIII", FORMAT_VERSION, kind, n, T, d,
+                                     len(draws), len(diagnostics)))
+        if len(diagnostics):
+            fh.write(np.asarray(diagnostics, dtype="<f8"))
+        for f in draws:
+            record[0], rows[:n], rows[n:2 * n], rows[2 * n:] = f.alpha, f.U, f.V, f.R
+            fh.write(record)
 
 
 def load_factors(path):
-    """Load a factor binary; returns LatentFactors or SampleSet per its kind."""
+    """Load a factor binary; returns LatentFactors or SampleSet per its kind.
+
+    After the header and size checks the whole payload is read into one
+    float64 array; each draw's U, V and R are views of its record.
+    """
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, "magic")
         if magic != MAGIC:
@@ -192,19 +190,16 @@ def load_factors(path):
                               f"bytes, {remaining} remain")
         if payload < remaining:
             raise FormatError("trailing bytes after factor payload")
-        diag = []
-        if n_diag:
-            diag = list(np.frombuffer(_read_exact(fh, 8 * n_diag, "diagnostics"), dtype="<f8"))
-        draws = []
-        for k in range(n_draws):
-            (alpha,) = struct.unpack("<d", _read_exact(fh, 8, f"alpha of draw {k}"))
-            U = _read_matrix(fh, n, d, f"U of draw {k}")
-            V = _read_matrix(fh, n, d, f"V of draw {k}")
-            R = _read_matrix(fh, T, d, f"R of draw {k}")
-            draws.append(LatentFactors(U, V, R, alpha))
+        values = np.empty(payload // 8, dtype="<f8")
+        if fh.readinto(values) != payload:
+            raise FormatError("factor file changed while it was read")
+    nd = n * d
+    draws = [LatentFactors(r[1:1 + nd].reshape(n, d), r[1 + nd:1 + 2 * nd].reshape(n, d),
+                           r[1 + 2 * nd:].reshape(T, d), r[0])
+             for r in values[n_diag:].reshape(n_draws, -1)]
     if kind == _KIND_FACTORS:
         return draws[0]
-    return SampleSet(draws=draws, log_likelihoods=diag)
+    return SampleSet(draws=draws, log_likelihoods=list(values[:n_diag]))
 
 
 @dataclass(frozen=True)
@@ -235,6 +230,7 @@ class SynthSpec:
             raise ValueError("observed_fraction must be in (0, 1]")
         if not math.isfinite(self.binarize_threshold):
             raise ValueError("binarize_threshold must be finite")
+        _check_seed(self.seed)
 
 
 def generate_synthetic(spec: SynthSpec):

@@ -259,10 +259,13 @@ class ObservationGroups:
 
     The arrays beyond the tensor's own are built on first use: a value-only
     MAP objective builds no more than ``flat``.  The factors passed in must
-    fit the tensor; the callers check them.
+    fit the tensor; the callers check them.  ``tensor`` is the tensor the
+    groups were built over, so that a sampler can refuse groups passed
+    with another one.
     """
 
     def __init__(self, tensor: RelationalTensor):
+        self.tensor = tensor
         self.ii, self.jj, self.tt, self.y = tensor.entry_arrays()
         self.n, self.t = tensor.n_objects, tensor.n_relations
         self.dense = self.n * self.n * self.t <= DENSE_CELLS_PER_ENTRY * self.y.size

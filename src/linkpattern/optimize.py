@@ -44,7 +44,7 @@ import numpy as np
 
 from .exceptions import DivergenceError, NotPositiveDefiniteError, StallError
 from .model import LatentFactors, ModelConfig, ObservationGroups, _check_count, _inner, logistic
-from .rng import substream
+from .rng import _check_seed, substream
 from .tensor import RelationalTensor
 
 logger = logging.getLogger(__name__)
@@ -82,6 +82,7 @@ class MapConfig:
         if not all(0 <= gamma < math.inf for gamma in (self.gamma_u, self.gamma_v, self.gamma_r)):
             raise ValueError("regularization weights must be finite and nonnegative")
         _check_count("max_iterations", self.max_iterations, 1)
+        _check_seed(self.seed)
         if not (0 < self.rel_tolerance < math.inf and 0 < self.init_scale < math.inf):
             raise ValueError("rel_tolerance and init_scale must be finite and positive")
 

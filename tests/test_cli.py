@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from linkpattern import cli
+from linkpattern import cli, evaluate
 from linkpattern.cli import build_parser, main
 from linkpattern.evaluate import TrainSettings
 from linkpattern.gibbs import ChainConfig, HyperPriors, SampleSet, predictive_scores
@@ -435,6 +435,24 @@ def test_fit_map_rejects_a_nan_ridge_weight(data_file, tmp_path, capsys):
                     "--out", out]) == 1
     assert "finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--methods", "hb-r,pltf", "--gamma", "nan"], "finite"),
+    (["--methods", "pltf,hb-r", "--samples", "10", "--burn-in", "50"], "no retained draws"),
+], ids=["nan-gamma", "no-retained-draws"])
+def test_evaluate_checks_settings_before_any_cell(data_file, tmp_path, monkeypatch, capsys,
+                                                  flags, message):
+    # TrainSettings builds the MAP and chain configs, so the bad value is
+    # reported before any method trains
+    calls = []
+    for name in ("fit_map", "run_chain"):
+        monkeypatch.setattr(evaluate, name,
+                            lambda *args, name=name, **kwargs: calls.append(name))
+    out = tmp_path / "r.csv"
+    assert run_cli(["evaluate", "--input", data_file, "--rank", 2, "--out", out] + flags) == 1
+    assert message in capsys.readouterr().err
+    assert calls == [] and not out.exists()
 
 
 def test_version_flag(capsys):

@@ -285,6 +285,25 @@ def test_samplers_reject_factors_that_do_not_fit_the_tensor(layout):
             sampler(factors, tensor, wrong_rank, rng, groups)
 
 
+def test_samplers_reject_groups_built_over_another_tensor():
+    # both tensors are 3 x 3 x 2, so the factors fit either; groups built
+    # over b would draw from b's four entries where a holds three
+    a = RelationalTensor.build(3, 2, [(0, 1, 0, 1), (1, 2, 1, 0), (2, 0, 0, 1)])
+    b = RelationalTensor.build(3, 2, [(0, 1, 0, 1), (1, 2, 1, 0), (2, 0, 0, 1), (2, 2, 1, 1)])
+    priors = HyperPriors.default(2)
+    hyper = FactorHyperState(np.zeros(2), np.eye(2))
+    factors = LatentFactors(np.ones((3, 2)), np.ones((3, 2)), np.ones((2, 2)))
+    calls = [lambda g: sample_alpha(factors, a, priors, np.random.default_rng(0), g),
+             lambda g: gibbs_sweep(GibbsState(factors, hyper, hyper, hyper), a, priors,
+                                   np.random.default_rng(0), g)]
+    calls += [lambda g, s=s: s(factors, a, hyper, np.random.default_rng(0), g)
+              for s in (sample_u_rows, sample_v_rows, sample_r_rows)]
+    for call in calls:
+        with pytest.raises(ValueError, match="another tensor"):
+            call(gibbs.ObservationGroups(b))
+        call(gibbs.ObservationGroups(a))
+
+
 def four_object_instance():
     """conjugacy_instance's data with a fourth, unobserved object."""
     factors = LatentFactors(np.array([[0.5], [-0.3], [0.8], [0.1]]),

@@ -120,6 +120,36 @@ def test_sample_set_roundtrip_bitwise(tmp_path):
         assert np.array_equal(a.R, b.R) and a.alpha == b.alpha
 
 
+@pytest.mark.parametrize("make,digest", [
+    pytest.param(lambda: random_factors(seed=5, n=6, t=3, d=2),
+                 "d53b27c38cb90be1abc12784aa7ab8fc033d3ae5d26115e55a96d55b858d9995",
+                 id="factors"),
+    pytest.param(lambda: SampleSet(draws=[random_factors(seed=k, n=6, t=3, d=2)
+                                          for k in range(3)],
+                                   log_likelihoods=[-3.5, -2.25, -1.0, -0.5]),
+                 "c437e22bd24c400211fcd45b6f65b1f787c0752e81d1e1e9a264fb708f48e5dd",
+                 id="sample-set"),
+])
+def test_factor_files_are_pinned(tmp_path, make, digest):
+    # the factor format is what ``sample`` hands to ``predict``: the bytes
+    # of a seeded single factor set and a 3-draw sample set are pinned
+    path = tmp_path / "f.pltf"
+    save_factors(make(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("shape", [(5, 3, 2), (4, 2, 2), (4, 3, 1)], ids=["N", "T", "D"])
+def test_save_factors_rejects_draws_of_different_shapes(tmp_path, shape):
+    # a file written from mixed shapes would fail to load as truncated or
+    # trailing, so the sample set is refused before the file is opened
+    path = tmp_path / "s.pltf"
+    draws = [random_factors(seed=0, n=4, t=3, d=2), random_factors(seed=1, n=shape[0],
+                                                                   t=shape[1], d=shape[2])]
+    with pytest.raises(ValueError):
+        save_factors(SampleSet(draws=draws, log_likelihoods=[-1.0]), path)
+    assert not path.exists()
+
+
 def test_factor_file_truncation_error(tmp_path):
     path = tmp_path / "f.pltf"
     save_factors(random_factors(), path)

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 import linkpattern
+from linkpattern.evaluate import SplitSpec, TrainSettings
 from linkpattern.exceptions import ConfigError
 from linkpattern.gibbs import ChainConfig, HyperPriors
 from linkpattern.io import SynthSpec
 from linkpattern.model import ModelConfig
 from linkpattern.optimize import MapConfig
+from linkpattern.rng import substream
 
 
 def test_every_export_resolves():
@@ -35,12 +37,21 @@ def test_every_export_resolves():
     (HyperPriors.default(2), "mu0", np.array([0.0, math.nan]), ValueError),
     (SynthSpec(4, 2, 2), "binarize_threshold", math.nan, ValueError),
     (SynthSpec(4, 2, 2), "n_objects", 4.5, ValueError),
+    (MapConfig(), "seed", 1.5, ValueError),
+    (ChainConfig(), "seed", 2.7, ConfigError),
+    (SynthSpec(4, 2, 2), "seed", 0.5, ValueError),
+    (SplitSpec(0.2), "seed", 0.5, ValueError),
+    (TrainSettings(), "gamma", math.nan, ValueError),
+    (TrainSettings(), "num_samples", 10, ConfigError),
 ], ids=["MapConfig", "ModelConfig", "ChainConfig", "SynthSpec",
         "MapConfig-nan-gamma", "MapConfig-inf-init-scale",
         "MapConfig-fractional-iterations", "ModelConfig-fractional-rank",
         "ChainConfig-fractional-samples", "ChainConfig-fractional-thin",
         "HyperPriors-nan-nu0", "HyperPriors-nan-gamma-shape", "HyperPriors-inf-kappa0",
-        "HyperPriors-nan-mu0", "SynthSpec-nan-threshold", "SynthSpec-fractional-objects"])
+        "HyperPriors-nan-mu0", "SynthSpec-nan-threshold", "SynthSpec-fractional-objects",
+        "MapConfig-fractional-seed", "ChainConfig-fractional-seed",
+        "SynthSpec-fractional-seed", "SplitSpec-fractional-seed",
+        "TrainSettings-nan-gamma", "TrainSettings-no-retained-draws"])
 def test_configs_are_frozen_and_replace_rechecks(config, field, bad, error):
     # a field set after construction would skip __post_init__'s checks,
     # which reject NaN, infinite and fractional values too
@@ -48,3 +59,15 @@ def test_configs_are_frozen_and_replace_rechecks(config, field, bad, error):
         setattr(config, field, bad)
     with pytest.raises(error):
         dataclasses.replace(config, **{field: bad})
+
+
+def test_seeds_must_be_integers():
+    # a fractional seed must not silently run as the integer stream below it
+    with pytest.raises(ValueError):
+        substream(1.5, "x")
+    # numpy integers and negative seeds stay valid, in configs too
+    assert substream(np.int64(3), "x").random() == substream(3, "x").random()
+    assert substream(-1, "x").random() == substream(2 ** 64 - 1, "x").random()
+    for seed in (np.int64(3), -1):
+        MapConfig(seed=seed), ChainConfig(seed=seed), SplitSpec(0.2, seed)
+        SynthSpec(4, 2, 2, seed=seed)
