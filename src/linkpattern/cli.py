@@ -228,9 +228,10 @@ def cmd_predict(args) -> int:
     # sample sets are drawn under the identity link
     use_logistic = not (isinstance(loaded, SampleSet) or args.identity_link)
     scores = predictive_scores(samples, ii, jj, tt, ModelConfig(factors.rank, use_logistic))
+    fmt = " ".join(["%.6f"] * T)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        for (i, j), row in zip(pairs.tolist(), scores.reshape(len(pairs), T)):
-            fh.write(f"{i} {j} " + " ".join(f"{s:.6f}" for s in row) + "\n")
+        rows = scores.reshape(len(pairs), T).tolist()
+        fh.writelines(f"{i} {j} {fmt % tuple(row)}\n" for (i, j), row in zip(pairs.tolist(), rows))
     _write_manifest(args.out, "predict", args, [args.factors, args.pairs], [args.out])
     print(f"predict: {len(pairs)} pairs -> {args.out}")
     return 0

@@ -30,7 +30,7 @@ import numpy as np
 from .exceptions import ConfigError, DimensionMismatchError, NotPositiveDefiniteError
 from .model import (LatentFactors, ModelConfig, ObservationGroups, _check_count, _check_tensor,
                     _coordinates, _gather_blocks, _gathered_sums, _gaussian_log_likelihood,
-                    _inner, logistic)
+                    _grid_blocks, _grid_cells, _inner, _takes_grid, logistic)
 from .rng import _check_seed, substream
 from .tensor import RelationalTensor
 
@@ -531,14 +531,24 @@ def predictive_scores(samples: SampleSet, ii, jj, tt,
     one that is not an exact integer, and DimensionMismatchError when the
     draws differ in shape.
 
-    The coordinates are walked in the blocks of the one gather of bare
-    coordinates (``model._gather_blocks``), which ``predict_entries`` takes
-    too: each draw's factor rows for a block are gathered into three reused
-    (block, D) buffers and that draw's clamped prediction is added to the
-    block's running total, so memory beyond the result stays O(block D).
-    Every score sees the same products, sum and draw order as gathering
-    whole (E, D) arrays per draw, and is bitwise equal to it; one draw
-    scores as ``predict_entries`` clamped into [0, 1].
+    The coordinates take the form that their count picks
+    (``model._takes_grid``), as in ``predict_entries``:
+
+    * below ``model.GRID_SHARE`` of the N x N x T cells, the blocked gather
+      (``model._gather_blocks``): each draw's factor rows for a block are
+      gathered into three reused (block, D) buffers and that draw's clamped
+      prediction is added to the block's running total, so memory beyond
+      the result stays O(block D);
+    * from there up, the grid form (``model._grid_blocks``): each draw's
+      clamped prediction of every cell is added, a block of sender rows at
+      a time, into one (N, N, T) total, from which the coordinates are then
+      read.  Memory beyond the result is that total, at most twice the
+      result, and the blocks' buffers.
+
+    Both forms sum every cell in the same order with the same ``einsum``
+    kernel and add the draws in draw order, so every score is bitwise that
+    of gathering whole (E, D) arrays per draw and depends only on its own
+    coordinate; one draw scores as ``predict_entries`` clamped into [0, 1].
     """
     if len(samples) == 0:
         raise ValueError("empty sample set")
@@ -547,10 +557,22 @@ def predictive_scores(samples: SampleSet, ii, jj, tt,
     if any((factors.U.shape, factors.R.shape) != shape for factors in samples.draws):
         raise DimensionMismatchError("draws of one sample set must share their shapes")
     ii, jj, tt = _coordinates(ii, jj, tt, first.n_objects, first.n_relations)
-    total = np.zeros(ii.size, dtype=np.float64)
-    for rows, block in _gather_blocks(ii, jj, tt, first.rank):
-        block_total = total[rows]
+
+    def clamped(s):
+        linked = logistic(s) if model_config.use_logistic else s
+        return np.clip(linked, 0.0, 1.0, out=linked)
+
+    if _takes_grid(ii.size, first.n_objects, first.n_relations):
+        total = np.zeros((first.n_objects, first.n_objects, first.n_relations))
         for factors in samples.draws:
-            s = _gathered_sums(factors.U, factors.V, factors.R, *block)
-            block_total += np.clip(logistic(s) if model_config.use_logistic else s, 0.0, 1.0)
-    return total / len(samples)
+            for rows, s in _grid_blocks(factors.U, factors.V, factors.R):
+                total[rows] += clamped(s)
+        scores = _grid_cells(total, ii, jj, tt)
+    else:
+        scores = np.zeros(ii.size)
+        for rows, block in _gather_blocks(ii, jj, tt, first.rank):
+            block_total = scores[rows]
+            for factors in samples.draws:
+                block_total += clamped(_gathered_sums(factors.U, factors.V, factors.R, *block))
+    scores /= len(samples)
+    return scores

@@ -61,6 +61,8 @@ def _parse_table(lines, bounds) -> np.ndarray:
         with warnings.catch_warnings():
             # NumPy releases that still read "1.0" as an integer warn first
             warnings.simplefilter("error", DeprecationWarning)
+            # blank lines alone parse as an empty table of the wrong width
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             table = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
     except (ValueError, DeprecationWarning):
         table = None
@@ -81,6 +83,13 @@ def _int_table(lines, bounds, first_line: int = 1) -> np.ndarray:
     [0, bounds[k]).  Raises :class:`TripleParseError` naming the first bad
     line, counting ``lines[0]`` as line ``first_line``.
     """
+    if "#" not in "".join(lines):
+        # loadtxt skips blank lines itself; errors take the filtered path
+        # below, which names the line
+        try:
+            return _parse_table(lines, bounds)
+        except ValueError:
+            pass
     data = [line for line in lines if _is_data(line)]
     try:
         return _parse_table(data, bounds)

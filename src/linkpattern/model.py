@@ -9,8 +9,12 @@ Every CP sum over a tensor's observed entries runs in one kernel,
 :class:`ObservationGroups`, shared by the MAP fit, the Gibbs sampler and
 :func:`log_likelihood`; it chooses between a masked-dense and a row form
 once per tensor.  Bare coordinate arrays (:func:`reconstruct_entries`,
-:func:`predict_entries` and ``gibbs.predictive_scores``) take one blocked
-gather, which the kernel's row form shares.
+:func:`predict_entries` and ``gibbs.predictive_scores``) take one of two
+forms by their count alone: a blocked gather, which the kernel's row form
+shares, or from ``GRID_SHARE`` of the N x N x T cells up, the grid form,
+which scores every cell and reads the coordinates from the grid.  Both
+reduce each ``U_i o V_j`` against ``R_t`` with the same ``einsum`` kernel,
+so they are bitwise equal and the choice changes no value.
 """
 
 import numbers
@@ -146,10 +150,11 @@ def logistic(x):
 # One threshold for both keeps one form decision.
 DENSE_CELLS_PER_ENTRY = 10
 
-# Coordinates per block of the gathered CP sums: bare coordinates and the
-# kernel's row form.  Whole predictive_scores times in ms over all
-# N x N x T coordinates, identity link, medians of 15 interleaved runs (one
-# BLAS thread, 2-vCPU Xeon VM, numpy 2.4):
+# Coordinates per block of the gathered CP sums (bare coordinates below
+# GRID_SHARE, and the kernel's row form) and of the grid form's reads.
+# Whole predictive_scores times in ms of the gather over all N x N x T
+# coordinates, identity link, medians of 15 interleaved runs (one BLAS
+# thread, 2-vCPU Xeon VM, numpy 2.4):
 #   block                          1024  2048  4096  8192  16384  whole
 #   N=104, T=26, D=11,   4 draws     70    57    53    61     65    109
 #   N=50,  T=5,  D=5,  250 draws    150   118   106    92    102     95
@@ -157,6 +162,36 @@ DENSE_CELLS_PER_ENTRY = 10
 # The three (block, D) buffers and the block's totals stay in cache near
 # 4096 rows; whole-array gathers ("whole") spill at the larger sizes.
 _SCORE_BLOCK = 4096
+
+# Bare coordinates take the grid form (_grid_blocks) when they number at
+# least this share of the N x N x T cells, and the blocked gather otherwise.
+# The two forms are bitwise equal, so the switch changes no value.
+# Gather / grid times in ms at each share of the cells, distinct random
+# coordinates in no order, identity link, medians of 9 to 15 interleaved
+# runs (one BLAS thread, 2-vCPU Xeon VM, numpy 2.4); predictive_scores
+# over the draws, predict_entries for one draw:
+#   share                0.2        0.3        0.4        0.5       0.75        1.0
+#   104x104x26, D=11, 4  7.6/12.5  11.6/12.8  14.9/12.7  19.6/13.3  31.0/14.1  40.9/15.2
+#   50x50x5, D=5, 250   15.2/35.4  22.3/37.4  30.4/35.3  35.8/36.3  93.3/70.3   127/62.8
+#   300x300x20, D=11, 4   70/137    100/140    137/132    144/126    184/102    293/139
+#   104x104x26, D=11, 1  2.9/5.6    4.0/5.6    5.4/6.3    6.9/6.8   10.1/8.1   10.0/6.1
+#   300x300x20, D=11, 1 13.5/24.6  20.5/29.0  26.7/31.4  34.7/34.9  49.4/42.3  96.8/72.4
+# At a tenth of the cells the gather is 3 to 4 times faster on every shape.
+# The forms break even between 0.3 and 0.5 of the cells; from 0.5 up the
+# grid form ties or wins on every shape.  At 0.5 its (N, N, T) total is
+# twice the result, which keeps the peak below 4 times the result.
+GRID_SHARE = 0.5
+
+# Cells per block of the grid form, counted as rows x N x max(D, T): its
+# (rows, N, D) products and (rows, N, T) sums, and the link's temporaries.
+# Whole grid-form predictive_scores times in ms over all N x N x T
+# coordinates, identity link, medians of 7 runs (same VM):
+#   block                        4096   8192  16384  32768  65536
+#   N=104, T=26, D=11,   4 draws   20     15     14     14     13
+#   N=50,  T=5,  D=5,  250 draws   47     45     35     38     42
+#   N=300, T=20, D=11,   4 draws  155    160    150    151    141
+# Larger blocks gain little and add to the peak at the switch.
+_GRID_BLOCK = 16384
 
 
 def _inner(a, b) -> float:
@@ -226,6 +261,49 @@ def _cp_sums(A, B, C, ii, jj, tt) -> np.ndarray:
     return out
 
 
+def _takes_grid(count: int, n_objects: int, n_relations: int) -> bool:
+    """Whether ``count`` bare coordinates take the grid form: at least
+    ``GRID_SHARE`` of the N x N x T cells."""
+    return count >= GRID_SHARE * n_objects * n_objects * n_relations
+
+
+def _grid_blocks(A, B, C):
+    """sum_d A[i,d] B[j,d] C[t,d] over the whole (N, N, T) grid, a block of
+    sender rows i at a time.
+
+    Yields each block's slice of rows and its (rows, N, T) sums, views of one
+    reused buffer.  The block's pair products A_i o B_j fill one reused
+    (rows, N, D) buffer, which one ``einsum`` reduces against a C-contiguous
+    C: the kernel and the order of each sum are those of
+    :func:`_gathered_sums`, so every cell is bitwise the gathered
+    ``(A_i o B_j) . C_t``, and no BLAS product is involved.
+    """
+    n, rank = A.shape
+    C = np.ascontiguousarray(C)
+    step = max(1, _GRID_BLOCK // (B.shape[0] * max(rank, C.shape[0])))
+    products = np.empty((min(n, step), B.shape[0], rank))
+    sums = np.empty((min(n, step), B.shape[0], C.shape[0]))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        a = A[rows]
+        block = products[:len(a)]
+        np.multiply(a[:, None, :], B, out=block)
+        yield rows, np.einsum("ijd,td->ijt", block, C, out=sums[:len(a)])
+
+
+def _grid_cells(grid: np.ndarray, ii, jj, tt) -> np.ndarray:
+    """The (N, N, T) ``grid`` read at the coordinates, ``_SCORE_BLOCK`` at a time
+    so that their flat indices add O(block) memory."""
+    n, _, t = grid.shape
+    flat = grid.ravel()
+    out = np.empty(ii.size)
+    for start in range(0, ii.size, _SCORE_BLOCK):
+        rows = slice(start, start + _SCORE_BLOCK)
+        # "clip" never clips in range; the callers range-check the coordinates.
+        flat.take((ii[rows] * n + jj[rows]) * t + tt[rows], out=out[rows], mode="clip")
+    return out
+
+
 class ObservationGroups:
     """The one CP kernel: a tensor's observed entries, arranged once per
     chain or MAP fit for every CP sum over them.
@@ -251,8 +329,8 @@ class ObservationGroups:
       over N into D columns, or over D alone in the reconstruction, which
       rounds alike under any thread count;
     * **row**, for sparser tensors (``masks`` is None).  The reconstruction
-      is the blocked gather that bare coordinates take
-      (:func:`reconstruct_entries`), and the entries are sorted once by each
+      is the blocked gather that bare coordinates take below
+      ``GRID_SHARE`` (:func:`reconstruct_entries`), and the entries are sorted once by each
       axis, so that each row's Gram and right-hand side are summed over its
       contiguous segment.  Summing over the masks costs K N^2 D^2 whatever
       the entry count, which sparse tensors do not repay.
@@ -422,13 +500,22 @@ class _AxisGroups:
 def reconstruct_entries(factors: LatentFactors, ii, jj, tt) -> np.ndarray:
     """Triple inner products sum_d U[i,d] V[j,d] R[t,d] over coordinate arrays.
 
-    Bare coordinates take one blocked gather whatever their count, the one
-    ``gibbs.predictive_scores`` takes, so a value depends only on its own
-    coordinate.  Raises IndexError for a coordinate outside [0, N) or
-    [0, T), and ValueError for one that is not an exact integer.
+    Bare coordinates take the form their count picks, as in
+    ``gibbs.predictive_scores``: the blocked gather, or from ``GRID_SHARE``
+    of the N x N x T cells up, the grid form, which fills an (N, N, T) grid
+    and reads the coordinates from it.  The forms are bitwise equal, so a
+    value depends only on its own coordinate.  Raises IndexError for a
+    coordinate outside [0, N) or [0, T), and ValueError for one that is not
+    an exact integer.
     """
-    ii, jj, tt = _coordinates(ii, jj, tt, factors.n_objects, factors.n_relations)
-    return _cp_sums(factors.U, factors.V, factors.R, ii, jj, tt)
+    n, t = factors.n_objects, factors.n_relations
+    ii, jj, tt = _coordinates(ii, jj, tt, n, t)
+    if not _takes_grid(ii.size, n, t):
+        return _cp_sums(factors.U, factors.V, factors.R, ii, jj, tt)
+    grid = np.empty((n, n, t))
+    for rows, sums in _grid_blocks(factors.U, factors.V, factors.R):
+        grid[rows] = sums
+    return _grid_cells(grid, ii, jj, tt)
 
 
 def predict_entries(factors: LatentFactors, ii, jj, tt, config: ModelConfig) -> np.ndarray:

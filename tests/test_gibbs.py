@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -675,7 +676,8 @@ def random_sample_set(n, t, d, n_draws, seed=0):
 @pytest.mark.parametrize("d", [1, 2, 5, 11])
 @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)],
                          ids=["1", "block-1", "block", "block+1", "3block+7"])
-def test_predictive_scores_match_whole_array_reference_bitwise(blocks, extra, d, use_logistic):
+def test_predictive_scores_match_whole_array_reference_bitwise(blocks, extra, d, use_logistic,
+                                                               monkeypatch):
     n_coords = blocks * model._SCORE_BLOCK + extra
     rng = np.random.default_rng(n_coords + d)
     samples = random_sample_set(7, 3, d, 3, seed=d)
@@ -683,24 +685,88 @@ def test_predictive_scores_match_whole_array_reference_bitwise(blocks, extra, d,
     ii, jj = rng.integers(0, 7, (2, n_coords))
     tt = rng.integers(0, 3, n_coords)
     config = ModelConfig(d, use_logistic=use_logistic)
-    got = predictive_scores(samples, ii, jj, tt, config)
-    assert got.tobytes() == reference_predictive_scores(samples, ii, jj, tt, config).tobytes()
+    want = reference_predictive_scores(samples, ii, jj, tt, config).tobytes()
+    # the form the count picks, then each form forced
+    for share in (model.GRID_SHARE, 0.0, np.inf):
+        monkeypatch.setattr(model, "GRID_SHARE", share)
+        assert predictive_scores(samples, ii, jj, tt, config).tobytes() == want
+
+
+def mixed_layout_sample_set(n, t, d, seed):
+    """Three draws: C-ordered, Fortran-ordered, and strided views of larger arrays."""
+    rng = np.random.default_rng(seed)
+    c_order, fortran, strided = (
+        [rng.normal(0, 1.5, shape) for shape in ((n, d), (n, d), (t, d))] for _ in range(3))
+    fortran = [np.asfortranarray(m) for m in fortran]
+    strided = [np.repeat(m, 2, axis=1)[:, ::2] for m in strided]
+    return SampleSet(draws=[LatentFactors(*mats) for mats in (c_order, fortran, strided)])
+
+
+@pytest.mark.parametrize("use_logistic", [False, True])
+@pytest.mark.parametrize("n", [1, 7, 50])
+@pytest.mark.parametrize("t", [1, 3, 26])
+@pytest.mark.parametrize("d", [1, 2, 5, 11, 32])
+def test_grid_form_matches_gather_bitwise(n, t, d, use_logistic, monkeypatch):
+    samples = mixed_layout_sample_set(n, t, d, seed=n * t * d)
+    rng = np.random.default_rng(n + t + d)
+    # unsorted and repeated: more coordinates than cells, in random order
+    count = n * n * t + 5
+    ii, jj, tt = rng.integers(0, n, count), rng.integers(0, n, count), rng.integers(0, t, count)
+    config = ModelConfig(d, use_logistic=use_logistic)
+    want = reference_predictive_scores(samples, ii, jj, tt, config).tobytes()
+    forms = {}
+    for form, share in (("grid", 0.0), ("gather", np.inf)):
+        monkeypatch.setattr(model, "GRID_SHARE", share)
+        assert predictive_scores(samples, ii, jj, tt, config).tobytes() == want
+        # a MAP score is the one-draw posterior mean, clamped, in either form
+        forms[form] = [predict_entries(draw, ii, jj, tt, config) for draw in samples.draws]
+        for draw, scores in zip(samples.draws, forms[form]):
+            one_draw = predictive_scores(SampleSet(draws=[draw]), ii, jj, tt, config)
+            assert np.clip(scores, 0.0, 1.0).tobytes() == one_draw.tobytes()
+    assert all(grid.tobytes() == gather.tobytes()
+               for grid, gather in zip(forms["grid"], forms["gather"]))
+
+
+@pytest.mark.parametrize("use_logistic", [False, True])
+@pytest.mark.parametrize("n, t", [(7, 3), (50, 26)])
+def test_grid_form_starts_at_the_switch(n, t, use_logistic, monkeypatch):
+    grids = []
+
+    def counted(*factors):
+        grids.append(1)
+        return model._grid_blocks(*factors)
+
+    monkeypatch.setattr(gibbs, "_grid_blocks", counted)
+    samples = mixed_layout_sample_set(n, t, 5, seed=n)
+    config = ModelConfig(5, use_logistic=use_logistic)
+    switch = math.ceil(model.GRID_SHARE * n * n * t)
+    flat = np.random.default_rng(n).permutation(n * n * t)[:switch]
+    for count, takes_grid in ((switch - 1, False), (switch, True)):
+        ii, jj, tt = flat[:count] // (n * t), flat[:count] // t % n, flat[:count] % t
+        grids.clear()
+        got = predictive_scores(samples, ii, jj, tt, config)
+        assert bool(grids) is takes_grid
+        assert got.tobytes() == reference_predictive_scores(samples, ii, jj, tt, config).tobytes()
 
 
 def test_predictive_scores_memory_stays_blocked():
-    # MAP scores (predict_entries) take the same blocked gather
+    # MAP scores (predict_entries) take the same forms; at the switch the
+    # grid form holds the (N, N, T) total, twice the result, beside it
     samples = random_sample_set(104, 26, 11, 2)
     ii, jj, tt = (axis.ravel() for axis in np.indices((104, 104, 26)))
+    switch = math.ceil(model.GRID_SHARE * ii.size)
     identity = ModelConfig(11, use_logistic=False)
-    for score in (lambda: predictive_scores(samples, ii, jj, tt, identity),
-                  lambda: predict_entries(samples.draws[0], ii, jj, tt, identity)):
-        tracemalloc.start()
-        try:
-            scores = score()
-            _current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * scores.nbytes
+    for count in (ii.size, switch, switch - 1):
+        i, j, t = ii[:count], jj[:count], tt[:count]
+        for score in (lambda: predictive_scores(samples, i, j, t, identity),
+                      lambda: predict_entries(samples.draws[0], i, j, t, identity)):
+            tracemalloc.start()
+            try:
+                scores = score()
+                _current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * scores.nbytes
 
 
 def test_predictive_scores_rejects_draws_of_different_shapes():

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,30 @@ def test_load_triples_comments_and_blanks(tmp_path):
     path.write_text("# a comment\n\n3 2\n0 1 0 1\n# another\n\n1 2 1 0\n")
     tensor = load_triples(path)
     assert tensor.observed_count == 2
+
+
+def test_load_triples_blank_lines_without_comments(tmp_path):
+    # no "#" in the file: the lines go to the parser unfiltered
+    path = tmp_path / "t.tsv"
+    path.write_text("\n3 2\n\n0 1 0 1\n  \n\t\n1 2 1 0\n\n")
+    tensor = load_triples(path)
+    assert [a.tolist() for a in tensor.entry_arrays()] == [[0, 1], [1, 2], [0, 1], [1.0, 0.0]]
+    path.write_text("3 2\n\n \n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_triples(path).observed_count == 0
+
+
+@pytest.mark.parametrize("body,line", [
+    ("\n\n0 1 0 1\n \n0 1 0 x", 6),  # a bad line after blank lines, no comments
+    ("0 1 0 1\n\n1 2 1 0 # note", 4),  # a mid-line "#" after blank lines
+])
+def test_load_triples_errors_after_blank_lines_name_the_line(tmp_path, body, line):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"3 2\n{body}\n")
+    with pytest.raises(TripleParseError) as err:
+        load_triples(path)
+    assert err.value.line_number == line
 
 
 @pytest.mark.parametrize("body,line", [

@@ -127,16 +127,18 @@ def test_scoring_accepts_the_coordinates_the_tensor_accepts(all_cells):
             score(*out_of_range)
 
 
-@pytest.mark.parametrize("coordinates", ["unsorted", "grid"])
+@pytest.mark.parametrize("coordinates", ["unsorted", "grid", "below-switch"])
 def test_map_score_is_the_one_draw_posterior_mean(coordinates):
-    # a MAP model scores as a sample set holding it alone, bit for bit
+    # a MAP model scores as a sample set holding it alone, bit for bit, in
+    # the grid form and (below the switch) in the blocked gather
     n, t, d = 30, 7, 11
     f = random_factors(12, n, t, d)
     if coordinates == "grid":
         ii, jj, tt = (a.ravel() for a in np.indices((n, n, t)))
-    else:  # 3 blocks and part of a fourth, in no order
+    else:  # 3 blocks and part of a fourth, or just under the switch, in no order
         rng = np.random.default_rng(13)
-        size = 3 * model._SCORE_BLOCK + 100
+        size = (3 * model._SCORE_BLOCK + 100 if coordinates == "unsorted"
+                else math.ceil(model.GRID_SHARE * n * n * t) - 1)
         ii, jj, tt = rng.integers(0, n, size), rng.integers(0, n, size), rng.integers(0, t, size)
     one_draw = SampleSet(draws=[f])
     logistic_link, identity = ModelConfig(d), ModelConfig(d, use_logistic=False)
