@@ -532,7 +532,7 @@ def predictive_scores(samples: SampleSet, ii, jj, tt,
     draws differ in shape.
 
     The coordinates take the form that their count picks
-    (``model._takes_grid``), as in ``predict_entries``:
+    (``model._takes_grid``):
 
     * below ``model.GRID_SHARE`` of the N x N x T cells, the blocked gather
       (``model._gather_blocks``): each draw's factor rows for a block are
@@ -548,7 +548,8 @@ def predictive_scores(samples: SampleSet, ii, jj, tt,
     Both forms sum every cell in the same order with the same ``einsum``
     kernel and add the draws in draw order, so every score is bitwise that
     of gathering whole (E, D) arrays per draw and depends only on its own
-    coordinate; one draw scores as ``predict_entries`` clamped into [0, 1].
+    coordinate; one draw scores as ``predict_entries``, which always takes
+    the gather, clamped into [0, 1].
     """
     if len(samples) == 0:
         raise ValueError("empty sample set")

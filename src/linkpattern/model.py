@@ -9,12 +9,12 @@ Every CP sum over a tensor's observed entries runs in one kernel,
 :class:`ObservationGroups`, shared by the MAP fit, the Gibbs sampler and
 :func:`log_likelihood`; it chooses between a masked-dense and a row form
 once per tensor.  Bare coordinate arrays (:func:`reconstruct_entries`,
-:func:`predict_entries` and ``gibbs.predictive_scores``) take one of two
-forms by their count alone: a blocked gather, which the kernel's row form
-shares, or from ``GRID_SHARE`` of the N x N x T cells up, the grid form,
-which scores every cell and reads the coordinates from the grid.  Both
-reduce each ``U_i o V_j`` against ``R_t`` with the same ``einsum`` kernel,
-so they are bitwise equal and the choice changes no value.
+:func:`predict_entries`) take a blocked gather, which the kernel's row
+form shares.  ``gibbs.predictive_scores`` takes the gather too, or from
+``GRID_SHARE`` of the N x N x T cells up, the grid form, which scores every
+cell and reads the coordinates from the grid.  Both reduce each
+``U_i o V_j`` against ``R_t`` with the same ``einsum`` kernel, so they are
+bitwise equal and the choice changes no value.
 """
 
 import numbers
@@ -150,8 +150,9 @@ def logistic(x):
 # One threshold for both keeps one form decision.
 DENSE_CELLS_PER_ENTRY = 10
 
-# Coordinates per block of the gathered CP sums (bare coordinates below
-# GRID_SHARE, and the kernel's row form) and of the grid form's reads.
+# Coordinates per block of the gathered CP sums (bare coordinates, below
+# GRID_SHARE in predictive_scores, and the kernel's row form) and of the
+# grid form's reads.
 # Whole predictive_scores times in ms of the gather over all N x N x T
 # coordinates, identity link, medians of 15 interleaved runs (one BLAS
 # thread, 2-vCPU Xeon VM, numpy 2.4):
@@ -163,13 +164,13 @@ DENSE_CELLS_PER_ENTRY = 10
 # 4096 rows; whole-array gathers ("whole") spill at the larger sizes.
 _SCORE_BLOCK = 4096
 
-# Bare coordinates take the grid form (_grid_blocks) when they number at
-# least this share of the N x N x T cells, and the blocked gather otherwise.
-# The two forms are bitwise equal, so the switch changes no value.
+# predictive_scores takes the grid form (_grid_blocks) when the coordinates
+# number at least this share of the N x N x T cells, and the blocked gather
+# otherwise.  The two forms are bitwise equal, so the switch changes no value.
 # Gather / grid times in ms at each share of the cells, distinct random
 # coordinates in no order, identity link, medians of 9 to 15 interleaved
-# runs (one BLAS thread, 2-vCPU Xeon VM, numpy 2.4); predictive_scores
-# over the draws, predict_entries for one draw:
+# runs (one BLAS thread, 2-vCPU Xeon VM, numpy 2.4); the sums and link over
+# 4 or 250 draws, and over one draw, as a MAP file is scored:
 #   share                0.2        0.3        0.4        0.5       0.75        1.0
 #   104x104x26, D=11, 4  7.6/12.5  11.6/12.8  14.9/12.7  19.6/13.3  31.0/14.1  40.9/15.2
 #   50x50x5, D=5, 250   15.2/35.4  22.3/37.4  30.4/35.3  35.8/36.3  93.3/70.3   127/62.8
@@ -262,9 +263,9 @@ def _cp_sums(A, B, C, ii, jj, tt) -> np.ndarray:
 
 
 def _takes_grid(count: int, n_objects: int, n_relations: int) -> bool:
-    """Whether ``count`` bare coordinates take the grid form: at least
-    ``GRID_SHARE`` of the N x N x T cells."""
-    return count >= GRID_SHARE * n_objects * n_objects * n_relations
+    """Whether ``count`` bare coordinates take the grid form: at least one,
+    and at least ``GRID_SHARE`` of the N x N x T cells."""
+    return count > 0 and count >= GRID_SHARE * n_objects * n_objects * n_relations
 
 
 def _grid_blocks(A, B, C):
@@ -293,7 +294,14 @@ def _grid_blocks(A, B, C):
 
 def _grid_cells(grid: np.ndarray, ii, jj, tt) -> np.ndarray:
     """The (N, N, T) ``grid`` read at the coordinates, ``_SCORE_BLOCK`` at a time
-    so that their flat indices add O(block) memory."""
+    so that their flat indices add O(block) memory.
+
+    Blocked flat ``take`` is faster than ``grid[ii, jj, tt]``, which yields
+    the same values: ms on the 104 x 104 x 26 grid, medians of 31
+    interleaved runs (same VM), blocked / direct: every cell in order
+    1.6 / 2.3, every cell in no order 2.8 / 5.4, half the cells in no order
+    1.8 / 3.6.
+    """
     n, _, t = grid.shape
     flat = grid.ravel()
     out = np.empty(ii.size)
@@ -329,8 +337,8 @@ class ObservationGroups:
       over N into D columns, or over D alone in the reconstruction, which
       rounds alike under any thread count;
     * **row**, for sparser tensors (``masks`` is None).  The reconstruction
-      is the blocked gather that bare coordinates take below
-      ``GRID_SHARE`` (:func:`reconstruct_entries`), and the entries are sorted once by each
+      is the blocked gather that bare coordinates take
+      (:func:`reconstruct_entries`), and the entries are sorted once by each
       axis, so that each row's Gram and right-hand side are summed over its
       contiguous segment.  Summing over the masks costs K N^2 D^2 whatever
       the entry count, which sparse tensors do not repay.
@@ -500,22 +508,14 @@ class _AxisGroups:
 def reconstruct_entries(factors: LatentFactors, ii, jj, tt) -> np.ndarray:
     """Triple inner products sum_d U[i,d] V[j,d] R[t,d] over coordinate arrays.
 
-    Bare coordinates take the form their count picks, as in
-    ``gibbs.predictive_scores``: the blocked gather, or from ``GRID_SHARE``
-    of the N x N x T cells up, the grid form, which fills an (N, N, T) grid
-    and reads the coordinates from it.  The forms are bitwise equal, so a
-    value depends only on its own coordinate.  Raises IndexError for a
-    coordinate outside [0, N) or [0, T), and ValueError for one that is not
-    an exact integer.
+    The coordinates take the blocked gather, so a value depends only on its
+    own coordinate.  ``gibbs.predictive_scores``' grid form is bitwise equal
+    to it, so a MAP score is the one-draw posterior mean in either form.
+    Raises IndexError for a coordinate outside [0, N) or [0, T), and
+    ValueError for one that is not an exact integer.
     """
-    n, t = factors.n_objects, factors.n_relations
-    ii, jj, tt = _coordinates(ii, jj, tt, n, t)
-    if not _takes_grid(ii.size, n, t):
-        return _cp_sums(factors.U, factors.V, factors.R, ii, jj, tt)
-    grid = np.empty((n, n, t))
-    for rows, sums in _grid_blocks(factors.U, factors.V, factors.R):
-        grid[rows] = sums
-    return _grid_cells(grid, ii, jj, tt)
+    ii, jj, tt = _coordinates(ii, jj, tt, factors.n_objects, factors.n_relations)
+    return _cp_sums(factors.U, factors.V, factors.R, ii, jj, tt)
 
 
 def predict_entries(factors: LatentFactors, ii, jj, tt, config: ModelConfig) -> np.ndarray:

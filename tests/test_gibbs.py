@@ -15,7 +15,8 @@ from linkpattern.gibbs import (ChainConfig, FactorHyperState, GibbsState,
                                run_chain, sample_alpha, sample_factor_hypers,
                                sample_r_rows, sample_u_rows, sample_v_rows)
 from linkpattern.io import SynthSpec, generate_synthetic
-from linkpattern.model import LatentFactors, ModelConfig, log_likelihood, predict_entries
+from linkpattern.model import (LatentFactors, ModelConfig, log_likelihood, predict_entries,
+                              reconstruct_entries)
 from linkpattern.optimize import MapConfig, fit_map
 from linkpattern.tensor import RelationalTensor
 
@@ -714,17 +715,14 @@ def test_grid_form_matches_gather_bitwise(n, t, d, use_logistic, monkeypatch):
     ii, jj, tt = rng.integers(0, n, count), rng.integers(0, n, count), rng.integers(0, t, count)
     config = ModelConfig(d, use_logistic=use_logistic)
     want = reference_predictive_scores(samples, ii, jj, tt, config).tobytes()
-    forms = {}
-    for form, share in (("grid", 0.0), ("gather", np.inf)):
+    map_scores = [predict_entries(draw, ii, jj, tt, config) for draw in samples.draws]
+    for share in (0.0, np.inf):  # the grid form, then the gather
         monkeypatch.setattr(model, "GRID_SHARE", share)
         assert predictive_scores(samples, ii, jj, tt, config).tobytes() == want
-        # a MAP score is the one-draw posterior mean, clamped, in either form
-        forms[form] = [predict_entries(draw, ii, jj, tt, config) for draw in samples.draws]
-        for draw, scores in zip(samples.draws, forms[form]):
+        # a MAP score (always gathered) is the one-draw posterior mean, clamped
+        for draw, scores in zip(samples.draws, map_scores):
             one_draw = predictive_scores(SampleSet(draws=[draw]), ii, jj, tt, config)
             assert np.clip(scores, 0.0, 1.0).tobytes() == one_draw.tobytes()
-    assert all(grid.tobytes() == gather.tobytes()
-               for grid, gather in zip(forms["grid"], forms["gather"]))
 
 
 @pytest.mark.parametrize("use_logistic", [False, True])
@@ -750,8 +748,8 @@ def test_grid_form_starts_at_the_switch(n, t, use_logistic, monkeypatch):
 
 
 def test_predictive_scores_memory_stays_blocked():
-    # MAP scores (predict_entries) take the same forms; at the switch the
-    # grid form holds the (N, N, T) total, twice the result, beside it
+    # at the switch the grid form holds the (N, N, T) total, twice the
+    # result, beside it; MAP scores (predict_entries) take the gather
     samples = random_sample_set(104, 26, 11, 2)
     ii, jj, tt = (axis.ravel() for axis in np.indices((104, 104, 26)))
     switch = math.ceil(model.GRID_SHARE * ii.size)
@@ -767,6 +765,16 @@ def test_predictive_scores_memory_stays_blocked():
             finally:
                 tracemalloc.stop()
             assert peak < 4 * scores.nbytes
+
+
+@pytest.mark.parametrize("n, t", [(0, 3), (4, 0), (0, 0)])
+def test_empty_coordinates_score_against_an_empty_model(n, t):
+    # no coordinates take the grid form, whose blocks an empty grid cannot size
+    f = LatentFactors(np.zeros((n, 2)), np.zeros((n, 2)), np.zeros((t, 2)))
+    config = ModelConfig(2)
+    for scores in (reconstruct_entries(f, [], [], []), predict_entries(f, [], [], [], config),
+                   predictive_scores(SampleSet(draws=[f, f]), [], [], [], config)):
+        assert scores.shape == (0,) and scores.dtype == np.float64
 
 
 def test_predictive_scores_rejects_draws_of_different_shapes():

@@ -129,8 +129,9 @@ def test_scoring_accepts_the_coordinates_the_tensor_accepts(all_cells):
 
 @pytest.mark.parametrize("coordinates", ["unsorted", "grid", "below-switch"])
 def test_map_score_is_the_one_draw_posterior_mean(coordinates):
-    # a MAP model scores as a sample set holding it alone, bit for bit, in
-    # the grid form and (below the switch) in the blocked gather
+    # a MAP model (always gathered) scores as a sample set holding it alone,
+    # bit for bit, whether that set takes the grid form or (below the
+    # switch) the blocked gather
     n, t, d = 30, 7, 11
     f = random_factors(12, n, t, d)
     if coordinates == "grid":
