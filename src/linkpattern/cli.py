@@ -216,9 +216,8 @@ def cmd_evaluate(args) -> int:
 def cmd_predict(args) -> int:
     loaded = load_factors(args.factors)
     # a single factor file scores as a one-draw sample set
-    samples = loaded if isinstance(loaded, SampleSet) else SampleSet(draws=[loaded])
-    factors = samples.draws[0]
-    n_objects, T = factors.n_objects, factors.n_relations
+    samples = loaded if isinstance(loaded, SampleSet) else SampleSet.of([loaded])
+    (_, n_objects, rank), T = samples.U.shape, samples.R.shape[1]
     with open(args.pairs, "r", encoding="utf-8") as fh:
         pairs = _int_table(fh.readlines(), (n_objects, n_objects))
     if not len(pairs):
@@ -227,7 +226,7 @@ def cmd_predict(args) -> int:
     tt = np.tile(np.arange(T), len(pairs))
     # sample sets are drawn under the identity link
     use_logistic = not (isinstance(loaded, SampleSet) or args.identity_link)
-    scores = predictive_scores(samples, ii, jj, tt, ModelConfig(factors.rank, use_logistic))
+    scores = predictive_scores(samples, ii, jj, tt, ModelConfig(rank, use_logistic))
     fmt = " ".join(["%.6f"] * T)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         rows = scores.reshape(len(pairs), T).tolist()

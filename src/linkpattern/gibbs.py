@@ -9,7 +9,8 @@ R given the new U and V.  The three hyperparameter draws are one stacked
 Gaussian-Wishart draw, which takes its noise from the chain's generator in
 the U, V, R order; the rows come from the public samplers
 :func:`sample_u_rows`, :func:`sample_v_rows` and :func:`sample_r_rows`.
-Predictions average the per-draw model means over the retained samples.
+Predictions average the per-draw model means over the retained samples,
+which a :class:`SampleSet` holds as stacked arrays with a leading draw axis.
 
 Conjugacy requires the identity link, so sweeps always use it internally;
 per-sample predictive means are clamped into [0, 1] at reporting time.
@@ -29,8 +30,9 @@ import numpy as np
 
 from .exceptions import ConfigError, DimensionMismatchError, NotPositiveDefiniteError
 from .model import (LatentFactors, ModelConfig, ObservationGroups, _check_count, _check_tensor,
-                    _coordinates, _gather_blocks, _gathered_sums, _gaussian_log_likelihood,
-                    _grid_blocks, _grid_cells, _inner, _takes_grid, logistic)
+                    _checked_factors, _coordinates, _gather_blocks, _gathered_sums,
+                    _gaussian_log_likelihood, _grid_blocks, _grid_cells, _inner, _takes_grid,
+                    logistic)
 from .rng import _check_seed, substream
 from .tensor import RelationalTensor
 
@@ -143,15 +145,52 @@ class ChainConfig:
         return (self.num_samples - self.burn_in) // self.thin
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampleSet:
-    """Ordered retained posterior draws plus per-sweep diagnostics."""
+    """Retained posterior draws, stacked along a leading draw axis, plus
+    per-sweep diagnostics.
 
-    draws: list = field(default_factory=list)
+    Draw s is ``U[s]``, ``V[s]``, ``R[s]`` and ``alpha[s]``: U and V are
+    (S, N, D), R is (S, T, D) and alpha is (S,).  The stacks are checked
+    once, when the set is built, by the check each :class:`LatentFactors`
+    makes, and kept as read-only views, so the checks hold for the set's
+    life: ValueError for an empty stack or an entry that is not finite or a
+    noise precision that is not positive, DimensionMismatchError for shapes
+    that disagree.  ``log_likelihoods`` holds one value per sweep, burn-in
+    included.  :meth:`of` stacks a sequence of LatentFactors, and ``draws``
+    gives them back as views.
+    """
+
+    U: np.ndarray
+    V: np.ndarray
+    R: np.ndarray
+    alpha: np.ndarray
     log_likelihoods: list = field(default_factory=list)
 
+    def __post_init__(self):
+        checked = _checked_factors(self.U, self.V, self.R, self.alpha, lead=1)
+        for name, value in zip(("U", "V", "R", "alpha"), checked):
+            object.__setattr__(self, name, np.lib.stride_tricks.as_strided(value, writeable=False))
+
+    @classmethod
+    def of(cls, draws, log_likelihoods=()) -> "SampleSet":
+        """The set of the LatentFactors in the sequence ``draws``, stacked in order.
+
+        Raises DimensionMismatchError for draws of different shapes, and
+        ValueError for no draws.
+        """
+        if len({(f.U.shape, f.R.shape) for f in draws}) > 1:
+            raise DimensionMismatchError("draws of one sample set must share their shapes")
+        return cls(*(np.array([getattr(f, name) for f in draws])
+                     for name in ("U", "V", "R", "alpha")), list(log_likelihoods))
+
+    @property
+    def draws(self) -> tuple:
+        """The draws in order, as LatentFactors views of the stacks."""
+        return tuple(map(LatentFactors, self.U, self.V, self.R, self.alpha))
+
     def __len__(self) -> int:
-        return len(self.draws)
+        return len(self.alpha)
 
 
 @dataclass
@@ -287,21 +326,16 @@ def _sample_gaussian_stack(rng: np.random.Generator, precision: np.ndarray,
     return np.linalg.solve(sym, perturbed)[..., 0]
 
 
-def gaussian_wishart_posterior(rows: np.ndarray, priors: HyperPriors, kappa: float):
-    """Posterior Gaussian-Wishart parameters given factor rows.
-
-    Returns ``(mu_star, kappa_star, nu_star, w_star)`` where the Wishart
-    scale ``w_star`` already incorporates the scatter and mean-shift terms.
-    Raises DimensionMismatchError unless ``rows`` is 2-D with ``priors.rank``
-    columns, and ValueError when it has no rows.
-    """
-    return tuple(stacked[0] for stacked in _gaussian_wishart_posteriors([(rows, kappa)], priors))
-
-
 def _gaussian_wishart_posteriors(blocks, priors: HyperPriors):
-    """:func:`gaussian_wishart_posterior` of each ``(rows, kappa)`` in ``blocks``,
-    stacked over a leading problem axis: (K, D) means, (K,) kappa* and nu*,
-    and (K, D, D) scales, inverted from their inverses in one call."""
+    """Posterior Gaussian-Wishart parameters given the factor rows of each
+    ``(rows, kappa)`` in ``blocks``, stacked over a leading problem axis.
+
+    Returns ``(mu_star, kappa_star, nu_star, w_star)``: (K, D) means, (K,)
+    kappa* and nu*, and (K, D, D) Wishart scales, which already hold the
+    scatter and mean-shift terms and are inverted from their inverses in
+    one call.  Raises DimensionMismatchError unless each ``rows`` is 2-D
+    with ``priors.rank`` columns, and ValueError when one has no rows.
+    """
     mu_star, kappa_star, nu_star, w_inv = zip(*(_scale_inverse(rows, priors, kappa)
                                                 for rows, kappa in blocks))
     w_star = np.linalg.inv(np.array(w_inv))
@@ -469,7 +503,7 @@ def gibbs_sweep(state: GibbsState, tensor: RelationalTensor, priors: HyperPriors
 def run_chain(tensor: RelationalTensor, model_config: ModelConfig,
               priors: HyperPriors, config: ChainConfig,
               frozen_relations: Optional[np.ndarray] = None) -> SampleSet:
-    """Run one Gibbs chain and return the retained draws.
+    """Run one Gibbs chain and return the retained draws, stacked.
 
     Sweeps use the identity link regardless of ``model_config.use_logistic``
     (conjugacy requires it); the flag only affects downstream prediction.
@@ -510,15 +544,15 @@ def run_chain(tensor: RelationalTensor, model_config: ModelConfig,
                        placeholder, placeholder, placeholder)
     groups = ObservationGroups(tensor)
 
-    samples = SampleSet()
+    draws, log_likelihoods = [], []
     for sweep in range(config.num_samples):
         state = gibbs_sweep(state, tensor, priors, rng, groups, sample_relations)
         state.residual = groups.residual(state.factors)
-        samples.log_likelihoods.append(  # model.log_likelihood under the identity link
+        log_likelihoods.append(  # model.log_likelihood under the identity link
             _gaussian_log_likelihood(state.residual, state.factors.alpha))
         if sweep >= config.burn_in and (sweep - config.burn_in + 1) % config.thin == 0:
-            samples.draws.append(state.factors)
-    return samples
+            draws.append(state.factors)
+    return SampleSet.of(draws, log_likelihoods)
 
 
 def predictive_scores(samples: SampleSet, ii, jj, tt,
@@ -527,9 +561,9 @@ def predictive_scores(samples: SampleSet, ii, jj, tt,
 
     Each draw's prediction is clamped into [0, 1] before averaging, so the
     result is a valid score even under the identity link.  Raises
-    IndexError for a coordinate outside [0, N) or [0, T), ValueError for
-    one that is not an exact integer, and DimensionMismatchError when the
-    draws differ in shape.
+    IndexError for a coordinate outside [0, N) or [0, T), and ValueError
+    for one that is not an exact integer.  The set's stacks were checked
+    when it was built; the scores loop over its draws one at a time.
 
     The coordinates take the form that their count picks
     (``model._takes_grid``):
@@ -551,29 +585,24 @@ def predictive_scores(samples: SampleSet, ii, jj, tt,
     coordinate; one draw scores as ``predict_entries``, which always takes
     the gather, clamped into [0, 1].
     """
-    if len(samples) == 0:
-        raise ValueError("empty sample set")
-    first = samples.draws[0]
-    shape = (first.U.shape, first.R.shape)
-    if any((factors.U.shape, factors.R.shape) != shape for factors in samples.draws):
-        raise DimensionMismatchError("draws of one sample set must share their shapes")
-    ii, jj, tt = _coordinates(ii, jj, tt, first.n_objects, first.n_relations)
+    (_, n, rank), t = samples.U.shape, samples.R.shape[1]
+    ii, jj, tt = _coordinates(ii, jj, tt, n, t)
 
     def clamped(s):
         linked = logistic(s) if model_config.use_logistic else s
         return np.clip(linked, 0.0, 1.0, out=linked)
 
-    if _takes_grid(ii.size, first.n_objects, first.n_relations):
-        total = np.zeros((first.n_objects, first.n_objects, first.n_relations))
-        for factors in samples.draws:
-            for rows, s in _grid_blocks(factors.U, factors.V, factors.R):
+    if _takes_grid(ii.size, n, t):
+        total = np.zeros((n, n, t))
+        for U, V, R in zip(samples.U, samples.V, samples.R):
+            for rows, s in _grid_blocks(U, V, R):
                 total[rows] += clamped(s)
         scores = _grid_cells(total, ii, jj, tt)
     else:
         scores = np.zeros(ii.size)
-        for rows, block in _gather_blocks(ii, jj, tt, first.rank):
+        for rows, block in _gather_blocks(ii, jj, tt, rank):
             block_total = scores[rows]
-            for factors in samples.draws:
-                block_total += clamped(_gathered_sums(factors.U, factors.V, factors.R, *block))
+            for U, V, R in zip(samples.U, samples.V, samples.R):
+                block_total += clamped(_gathered_sums(U, V, R, *block))
     scores /= len(samples)
     return scores

@@ -19,6 +19,11 @@ Two on-disk formats are owned here:
       draws       n_draws records of: alpha f64, then U, V, R as
                   row-major f64 blocks of N*D, N*D, T*D entries
 
+  A sample set's stacked (S, N, D), (S, N, D), (S, T, D) and (S,) arrays
+  map onto the records directly: they are written in one call and read
+  back as views of one payload array.  A single factor set is a one-draw
+  stack.
+
 Both formats round-trip losslessly (bitwise for float payloads).
 """
 
@@ -144,36 +149,30 @@ def _read_exact(fh, count: int, what: str) -> bytes:
 def save_factors(obj, path) -> None:
     """Serialize a LatentFactors or SampleSet to the binary factor format.
 
-    Each draw goes out as one record written from one reused buffer.
-    Raises ValueError, before the file is opened, for a sample set that is
-    empty or whose draws differ in shape.
+    A LatentFactors is written as a one-draw stack.  The header, the
+    log-likelihoods and the records of all draws go out in one write each.
+    A SampleSet was checked when it was built, so every draw fits the header.
     """
-    if isinstance(obj, LatentFactors):
-        kind, draws, diagnostics = _KIND_FACTORS, [obj], []
-    elif isinstance(obj, SampleSet):
-        kind, draws, diagnostics = _KIND_SAMPLES, obj.draws, obj.log_likelihoods
-        if len({(f.U.shape, f.R.shape) for f in draws}) != 1:
-            raise ValueError("cannot serialize an empty sample set or draws of different shapes")
-    else:
+    if not isinstance(obj, (LatentFactors, SampleSet)):
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    n, T, d = draws[0].n_objects, draws[0].n_relations, draws[0].rank
-    record = np.empty(1 + (2 * n + T) * d, dtype="<f8")
-    rows = record[1:].reshape(2 * n + T, d)
+    kind, samples = ((_KIND_SAMPLES, obj) if isinstance(obj, SampleSet)
+                     else (_KIND_FACTORS, SampleSet.of([obj])))
+    n_draws, n, d = samples.U.shape
+    stacks = (samples.alpha, samples.U, samples.V, samples.R)
+    records = np.concatenate([m.reshape(n_draws, -1) for m in stacks], axis=1, dtype="<f8")
     with open(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<BBIIIII", FORMAT_VERSION, kind, n, T, d,
-                                     len(draws), len(diagnostics)))
-        if len(diagnostics):
-            fh.write(np.asarray(diagnostics, dtype="<f8"))
-        for f in draws:
-            record[0], rows[:n], rows[n:2 * n], rows[2 * n:] = f.alpha, f.U, f.V, f.R
-            fh.write(record)
+        fh.write(MAGIC + struct.pack("<BBIIIII", FORMAT_VERSION, kind, n, samples.R.shape[1], d,
+                                     n_draws, len(samples.log_likelihoods)))
+        fh.write(np.asarray(samples.log_likelihoods, dtype="<f8"))
+        fh.write(records)
 
 
 def load_factors(path):
     """Load a factor binary; returns LatentFactors or SampleSet per its kind.
 
     After the header and size checks the whole payload is read into one
-    float64 array; each draw's U, V and R are views of its record.
+    float64 array.  A sample set's stacks are views of it, checked once as
+    the set is built; no per-draw object is made.
     """
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, "magic")
@@ -202,13 +201,12 @@ def load_factors(path):
         values = np.empty(payload // 8, dtype="<f8")
         if fh.readinto(values) != payload:
             raise FormatError("factor file changed while it was read")
-    nd = n * d
-    draws = [LatentFactors(r[1:1 + nd].reshape(n, d), r[1 + nd:1 + 2 * nd].reshape(n, d),
-                           r[1 + 2 * nd:].reshape(T, d), r[0])
-             for r in values[n_diag:].reshape(n_draws, -1)]
+    alpha, U, V, R = np.split(values[n_diag:].reshape(n_draws, -1),
+                              [1, 1 + n * d, 1 + 2 * n * d], axis=1)
+    U, V, R = U.reshape(n_draws, n, d), V.reshape(n_draws, n, d), R.reshape(n_draws, T, d)
     if kind == _KIND_FACTORS:
-        return draws[0]
-    return SampleSet(draws=draws, log_likelihoods=list(values[:n_diag]))
+        return LatentFactors(U[0], V[0], R[0], alpha[0, 0])
+    return SampleSet(U, V, R, alpha[:, 0], values[:n_diag].tolist())
 
 
 @dataclass(frozen=True)

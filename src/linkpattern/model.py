@@ -49,6 +49,30 @@ def _check_count(name, value, minimum, error=ValueError):
         raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _checked_factors(U, V, R, alpha, lead: int = 0):
+    """U, V, R and alpha as float64 arrays, checked as one draw (``lead``
+    0) or as a stack of draws along a leading axis (``lead`` 1).
+
+    One draw is N x D matrices U and V, a T x D matrix R and a scalar
+    alpha; a stack of S draws is (S, N, D), (S, N, D), (S, T, D) and (S,).
+    Raises DimensionMismatchError for arrays whose dimensions or shapes
+    disagree, and ValueError for an empty stack, a noise precision that is
+    not positive, or an entry that is not finite.
+    """
+    U, V, R, alpha = (np.asarray(x, dtype=np.float64) for x in (U, V, R, alpha))
+    if lead and not alpha.size:
+        raise ValueError("a sample set needs at least one draw")
+    if not (U.ndim == V.ndim == R.ndim == 2 + lead and U.shape == V.shape
+            and U.shape[-1] == R.shape[-1] and U.shape[:lead] == R.shape[:lead] == alpha.shape):
+        raise DimensionMismatchError(f"inconsistent factor shapes: U {U.shape}, V {V.shape}, "
+                                     f"R {R.shape}, alpha {alpha.shape}")
+    if not 0 < alpha.min() < np.inf:  # NaN fails too
+        raise ValueError(f"noise precision must be positive and finite, got {alpha.min()}")
+    if not (np.isfinite(U).all() and np.isfinite(V).all() and np.isfinite(R).all()):
+        raise ValueError("factor entries must be finite")
+    return U, V, R, alpha
+
+
 @dataclass
 class LatentFactors:
     """Complete model state: factor matrices plus noise precision.
@@ -63,20 +87,8 @@ class LatentFactors:
     alpha: float = 1.0
 
     def __post_init__(self):
-        self.U = np.asarray(self.U, dtype=np.float64)
-        self.V = np.asarray(self.V, dtype=np.float64)
-        self.R = np.asarray(self.R, dtype=np.float64)
-        self.alpha = float(self.alpha)
-        if self.U.ndim != 2 or self.V.ndim != 2 or self.R.ndim != 2:
-            raise DimensionMismatchError("U, V, R must be 2-D matrices")
-        if self.U.shape != self.V.shape or self.U.shape[1] != self.R.shape[1]:
-            raise DimensionMismatchError(
-                f"inconsistent factor shapes: U {self.U.shape}, V {self.V.shape}, R {self.R.shape}")
-        if self.alpha <= 0:
-            raise ValueError(f"noise precision must be positive, got {self.alpha}")
-        if not (np.isfinite(self.U).all() and np.isfinite(self.V).all()
-                and np.isfinite(self.R).all() and np.isfinite(self.alpha)):
-            raise ValueError("factor entries must be finite")
+        self.U, self.V, self.R, alpha = _checked_factors(self.U, self.V, self.R, self.alpha)
+        self.alpha = float(alpha)
 
     @property
     def n_objects(self) -> int:
@@ -89,9 +101,6 @@ class LatentFactors:
     @property
     def rank(self) -> int:
         return self.U.shape[1]
-
-    def copy(self) -> "LatentFactors":
-        return LatentFactors(self.U.copy(), self.V.copy(), self.R.copy(), self.alpha)
 
 
 def logistic(x):

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from linkpattern.gibbs import (FactorHyperState, GibbsState, HyperPriors,
-                               gaussian_wishart_posterior, sample_factor_hypers, sample_r_rows,
+                               _gaussian_wishart_posteriors, sample_factor_hypers, sample_r_rows,
                                sample_u_rows, sample_v_rows)
 from linkpattern.model import LatentFactors, reconstruct_entries
 from linkpattern.tensor import RelationalTensor
@@ -134,7 +134,8 @@ def reference_factor_hypers(rows, priors, kappa, rng):
     D > 1, then the mean from a second Cholesky factor of ``kappa* M M^T``
     and a forward and a back solve.
     """
-    mu_star, kappa_star, nu_star, w_star = gaussian_wishart_posterior(rows, priors, kappa)
+    (mu_star,), (kappa_star,), (nu_star,), (w_star,) = _gaussian_wishart_posteriors(
+        [(rows, kappa)], priors)
     d = mu_star.size
     A = np.zeros((d, d))
     A[np.diag_indices(d)] = np.sqrt(rng.chisquare(nu_star - np.arange(d)))

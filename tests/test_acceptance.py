@@ -14,9 +14,9 @@ import pytest
 
 from linkpattern.cli import main as cli_main
 from linkpattern.evaluate import SplitSpec, TrainSettings, auc, evaluate_method, split_fibers
-from linkpattern.gibbs import (ChainConfig, HyperPriors, run_chain, sample_alpha,
-                               sample_factor_hypers, sample_r_rows, sample_u_rows,
-                               sample_v_rows, gaussian_wishart_posterior)
+from linkpattern.gibbs import (ChainConfig, HyperPriors, _gaussian_wishart_posteriors,
+                               run_chain, sample_alpha, sample_factor_hypers, sample_r_rows,
+                               sample_u_rows, sample_v_rows)
 from linkpattern.io import SynthSpec, generate_synthetic, load_triples, save_factors, save_triples
 from linkpattern.model import ModelConfig
 from linkpattern.optimize import MapConfig, fit_map
@@ -76,7 +76,8 @@ def test_criterion_2_conjugacy_oracles():
     # Gaussian-Wishart hyper conditional: moment checks
     rows = np.array([[0.4, -0.2], [1.1, 0.3], [-0.5, 0.8], [0.2, 0.2]])
     priors2 = HyperPriors.default(2, nu0=4.0)
-    mu_star, _kappa, nu_star, w_star = gaussian_wishart_posterior(rows, priors2, priors2.kappa0)
+    (mu_star,), _kappa, (nu_star,), (w_star,) = _gaussian_wishart_posteriors(
+        [(rows, priors2.kappa0)], priors2)
     rng = np.random.default_rng(46)
     lam_sum = np.zeros((2, 2))
     mu_sum = np.zeros(2)

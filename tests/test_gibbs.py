@@ -10,7 +10,7 @@ from linkpattern import gibbs, model
 from linkpattern.exceptions import (ConfigError, DimensionMismatchError,
                                     NotPositiveDefiniteError)
 from linkpattern.gibbs import (ChainConfig, FactorHyperState, GibbsState,
-                               HyperPriors, SampleSet, gaussian_wishart_posterior,
+                               HyperPriors, SampleSet, _gaussian_wishart_posteriors,
                                gibbs_sweep, predictive_scores,
                                run_chain, sample_alpha, sample_factor_hypers,
                                sample_r_rows, sample_u_rows, sample_v_rows)
@@ -91,7 +91,8 @@ def test_sample_alpha_single_entry_update():
 def test_gaussian_wishart_posterior_single_row_at_prior_mean():
     priors = HyperPriors.default(2, nu0=4.0)
     rows = np.zeros((1, 2))
-    mu_star, kappa_star, nu_star, w_star = gaussian_wishart_posterior(rows, priors, priors.kappa0)
+    (mu_star,), (kappa_star,), (nu_star,), (w_star,) = _gaussian_wishart_posteriors(
+        [(rows, priors.kappa0)], priors)
     assert np.allclose(mu_star, 0.0)
     assert kappa_star == 3.0
     assert nu_star == 5.0
@@ -101,25 +102,26 @@ def test_gaussian_wishart_posterior_single_row_at_prior_mean():
 def test_gaussian_wishart_posterior_zero_rows_any_count():
     priors = HyperPriors.default(2)
     for m in (1, 3, 7):
-        mu_star, *_ = gaussian_wishart_posterior(np.zeros((m, 2)), priors, priors.kappa0)
+        mu_star, *_ = _gaussian_wishart_posteriors([(np.zeros((m, 2)), priors.kappa0)], priors)
         assert np.allclose(mu_star, 0.0)
 
 
 @pytest.mark.parametrize("shape", [(4, 1), (5,), (4, 3), (2, 5, 1)])
 def test_gaussian_wishart_posterior_rejects_rows_of_another_rank(shape):
     with pytest.raises(DimensionMismatchError):
-        gaussian_wishart_posterior(np.zeros(shape), HyperPriors.default(5), 2.0)
+        _gaussian_wishart_posteriors([(np.zeros(shape), 2.0)], HyperPriors.default(5))
 
 
 def test_gaussian_wishart_posterior_rejects_zero_rows():
     with pytest.raises(ValueError, match="at least one row"):
-        gaussian_wishart_posterior(np.zeros((0, 5)), HyperPriors.default(5), 2.0)
+        _gaussian_wishart_posteriors([(np.zeros((0, 5)), 2.0)], HyperPriors.default(5))
 
 
 def test_sample_factor_hypers_moment_oracle():
     rows = np.array([[0.4, -0.2], [1.1, 0.3], [-0.5, 0.8], [0.2, 0.2]])
     priors = HyperPriors.default(2, nu0=4.0)
-    mu_star, kappa_star, nu_star, w_star = gaussian_wishart_posterior(rows, priors, priors.kappa0)
+    (mu_star,), (kappa_star,), (nu_star,), (w_star,) = _gaussian_wishart_posteriors(
+        [(rows, priors.kappa0)], priors)
     rng = np.random.default_rng(46)
     lam_sum = np.zeros((2, 2))
     mu_sum = np.zeros(2)
@@ -647,7 +649,7 @@ def test_run_chain_validates_dimensions():
 def make_sample_set(r_values):
     draws = [LatentFactors(np.array([[1.0]]), np.array([[1.0]]), np.array([[r]]), 1.0)
              for r in r_values]
-    return SampleSet(draws=draws, log_likelihoods=[0.0] * len(draws))
+    return SampleSet.of(draws, log_likelihoods=[0.0] * len(draws))
 
 
 def test_predictive_mean_examples():
@@ -662,15 +664,15 @@ def test_predictive_mean_examples():
     assert np.array_equal(score(pair), score(flipped))
     clamped = make_sample_set([-3.0, 5.0])  # per-sample clamp, then average
     assert score(clamped)[0] == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        score(SampleSet())
+    with pytest.raises(ValueError):  # an empty set cannot be built
+        score(SampleSet.of([]))
 
 
 def random_sample_set(n, t, d, n_draws, seed=0):
     """Draws whose entries reach both clamp bounds and saturate the logistic."""
     rng = np.random.default_rng(seed)
-    return SampleSet(draws=[LatentFactors(rng.normal(0, 1.5, (n, d)), rng.normal(0, 1.5, (n, d)),
-                                          rng.normal(0, 1.5, (t, d))) for _ in range(n_draws)])
+    return SampleSet.of([LatentFactors(rng.normal(0, 1.5, (n, d)), rng.normal(0, 1.5, (n, d)),
+                                       rng.normal(0, 1.5, (t, d))) for _ in range(n_draws)])
 
 
 @pytest.mark.parametrize("use_logistic", [False, True])
@@ -693,14 +695,20 @@ def test_predictive_scores_match_whole_array_reference_bitwise(blocks, extra, d,
         assert predictive_scores(samples, ii, jj, tt, config).tobytes() == want
 
 
+# stacks whose draws are C-ordered, Fortran-ordered, and strided views of larger arrays
+LAYOUTS = (lambda m: m,
+           lambda m: np.ascontiguousarray(m.transpose(0, 2, 1)).transpose(0, 2, 1),
+           lambda m: np.repeat(m, 2, axis=2)[..., ::2])
+
+
 def mixed_layout_sample_set(n, t, d, seed):
-    """Three draws: C-ordered, Fortran-ordered, and strided views of larger arrays."""
+    """Three draws whose U, V and R take the three LAYOUTS, in an order the
+    seed rotates."""
     rng = np.random.default_rng(seed)
-    c_order, fortran, strided = (
-        [rng.normal(0, 1.5, shape) for shape in ((n, d), (n, d), (t, d))] for _ in range(3))
-    fortran = [np.asfortranarray(m) for m in fortran]
-    strided = [np.repeat(m, 2, axis=1)[:, ::2] for m in strided]
-    return SampleSet(draws=[LatentFactors(*mats) for mats in (c_order, fortran, strided)])
+    stacks = [rng.normal(0, 1.5, (3,) + shape) for shape in ((n, d), (n, d), (t, d))]
+    k = seed % 3
+    layouts = LAYOUTS[k:] + LAYOUTS[:k]
+    return SampleSet(*(layout(m) for layout, m in zip(layouts, stacks)), np.ones(3))
 
 
 @pytest.mark.parametrize("use_logistic", [False, True])
@@ -721,7 +729,7 @@ def test_grid_form_matches_gather_bitwise(n, t, d, use_logistic, monkeypatch):
         assert predictive_scores(samples, ii, jj, tt, config).tobytes() == want
         # a MAP score (always gathered) is the one-draw posterior mean, clamped
         for draw, scores in zip(samples.draws, map_scores):
-            one_draw = predictive_scores(SampleSet(draws=[draw]), ii, jj, tt, config)
+            one_draw = predictive_scores(SampleSet.of([draw]), ii, jj, tt, config)
             assert np.clip(scores, 0.0, 1.0).tobytes() == one_draw.tobytes()
 
 
@@ -773,12 +781,41 @@ def test_empty_coordinates_score_against_an_empty_model(n, t):
     f = LatentFactors(np.zeros((n, 2)), np.zeros((n, 2)), np.zeros((t, 2)))
     config = ModelConfig(2)
     for scores in (reconstruct_entries(f, [], [], []), predict_entries(f, [], [], [], config),
-                   predictive_scores(SampleSet(draws=[f, f]), [], [], [], config)):
+                   predictive_scores(SampleSet.of([f, f]), [], [], [], config)):
         assert scores.shape == (0,) and scores.dtype == np.float64
 
 
+def test_sample_set_stacks_are_read_only_views():
+    # the set is checked once, when built, so neither it nor its draws may
+    # change afterwards; the caller's arrays stay writable
+    U = np.ones((2, 3, 2))
+    samples = SampleSet(U, U + 1.0, np.ones((2, 4, 2)), [1.0, 2.0], [-1.0])
+    assert U.flags.writeable and np.shares_memory(samples.U, U)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        samples.U = U
+    draw = samples.draws[1]
+    assert isinstance(samples.draws, tuple) and len(samples) == 2 and draw.alpha == 2.0
+    assert np.shares_memory(draw.V, samples.V)
+    for array in (samples.U, samples.alpha, draw.V):
+        with pytest.raises(ValueError):
+            array[0] = 5.0
+    with pytest.raises(ValueError):  # the check LatentFactors makes, on the stack
+        SampleSet(U, U, np.ones((2, 4, 2)), [1.0, -1.0])
+
+
 def test_predictive_scores_rejects_draws_of_different_shapes():
-    samples = SampleSet(draws=[random_sample_set(3, 2, 2, 1).draws[0],
-                               random_sample_set(4, 2, 2, 1).draws[0]])
+    # draws of different sizes cannot be scored together: the set that
+    # would carry them to the scorer is refused as it is built
+    draws = [random_sample_set(3, 2, 2, 1).draws[0], random_sample_set(4, 2, 2, 1).draws[0]]
     with pytest.raises(DimensionMismatchError):
-        predictive_scores(samples, [0], [0], [0], ModelConfig(2))
+        predictive_scores(SampleSet.of(draws), [0], [0], [0], ModelConfig(2))
+
+
+@pytest.mark.parametrize("shape", [(5, 3, 2), (4, 2, 2), (4, 3, 1)], ids=["N", "T", "D"])
+def test_sample_set_rejects_draws_of_different_shapes(shape):
+    # refused when the set is built, so neither a scorer nor a factor file
+    # (which would then fail to load as truncated or trailing) sees one
+    first = random_sample_set(4, 3, 2, 1).draws[0]
+    other = random_sample_set(*shape, 1, seed=1).draws[0]
+    with pytest.raises(DimensionMismatchError):
+        SampleSet.of([first, other], log_likelihoods=[-1.0])

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from linkpattern.exceptions import FormatError, TripleParseError
+from linkpattern import gibbs, model
+from linkpattern.exceptions import DimensionMismatchError, FormatError, TripleParseError
 from linkpattern.gibbs import HyperPriors, SampleSet
 from linkpattern.io import (SynthSpec, _generate, generate_synthetic,
                             load_factors, load_triples, save_factors,
@@ -132,8 +133,8 @@ def test_factor_roundtrip_bitwise(tmp_path):
 
 
 def test_sample_set_roundtrip_bitwise(tmp_path):
-    samples = SampleSet(draws=[random_factors(seed=k) for k in range(3)],
-                        log_likelihoods=[-1.5, -1.25, -1.0, -0.75])
+    samples = SampleSet.of([random_factors(seed=k) for k in range(3)],
+                           log_likelihoods=[-1.5, -1.25, -1.0, -0.75])
     path = tmp_path / "s.pltf"
     save_factors(samples, path)
     loaded = load_factors(path)
@@ -149,9 +150,9 @@ def test_sample_set_roundtrip_bitwise(tmp_path):
     pytest.param(lambda: random_factors(seed=5, n=6, t=3, d=2),
                  "d53b27c38cb90be1abc12784aa7ab8fc033d3ae5d26115e55a96d55b858d9995",
                  id="factors"),
-    pytest.param(lambda: SampleSet(draws=[random_factors(seed=k, n=6, t=3, d=2)
-                                          for k in range(3)],
-                                   log_likelihoods=[-3.5, -2.25, -1.0, -0.5]),
+    pytest.param(lambda: SampleSet.of([random_factors(seed=k, n=6, t=3, d=2)
+                                       for k in range(3)],
+                                      log_likelihoods=[-3.5, -2.25, -1.0, -0.5]),
                  "c437e22bd24c400211fcd45b6f65b1f787c0752e81d1e1e9a264fb708f48e5dd",
                  id="sample-set"),
 ])
@@ -163,15 +164,59 @@ def test_factor_files_are_pinned(tmp_path, make, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+# bytes from the end of a file of N=4, T=3, D=2 draws: its last R entry,
+# and the alpha that opens its last record
+@pytest.mark.parametrize("back, value", [(8, float("nan")), (8 * (1 + (2 * 4 + 3) * 2), 0.0)],
+                         ids=["nan-in-R", "zero-alpha"])
+def test_load_factors_checks_every_draw(tmp_path, back, value):
+    # the set is checked as one stack when it is built; a bad value in its
+    # last draw is still refused
+    path = tmp_path / "s.pltf"
+    save_factors(SampleSet.of([random_factors(seed=k, n=4, t=3, d=2) for k in range(3)],
+                              log_likelihoods=[-1.0]), path)
+    data = bytearray(path.read_bytes())
+    data[len(data) - back:len(data) - back + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError):
+        load_factors(path)
+
+
+def test_load_factors_checks_a_sample_set_once(tmp_path, monkeypatch):
+    # one check of the whole stack and no per-draw LatentFactors; the
+    # stacks are views of the payload's records
+    path = tmp_path / "s.pltf"
+    save_factors(SampleSet.of([random_factors(seed=k) for k in range(3)]), path)
+    calls = []
+
+    def counted(module):
+        check = module._checked_factors
+
+        def wrapper(*args, **kwargs):
+            calls.append(module.__name__)
+            return check(*args, **kwargs)
+        return wrapper
+
+    for module in (gibbs, model):
+        monkeypatch.setattr(module, "_checked_factors", counted(module))
+    loaded = load_factors(path)
+    assert calls == ["linkpattern.gibbs"]
+    # N=4, T=3, D=2: each record is alpha, U, V, R, and each stack steps a record
+    address = [getattr(loaded, name).__array_interface__["data"][0]
+               for name in ("alpha", "U", "V", "R")]
+    assert np.diff(address).tolist() == [8, 8 * 4 * 2, 8 * 4 * 2]
+    assert {stack.strides[0] for stack in (loaded.alpha, loaded.U, loaded.V, loaded.R)} == {
+        8 * (1 + (2 * 4 + 3) * 2)}
+
+
 @pytest.mark.parametrize("shape", [(5, 3, 2), (4, 2, 2), (4, 3, 1)], ids=["N", "T", "D"])
 def test_save_factors_rejects_draws_of_different_shapes(tmp_path, shape):
     # a file written from mixed shapes would fail to load as truncated or
-    # trailing, so the sample set is refused before the file is opened
+    # trailing; such a sample set cannot be built, so no file is opened
     path = tmp_path / "s.pltf"
     draws = [random_factors(seed=0, n=4, t=3, d=2), random_factors(seed=1, n=shape[0],
                                                                    t=shape[1], d=shape[2])]
-    with pytest.raises(ValueError):
-        save_factors(SampleSet(draws=draws, log_likelihoods=[-1.0]), path)
+    with pytest.raises(DimensionMismatchError):
+        save_factors(SampleSet.of(draws, log_likelihoods=[-1.0]), path)
     assert not path.exists()
 
 
@@ -216,8 +261,8 @@ def test_factor_file_kind0_with_many_draws_error(tmp_path):
     # a sample set relabelled as a single factor set must not silently
     # drop every draw but the first
     path = tmp_path / "f.pltf"
-    save_factors(SampleSet(draws=[random_factors(seed=k) for k in range(2)],
-                           log_likelihoods=[-1.0, -2.0]), path)
+    save_factors(SampleSet.of([random_factors(seed=k) for k in range(2)],
+                              log_likelihoods=[-1.0, -2.0]), path)
     data = bytearray(path.read_bytes())
     data[5] = 0
     path.write_bytes(bytes(data))
@@ -242,8 +287,8 @@ def test_factor_file_empty_dimensions_error(tmp_path):
 def test_save_factors_rejects_unknown_and_empty(tmp_path):
     with pytest.raises(TypeError):
         save_factors(object(), tmp_path / "x.pltf")
-    with pytest.raises(ValueError):
-        save_factors(SampleSet(), tmp_path / "x.pltf")
+    with pytest.raises(ValueError):  # an empty set cannot be built
+        save_factors(SampleSet.of([]), tmp_path / "x.pltf")
 
 
 def test_generate_synthetic_full_observation():

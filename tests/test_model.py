@@ -98,7 +98,7 @@ def test_scoring_rejects_out_of_range_coordinates(bad, all_cells):
     f = random_factors(9, 2, 8, 2)
     good = SCORED_COORDINATES[all_cells]
     ii, jj, tt = (np.append(axis, value) for axis, value in zip(good, bad))
-    samples = SampleSet(draws=[f])
+    samples = SampleSet.of([f])
     for score in (lambda: reconstruct_entries(f, ii, jj, tt),
                   lambda: predict_entries(f, ii, jj, tt, ModelConfig(2)),
                   lambda: predictive_scores(samples, ii, jj, tt, ModelConfig(2))):
@@ -116,7 +116,7 @@ def test_scoring_accepts_the_coordinates_the_tensor_accepts(all_cells):
     fractional[2][0] = 0.5
     out_of_range = [floats[0], floats[1].copy(), floats[2]]
     out_of_range[1][-1] = 2.0
-    samples = SampleSet(draws=[f])
+    samples = SampleSet.of([f])
     for score in (lambda *c: reconstruct_entries(f, *c),
                   lambda *c: predict_entries(f, *c, ModelConfig(2)),
                   lambda *c: predictive_scores(samples, *c, ModelConfig(2))):
@@ -141,7 +141,7 @@ def test_map_score_is_the_one_draw_posterior_mean(coordinates):
         size = (3 * model._SCORE_BLOCK + 100 if coordinates == "unsorted"
                 else math.ceil(model.GRID_SHARE * n * n * t) - 1)
         ii, jj, tt = rng.integers(0, n, size), rng.integers(0, n, size), rng.integers(0, t, size)
-    one_draw = SampleSet(draws=[f])
+    one_draw = SampleSet.of([f])
     logistic_link, identity = ModelConfig(d), ModelConfig(d, use_logistic=False)
     assert (predict_entries(f, ii, jj, tt, logistic_link).tobytes()
             == predictive_scores(one_draw, ii, jj, tt, logistic_link).tobytes())

@@ -65,7 +65,8 @@ def finite_difference_gradients(factors, tensor, model_cfg, map_cfg, h=1e-6):
         grad = np.zeros_like(mat)
         for idx in np.ndindex(mat.shape):
             for sign in (1.0, -1.0):
-                bumped = factors.copy()
+                bumped = LatentFactors(factors.U.copy(), factors.V.copy(), factors.R.copy(),
+                                       factors.alpha)
                 getattr(bumped, name)[idx] += sign * h
                 grad[idx] += sign * objective(bumped, tensor, model_cfg, map_cfg)
         blocks.append(grad / (2.0 * h))
