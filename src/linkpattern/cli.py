@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import __version__
-from .evaluate import (ExperimentResult, SplitSpec, TrainSettings,
+from .evaluate import (METHOD_NAMES, ExperimentResult, SplitSpec, TrainSettings,
                        evaluate_method, relation_ablation, split_fibers,
                        write_results_csv)
 from .exceptions import (ConfigError, DataConflictError, DegenerateSplitError,
@@ -180,10 +180,13 @@ def cmd_evaluate(args) -> int:
     if args.repeats < 1 or args.jobs < 1:
         raise ConfigError(f"--repeats and --jobs must be at least 1, "
                           f"got {args.repeats} and {args.jobs}")
-    tensor = load_triples(args.input)
     methods = _parse_list(args.methods, str)
     if not methods:
         raise ConfigError("--methods must name at least one method")
+    for method in methods:  # before any cell trains
+        if method not in METHOD_NAMES:
+            raise ConfigError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
+    tensor = load_triples(args.input)
     fractions = _parse_list(args.fraction, float)
     if not fractions:
         raise ConfigError("--fraction must hold at least one value")

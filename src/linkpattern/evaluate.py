@@ -12,7 +12,6 @@ from functools import partial
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .exceptions import DegenerateSplitError, UndefinedMetricError
 from .gibbs import ChainConfig, HyperPriors, predictive_scores, run_chain
@@ -105,12 +104,17 @@ def auc(scores, labels) -> float:
     """Area under the ROC curve, Mann-Whitney form with midrank ties.
 
     Equals P(score+ > score-) + 0.5 P(score+ = score-) over all
-    positive/negative pairs, computed from the rank sum.
+    positive/negative pairs, computed from the rank sum.  The ranks are the
+    midranks, exact half-integers, of the tie groups that ``np.unique``
+    finds: ``-0.0`` ties ``0.0``, ``+inf`` ranks highest and ``-inf``
+    lowest.  A NaN score has no rank and raises ValueError.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError("scores and labels must be 1-D of equal length")
+    if np.isnan(scores).any():
+        raise ValueError(f"score {int(np.argmax(np.isnan(scores)))} is NaN and has no rank")
     if not np.isin(labels, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
     pos = labels == 1
@@ -119,7 +123,8 @@ def auc(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError(
             f"AUC undefined: {n_pos} positives, {n_neg} negatives")
-    ranks = rankdata(scores)
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
     u = float(ranks[pos].sum()) - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
 

@@ -99,10 +99,10 @@ class OptTrace:
     ``step_sizes[k]`` is the accepted Armijo step and ``trials[k]`` counts
     the objective evaluations at trial steps, a failed search retried from
     steepest descent included.  ``restarts`` counts the resets of the CG
-    direction to steepest descent: periodic, after a non-descent direction,
-    for the stall retry, and after a small step that did not pass the
-    convergence test.  An ALS sweep records step 1.0 and 1 trial, its one
-    objective evaluation, and no restarts.
+    direction to steepest descent that a later search used: periodic, after
+    a non-descent direction, for the stall retry, and after a small step
+    that did not pass the convergence test.  An ALS sweep records step 1.0
+    and 1 trial, its one objective evaluation, and no restarts.
     """
 
     objectives: list = field(default_factory=list)
@@ -248,13 +248,13 @@ def fit_map(tensor: RelationalTensor, model_config: ModelConfig,
         (2 * loss.n + loss.t) * loss.d)
     f = loss.value(x)
     trace = OptTrace(objectives=[f])
-    # each step yields (x, f, gradient, moved, step, restart) at its new point
+    # each step yields (x, f, gradient, moved, step) at its new point
     steps = (_conjugate_gradient(loss, x, f, tau, trace) if model_config.use_logistic
              else _alternating_least_squares(loss, x))
     for iteration in range(map_config.max_iterations):
         evaluations = loss.evaluations
         try:
-            x_new, f_new, grad, moved, step, restart = next(steps)
+            x_new, f_new, grad, moved, step = next(steps)
         except StallError:
             trace.termination = "stalled"
             break
@@ -276,7 +276,6 @@ def fit_map(tensor: RelationalTensor, model_config: ModelConfig,
                 and grad_norm <= tau ** (1.0 / 3.0) * (1.0 + abs(f))):
             trace.termination = "converged"
             break
-        trace.restarts += restart  # made for the next step, so not after a stop
     else:
         trace.termination = "max_iterations"
     logger.debug("fit_map: %s after %d iterations, objective %.6g, %d restarts",
@@ -347,15 +346,16 @@ def _alternating_least_squares(loss: _Loss, x):
                 (terms_r, R, gamma_r))])
         moved = x_new - x
         x = x_new
-        yield x, f, grad, math.sqrt(_inner(moved, moved)), 1.0, False
+        yield x, f, grad, math.sqrt(_inner(moved, moved)), 1.0
 
 
 def _conjugate_gradient(loss: _Loss, x, f, tau, trace):
     """Polak-Ribiere CG steps with Armijo backtracking from ``x``, the point
-    of the loss's latest value ``f``.  A step counts its search's restarts
-    in ``trace``; its ``restart`` says that the next step starts from
-    steepest descent, which :func:`fit_map` counts unless it stops there.
-    A search that fails again from steepest descent raises StallError.
+    of the loss's latest value ``f``.  Each reset to steepest descent is
+    counted in ``trace`` when it is made: the stall retry within a step, and
+    a periodic or small-change reset when :func:`fit_map` resumes for the
+    next step, so never after a stop.  A search that fails again from
+    steepest descent raises StallError.
     """
     restart_every = (loss.n + loss.t) * loss.d
     grad = loss.gradient()
@@ -371,11 +371,11 @@ def _conjugate_gradient(loss: _Loss, x, f, tau, trace):
             step, f_new = _backtrack(loss.value, x, f, grad, direction)
         # the accepted trial is the search's last evaluation
         grad_new = loss.gradient()
-        restart = _small_change(tau, f, f_new) or iteration % restart_every == 0
         x = x + step * direction
-        yield x, f_new, grad_new, step * math.sqrt(_inner(direction, direction)), step, restart
-        if restart:
+        yield x, f_new, grad_new, step * math.sqrt(_inner(direction, direction)), step
+        if _small_change(tau, f, f_new) or iteration % restart_every == 0:
             direction = -grad_new
+            trace.restarts += 1
         else:
             beta = max(0.0, _inner(grad_new, grad_new - grad) / _inner(grad, grad))
             direction = -grad_new + beta * direction

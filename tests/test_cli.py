@@ -455,6 +455,18 @@ def test_evaluate_checks_settings_before_any_cell(data_file, tmp_path, monkeypat
     assert calls == [] and not out.exists()
 
 
+def test_evaluate_checks_method_names_before_any_cell(data_file, tmp_path, monkeypatch, capsys):
+    calls = []
+    for name in evaluate.METHOD_NAMES:
+        monkeypatch.setitem(evaluate.METHOD_SCORERS, name,
+                            lambda *args, name=name, **kwargs: calls.append(name))
+    out = tmp_path / "r.csv"
+    assert run_cli(["evaluate", "--input", data_file, "--methods", "hb-r,hb-t,bogus",
+                    "--out", out]) == 1
+    assert "unknown method 'bogus'" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 def test_version_flag(capsys):
     assert run_cli(["--version"]) == 0
     assert "linkpattern" in capsys.readouterr().out

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from linkpattern.evaluate import (METHOD_SCORERS, ExperimentResult, SplitSpec,
                                   TrainSettings, auc, evaluate_method,
@@ -77,6 +78,40 @@ def test_auc_matches_pairwise_oracle_with_ties():
         if labels.min() == labels.max():
             labels[0] = 1 - labels[0]
         assert auc(scores, labels) == auc_pairwise(scores, labels)
+
+
+def rank_sum_auc(scores, labels):
+    """The rank-sum AUC on scipy's midranks, the formula ``auc`` once used."""
+    ranks = rankdata(scores)
+    pos = labels == 1
+    n_pos = int(pos.sum())
+    u = float(ranks[pos].sum()) - n_pos * (n_pos + 1) / 2.0
+    return u / (n_pos * (labels.size - n_pos))
+
+
+@pytest.mark.parametrize("n,half", [(10_000, 1), (30_000, 20), (60_000, 2500)])
+def test_auc_equals_rankdata_rank_sum_bitwise(n, half):
+    # midranks are exact half-integers, so numpy's tie groups give scipy's
+    # rank sum bit for bit, with signed zeros tied and infinities ranked
+    rng = np.random.default_rng(n)
+    scores = rng.integers(-half, half + 1, size=n) / half  # 2 half + 1 tied levels
+    zeros = np.flatnonzero(scores == 0.0)
+    scores[zeros[rng.random(zeros.size) < 0.5]] = -0.0
+    signs = np.signbit(scores[zeros])
+    assert signs.any() and not signs.all()
+    scores[rng.random(n) < 0.03] = np.inf
+    scores[rng.random(n) < 0.03] = -np.inf
+    labels = (rng.random(n) < 0.5 + 0.2 * np.tanh(scores)).astype(np.int64)
+    assert auc(scores, labels) == rank_sum_auc(scores, labels)
+
+
+def test_auc_refuses_nan_and_ranks_infinities():
+    with pytest.raises(ValueError, match="score 1 is NaN"):
+        auc([0.5, np.nan, 0.2], [1, 0, 1])
+    assert auc([np.inf, -np.inf], [1, 0]) == 1.0
+    # -inf below everything, +inf above, and +inf ties +inf
+    assert auc([-np.inf, np.inf, np.inf, 0.0], [1, 1, 0, 0]) == 0.375
+    assert auc([-0.0, 0.0], [1, 0]) == 0.5
 
 
 def perfect_scorer(test):

@@ -6,6 +6,7 @@ import pytest
 from linkpattern import model, optimize
 from linkpattern.evaluate import SplitSpec, auc, split_fibers
 from linkpattern.exceptions import DivergenceError, NotPositiveDefiniteError, StallError
+from linkpattern.io import SynthSpec, generate_synthetic
 from linkpattern.model import LatentFactors, ModelConfig, log_likelihood
 from linkpattern.optimize import MapConfig, fit_map, gradients, objective
 from linkpattern.tensor import RelationalTensor
@@ -377,6 +378,18 @@ def test_cg_stalls_after_its_steepest_descent_retry(monkeypatch):
     assert trace.objectives == trace8.objectives and trace.trials == trace8.trials
     assert trace.restarts == trace8.restarts + 1
     assert np.array_equal(flat(factors), flat(factors8))
+
+
+def test_cg_counts_a_reset_only_when_the_next_step_makes_it():
+    # (N + T) D = 14: iteration 14 calls for the periodic reset, which the
+    # 15th iteration makes; a fit capped at 14 iterations never makes it
+    tensor, _ = generate_synthetic(SynthSpec(4, 3, 2, seed=3))
+    traces = {cap: fit_map(tensor, LOGISTIC_RANK2,
+                           MapConfig(rel_tolerance=1e-12, seed=0, max_iterations=cap))[1]
+              for cap in (13, 14, 15)}
+    assert all(trace.termination == "max_iterations" for trace in traces.values())
+    assert traces[14].objectives[:-1] == traces[13].objectives
+    assert [traces[cap].restarts for cap in (13, 14, 15)] == [1, 1, 2]
 
 
 def test_cg_nan_trial_diverges_naming_its_iteration(monkeypatch):

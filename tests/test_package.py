@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ from linkpattern.io import SynthSpec
 from linkpattern.model import ModelConfig
 from linkpattern.optimize import MapConfig
 from linkpattern.rng import substream
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_every_export_resolves():
@@ -71,3 +77,15 @@ def test_seeds_must_be_integers():
     for seed in (np.int64(3), -1):
         MapConfig(seed=seed), ChainConfig(seed=seed), SplitSpec(0.2, seed)
         SynthSpec(4, 2, 2, seed=seed)
+
+
+def test_package_and_cli_import_no_scipy():
+    # numpy is the only runtime dependency; scipy is installed for the tests
+    code = ("import sys, linkpattern, linkpattern.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
