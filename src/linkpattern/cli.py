@@ -183,18 +183,23 @@ def cmd_evaluate(args) -> int:
     methods = _parse_list(args.methods, str)
     if not methods:
         raise ConfigError("--methods must name at least one method")
-    for method in methods:  # before any cell trains
-        if method not in METHOD_NAMES:
-            raise ConfigError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
-    tensor = load_triples(args.input)
     fractions = _parse_list(args.fraction, float)
     if not fractions:
         raise ConfigError("--fraction must hold at least one value")
     ranks = _parse_list(args.sweep_ranks, int) if args.sweep_ranks else [args.rank]
+    # every name and value is checked before any cell trains
+    for method in methods:
+        if method not in METHOD_NAMES:
+            raise ConfigError(f"unknown method {method!r}; expected one of {METHOD_NAMES}")
+    for fraction in fractions:
+        SplitSpec(fraction, args.seed)
+    for rank in ranks:
+        ModelConfig(rank)
     settings = TrainSettings(gamma=args.gamma,
                              map_max_iterations=args.max_iterations,
                              num_samples=args.samples, burn_in=args.burn_in,
                              thin=args.thin)
+    tensor = load_triples(args.input)
     dataset = args.dataset if args.dataset else os.path.splitext(os.path.basename(args.input))[0]
 
     cells = [(tensor, method, fraction, rank, args.seed + repeat, repeat,

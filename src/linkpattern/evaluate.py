@@ -9,7 +9,7 @@ macro-average flag for per-relation averaging.
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Union
+from typing import Callable, ClassVar, Optional, Union
 
 import numpy as np
 
@@ -40,24 +40,34 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class TrainSettings:
-    """Training knobs shared across methods.
+    """The training settings a caller sets, shared across methods.
 
-    ``gamma`` feeds all three MAP ridge weights; the chain settings feed
-    the Gibbs methods.  ``priors=None`` means untuned defaults at the
-    evaluation rank.  Construction builds the :class:`MapConfig` and
-    :class:`ChainConfig` the settings stand for, so a bad value raises
-    that config's error before any method runs.  Frozen, like the configs.
+    Five fields: ``gamma`` feeds all three MAP ridge weights,
+    ``map_max_iterations`` caps the MAP fits, and ``num_samples``,
+    ``burn_in`` and ``thin`` set the Gibbs chains.  Construction builds the
+    :class:`MapConfig` and :class:`ChainConfig` they stand for, so a bad
+    value raises that config's error before any method runs.  Frozen,
+    like the configs.
+
+    The paper's protocol fixes four more, held as class constants:
+    ``map_rel_tolerance`` and ``init_scale`` are :class:`MapConfig`'s
+    defaults, ``use_logistic_map`` is :class:`ModelConfig`'s default
+    logistic link for pltf, and ``priors`` is None, for
+    :meth:`HyperPriors.default` at the evaluation rank.  Passing one raises
+    TypeError.  Their names remain only because the benchmark
+    (``perfbench/run.py``) reads them to rebuild ``evaluate``'s configs.
     """
 
     gamma: float = MapConfig.gamma_u
     map_max_iterations: int = MapConfig.max_iterations
-    map_rel_tolerance: float = MapConfig.rel_tolerance
-    init_scale: float = MapConfig.init_scale
-    use_logistic_map: bool = True
     num_samples: int = ChainConfig.num_samples
     burn_in: int = ChainConfig.burn_in
     thin: int = ChainConfig.thin
-    priors: Optional[HyperPriors] = None
+    # Fixed by the protocol; kept by name only for perfbench/run.py, which reads them.
+    map_rel_tolerance: ClassVar[float] = MapConfig.rel_tolerance
+    init_scale: ClassVar[float] = MapConfig.init_scale
+    use_logistic_map: ClassVar[bool] = True
+    priors: ClassVar[Optional[HyperPriors]] = None
 
     def __post_init__(self):
         _map_config(self, seed=0)
@@ -135,13 +145,11 @@ def _derived_seed(seed: int, *names: str) -> int:
 
 def _map_config(settings, seed):
     return MapConfig(gamma_u=settings.gamma, gamma_v=settings.gamma, gamma_r=settings.gamma,
-                     max_iterations=settings.map_max_iterations,
-                     rel_tolerance=settings.map_rel_tolerance,
-                     init_scale=settings.init_scale, seed=seed)
+                     max_iterations=settings.map_max_iterations, seed=seed)
 
 
 def _score_pltf(train, ii, jj, tt, *, rank, seed, settings):
-    model_cfg = ModelConfig(rank, use_logistic=settings.use_logistic_map)
+    model_cfg = ModelConfig(rank)
     factors, _ = fit_map(train, model_cfg, _map_config(settings, seed))
     return predict_entries(factors, ii, jj, tt, model_cfg)
 
@@ -151,17 +159,13 @@ def _chain_config(settings, seed, init_factors=None):
                        thin=settings.thin, seed=seed, init_factors=init_factors)
 
 
-def _priors(settings, rank):
-    return settings.priors if settings.priors is not None else HyperPriors.default(rank)
-
-
 def _score_hb(train, ii, jj, tt, *, rank, seed, settings, warm_start):
     model_cfg = ModelConfig(rank, use_logistic=False)
     init = None
     if warm_start:
         # Warm start on the identity-link scale the chain samples on.
         init, _ = fit_map(train, model_cfg, _map_config(settings, seed))
-    samples = run_chain(train, model_cfg, _priors(settings, rank),
+    samples = run_chain(train, model_cfg, HyperPriors.default(rank),
                         _chain_config(settings, seed, init_factors=init))
     return predictive_scores(samples, ii, jj, tt, model_cfg)
 
@@ -180,7 +184,7 @@ def _score_per_slice(train, ii, jj, tt, *, rank, seed, settings):
             continue
         slice_train = train.slice(t).to_tensor()
         chain_cfg = _chain_config(settings, _derived_seed(seed, "per-slice", str(t)))
-        samples = run_chain(slice_train, model_cfg, _priors(settings, rank), chain_cfg,
+        samples = run_chain(slice_train, model_cfg, HyperPriors.default(rank), chain_cfg,
                             frozen_relations=np.ones((1, rank)))
         zeros = np.zeros(int(mask.sum()), dtype=np.int64)
         scores[mask] = predictive_scores(samples, ii[mask], jj[mask], zeros, model_cfg)

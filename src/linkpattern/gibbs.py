@@ -386,7 +386,8 @@ def sample_alpha(factors: LatentFactors, tensor: RelationalTensor,
     when it passes them, from a kernel built over ``tensor`` otherwise.
     Raises DimensionMismatchError when the factors do not fit the tensor.
     """
-    return _draw_alpha(_groups(factors, tensor, groups).residual(factors), priors, rng)
+    groups = _groups(factors, tensor, groups)
+    return _draw_alpha(groups.residual(factors.U, factors.V, factors.R), priors, rng)
 
 
 def _draw_alpha(resid: np.ndarray, priors: HyperPriors, rng: np.random.Generator) -> float:
@@ -423,7 +424,7 @@ def _draw_factor_rows(groups: ObservationGroups, mode: int, factors: LatentFacto
     if hyper.mu.size != factors.rank:
         raise DimensionMismatchError(
             f"hyper state of rank {hyper.mu.size} does not match factor rank {factors.rank}")
-    gram, xty = groups.normal_terms(mode, factors)
+    gram, xty = groups.normal_terms(mode, factors.U, factors.V, factors.R)
     return _sample_gaussian_stack(rng, hyper.precision + factors.alpha * gram,
                                   hyper.precision @ hyper.mu + factors.alpha * xty)
 
@@ -432,16 +433,14 @@ def sample_u_rows(factors: LatentFactors, tensor: RelationalTensor,
                   hyper_u: FactorHyperState, rng: np.random.Generator,
                   groups: Optional[ObservationGroups] = None) -> np.ndarray:
     """Draw a new sender-factor matrix U row by row."""
-    groups = _groups(factors, tensor, groups)
-    return _draw_factor_rows(groups, 0, factors, hyper_u, rng)
+    return _draw_factor_rows(_groups(factors, tensor, groups), 0, factors, hyper_u, rng)
 
 
 def sample_v_rows(factors: LatentFactors, tensor: RelationalTensor,
                   hyper_v: FactorHyperState, rng: np.random.Generator,
                   groups: Optional[ObservationGroups] = None) -> np.ndarray:
     """Draw a new receiver-factor matrix V; U's update with i and j swapped."""
-    groups = _groups(factors, tensor, groups)
-    return _draw_factor_rows(groups, 1, factors, hyper_v, rng)
+    return _draw_factor_rows(_groups(factors, tensor, groups), 1, factors, hyper_v, rng)
 
 
 def sample_r_rows(factors: LatentFactors, tensor: RelationalTensor,
@@ -452,8 +451,7 @@ def sample_r_rows(factors: LatentFactors, tensor: RelationalTensor,
     The per-relation precision accumulates the elementwise products
     (U_i o V_j)(U_i o V_j)^T over the relation's observed entries.
     """
-    groups = _groups(factors, tensor, groups)
-    return _draw_factor_rows(groups, 2, factors, hyper_r, rng)
+    return _draw_factor_rows(_groups(factors, tensor, groups), 2, factors, hyper_r, rng)
 
 
 def gibbs_sweep(state: GibbsState, tensor: RelationalTensor, priors: HyperPriors,
@@ -547,11 +545,12 @@ def run_chain(tensor: RelationalTensor, model_config: ModelConfig,
     draws, log_likelihoods = [], []
     for sweep in range(config.num_samples):
         state = gibbs_sweep(state, tensor, priors, rng, groups, sample_relations)
-        state.residual = groups.residual(state.factors)
-        log_likelihoods.append(  # model.log_likelihood under the identity link
-            _gaussian_log_likelihood(state.residual, state.factors.alpha))
+        f = state.factors
+        state.residual = groups.residual(f.U, f.V, f.R)
+        # model.log_likelihood under the identity link
+        log_likelihoods.append(_gaussian_log_likelihood(state.residual, f.alpha))
         if sweep >= config.burn_in and (sweep - config.burn_in + 1) % config.thin == 0:
-            draws.append(state.factors)
+            draws.append(f)
     return SampleSet.of(draws, log_likelihoods)
 
 

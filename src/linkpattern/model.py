@@ -353,10 +353,11 @@ class ObservationGroups:
       the entry count, which sparse tensors do not repay.
 
     The arrays beyond the tensor's own are built on first use: a value-only
-    MAP objective builds no more than ``flat``.  The factors passed in must
-    fit the tensor; the callers check them.  ``tensor`` is the tensor the
-    groups were built over, so that a sampler can refuse groups passed
-    with another one.
+    MAP objective builds no more than ``flat``.  Every method takes the
+    factor arrays it reads, U (N, D), V (N, D) and R (T, D), not a
+    :class:`LatentFactors`; they must fit the tensor, and the callers check
+    them.  ``tensor`` is the tensor the groups were built over, so that a
+    sampler can refuse groups passed with another one.
     """
 
     def __init__(self, tensor: RelationalTensor):
@@ -404,7 +405,8 @@ class ObservationGroups:
         return slices
 
     def reconstruct(self, A, B, C) -> np.ndarray:
-        """sum_d A[i,d] B[j,d] C[t,d] at every observed entry, in entry order."""
+        """sum_d A[i,d] B[j,d] C[t,d] at every observed entry, in entry order,
+        from (N, D), (N, D) and (T, D) arrays."""
         if self.dense:
             # The BLAS product sums only D terms per cell; sums that short
             # round alike under one and two OpenBLAS threads, unlike an
@@ -412,19 +414,21 @@ class ObservationGroups:
             return (A @ _khatri_rao(B, C).T).take(self.flat)
         return _cp_sums(A, B, C, self.ii, self.jj, self.tt)
 
-    def residual(self, factors: LatentFactors) -> np.ndarray:
-        """Observed values minus the identity-link reconstruction."""
-        return self.y - self.reconstruct(factors.U, factors.V, factors.R)
+    def residual(self, U, V, R) -> np.ndarray:
+        """Observed values minus the identity-link reconstruction from the
+        factor arrays U, V and R."""
+        return self.y - self.reconstruct(U, V, R)
 
-    def normal_terms(self, mode: int, factors: LatentFactors):
-        """``(gram, xty)`` of factor ``mode`` (0: U, 1: V, 2: R) given the others.
+    def normal_terms(self, mode: int, U, V, R):
+        """``(gram, xty)`` of factor ``mode`` (0: U, 1: V, 2: R) given the
+        other two of the factor arrays U, V and R.
 
         Row k's least-squares terms over its observed entries, with design
         vectors the products of the other two factors' rows: ``gram`` is a
         (rows, D, D) stack, or one (1, D, D) Gram shared by every row of R
-        under a fiber mask, and ``xty`` is (rows, D).
+        under a fiber mask, and ``xty`` is (rows, D).  The array of factor
+        ``mode`` itself is not read.
         """
-        U, V, R = factors.U, factors.V, factors.R
         if not self.dense:
             left, right = ((V, R), (U, R), (U, V))[mode]
             return self.by_axis[mode].normal_terms(left, right)

@@ -185,19 +185,19 @@ class _Loss:
 def objective(factors: LatentFactors, tensor: RelationalTensor,
               model_config: ModelConfig, map_config: MapConfig) -> float:
     """Regularized weighted squared error at ``factors``."""
-    return _Loss(tensor, model_config, map_config).value(_flat(factors))
+    return _Loss(tensor, model_config, map_config).value(_flat(factors.U, factors.V, factors.R))
 
 
 def gradients(factors: LatentFactors, tensor: RelationalTensor,
               model_config: ModelConfig, map_config: MapConfig):
     """Exact gradient ``(dU, dV, dR)`` of :func:`objective` w.r.t. (U, V, R)."""
     loss = _Loss(tensor, model_config, map_config)
-    loss.value(_flat(factors))
+    loss.value(_flat(factors.U, factors.V, factors.R))
     return loss.blocks(loss.gradient())
 
 
-def _flat(factors: LatentFactors) -> np.ndarray:
-    return np.concatenate([factors.U.ravel(), factors.V.ravel(), factors.R.ravel()])
+def _flat(U, V, R) -> np.ndarray:
+    return np.concatenate([U.ravel(), V.ravel(), R.ravel()])
 
 
 def _backtrack(objective, x, f, grad, direction):
@@ -330,19 +330,18 @@ def _alternating_least_squares(loss: _Loss, x):
     groups = loss.groups
     gamma_u, gamma_v, gamma_r = loss.gammas
     U, V, R = loss.blocks(x)
-    terms_u = groups.normal_terms(0, LatentFactors(U, V, R))
+    terms_u = groups.normal_terms(0, U, V, R)
     while True:
         U = _ridge_solve(*terms_u, gamma_u, "U")
-        V = _ridge_solve(*groups.normal_terms(1, LatentFactors(U, V, R)), gamma_v, "V")
-        terms_r = groups.normal_terms(2, LatentFactors(U, V, R))
+        V = _ridge_solve(*groups.normal_terms(1, U, V, R), gamma_v, "V")
+        terms_r = groups.normal_terms(2, U, V, R)
         R = _ridge_solve(*terms_r, gamma_r, "R")
-        swept = LatentFactors(U, V, R)
-        x_new = _flat(swept)
+        x_new = _flat(U, V, R)
         f = loss.value(x_new)
-        terms_u = groups.normal_terms(0, swept)
+        terms_u = groups.normal_terms(0, U, V, R)
         grad = np.concatenate([
             _block_gradient(*terms, block, gamma).ravel() for terms, block, gamma
-            in ((terms_u, U, gamma_u), (groups.normal_terms(1, swept), V, gamma_v),
+            in ((terms_u, U, gamma_u), (groups.normal_terms(1, U, V, R), V, gamma_v),
                 (terms_r, R, gamma_r))])
         moved = x_new - x
         x = x_new

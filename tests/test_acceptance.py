@@ -14,11 +14,11 @@ import pytest
 
 from linkpattern.cli import main as cli_main
 from linkpattern.evaluate import SplitSpec, TrainSettings, auc, evaluate_method, split_fibers
-from linkpattern.gibbs import (ChainConfig, HyperPriors, _gaussian_wishart_posteriors,
-                               run_chain, sample_alpha, sample_factor_hypers, sample_r_rows,
-                               sample_u_rows, sample_v_rows)
+from linkpattern.gibbs import (ChainConfig, HyperPriors, _draw_factor_hypers,
+                               _gaussian_wishart_posteriors, run_chain, sample_alpha,
+                               sample_r_rows, sample_u_rows, sample_v_rows)
 from linkpattern.io import SynthSpec, generate_synthetic, load_triples, save_factors, save_triples
-from linkpattern.model import ModelConfig
+from linkpattern.model import ModelConfig, ObservationGroups
 from linkpattern.optimize import MapConfig, fit_map
 
 from conftest import auc_pairwise
@@ -56,11 +56,14 @@ def test_criterion_1_gradient_correctness():
 def test_criterion_2_conjugacy_oracles():
     start = time.perf_counter()
     factors, tensor, priors, hyper = conjugacy_instance()
+    # one kernel for every draw, as a chain passes its groups to each sweep
+    groups = ObservationGroups(tensor)
     n_draws = 50_000
     tvs = {}
 
     rng = np.random.default_rng(42)
-    draws = np.array([sample_alpha(factors, tensor, priors, rng) for _ in range(n_draws)])
+    draws = np.array([sample_alpha(factors, tensor, priors, rng, groups)
+                      for _ in range(n_draws)])
     tvs["alpha"] = tv_binned(draws, alpha_log_posterior(factors, tensor, priors))
 
     for name, sampler, designs_of, row in (
@@ -68,7 +71,7 @@ def test_criterion_2_conjugacy_oracles():
             ("v_row", sample_v_rows, v_row_designs, 1),
             ("r_row", sample_r_rows, r_row_designs, 1)):
         rng = np.random.default_rng(43)
-        draws = np.array([sampler(factors, tensor, hyper, rng)[row, 0]
+        draws = np.array([sampler(factors, tensor, hyper, rng, groups)[row, 0]
                           for _ in range(n_draws)])
         designs, targets = designs_of(factors, tensor, row)
         tvs[name] = tv_binned(draws, row_log_posterior(hyper, factors.alpha, designs, targets))
@@ -82,8 +85,9 @@ def test_criterion_2_conjugacy_oracles():
     lam_sum = np.zeros((2, 2))
     mu_sum = np.zeros(2)
     n_hyper = 100_000
-    for _ in range(n_hyper):
-        state = sample_factor_hypers(rows, priors2, priors2.kappa0, rng)
+    # one stacked draw, the call each sweep makes: bitwise n_hyper
+    # sample_factor_hypers calls in turn
+    for state in _draw_factor_hypers([(rows, priors2.kappa0)] * n_hyper, priors2, rng):
         lam_sum += state.precision
         mu_sum += state.mu
     expected = nu_star * w_star
@@ -92,7 +96,8 @@ def test_criterion_2_conjugacy_oracles():
 
     # Gamma parameterization self-consistency (shape-scale convention)
     rng = np.random.default_rng(47)
-    gamma_draws = np.array([sample_alpha(factors, tensor, priors, rng) for _ in range(n_draws)])
+    gamma_draws = np.array([sample_alpha(factors, tensor, priors, rng, groups)
+                            for _ in range(n_draws)])
     ii, jj, tt, yy = tensor.entry_arrays()
     from linkpattern.model import reconstruct_entries
     resid = yy - reconstruct_entries(factors, ii, jj, tt)

@@ -467,6 +467,25 @@ def test_evaluate_checks_method_names_before_any_cell(data_file, tmp_path, monke
     assert calls == [] and not out.exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--fraction", "0.2,1.5"], "test_fraction must be in (0,1)"),
+    (["--sweep-ranks", "2,0"], "rank must be an integer >= 1"),
+    (["--rank", "0"], "rank must be an integer >= 1"),
+], ids=["fraction", "sweep-ranks", "rank"])
+def test_evaluate_checks_fractions_and_ranks_before_any_cell(data_file, tmp_path, monkeypatch,
+                                                             capsys, flags, message):
+    # the valid first value must not train its cells before the bad one fails
+    calls = []
+    for name in evaluate.METHOD_NAMES:
+        monkeypatch.setitem(evaluate.METHOD_SCORERS, name,
+                            lambda *args, name=name, **kwargs: calls.append(name))
+    out = tmp_path / "r.csv"
+    assert run_cli(["evaluate", "--input", data_file, "--methods", "hb-r,baseline",
+                    "--out", out] + flags) == 1
+    assert message in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+
+
 def test_version_flag(capsys):
     assert run_cli(["--version"]) == 0
     assert "linkpattern" in capsys.readouterr().out

@@ -1,14 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import rankdata
 
-from linkpattern.evaluate import (METHOD_SCORERS, ExperimentResult, SplitSpec,
+from linkpattern import evaluate
+from linkpattern.evaluate import (METHOD_NAMES, METHOD_SCORERS, ExperimentResult, SplitSpec,
                                   TrainSettings, auc, evaluate_method,
                                   relation_ablation, split_fibers,
                                   write_results_csv)
 from linkpattern.exceptions import DegenerateSplitError, UndefinedMetricError
 from linkpattern.gibbs import HyperPriors
 from linkpattern.io import SynthSpec, generate_synthetic
+from linkpattern.model import ModelConfig
+from linkpattern.optimize import MapConfig
 from linkpattern.tensor import RelationalTensor
 
 from conftest import auc_pairwise, planted_binary_tensor
@@ -196,6 +201,43 @@ def test_no_test_leakage_into_training():
     assert seen == [once, once]
     assert counted_test.calls == once
     assert trained_on == [train]
+
+
+def test_train_settings_hold_only_what_a_caller_sets():
+    assert [f.name for f in dataclasses.fields(TrainSettings)] == [
+        "gamma", "map_max_iterations", "num_samples", "burn_in", "thin"]
+    fixed = {"map_rel_tolerance": MapConfig.rel_tolerance, "init_scale": MapConfig.init_scale,
+             "use_logistic_map": True, "priors": None}
+    settings = TrainSettings(gamma=0.3)
+    for name, default in fixed.items():
+        assert getattr(settings, name) == default
+        with pytest.raises(TypeError):
+            TrainSettings(**{name: default})
+
+
+def test_methods_train_under_the_fixed_settings(monkeypatch):
+    # pltf fits under the logistic link, every MAP fit at MapConfig's
+    # tolerance and initial scale, and every chain under the default priors
+    calls = []
+    for name in ("fit_map", "run_chain"):
+        real = getattr(evaluate, name)
+        monkeypatch.setattr(evaluate, name, lambda *args, real=real, **kwargs:
+                            calls.append(args[1:]) or real(*args, **kwargs))
+    train, test = split_fibers(grid_tensor(n=8, t=2, seed=3), SplitSpec(0.25, seed=0))
+    settings = TrainSettings(gamma=0.3, map_max_iterations=5, num_samples=6, burn_in=2)
+    for method in METHOD_NAMES:
+        evaluate_method(method, train, test, rank=2, seed=4, settings=settings)
+    map_cfg = MapConfig(gamma_u=0.3, gamma_v=0.3, gamma_r=0.3, max_iterations=5,
+                        rel_tolerance=MapConfig.rel_tolerance,
+                        init_scale=MapConfig.init_scale, seed=4)
+    fits, chains = [c for c in calls if len(c) == 2], [c for c in calls if len(c) == 3]
+    assert fits == [(ModelConfig(2, use_logistic=True), map_cfg),
+                    (ModelConfig(2, use_logistic=False), map_cfg)]
+    assert len(chains) == 4  # hb-r, hb-t and the baseline's two slices
+    default = HyperPriors.default(2)
+    for _model_cfg, priors, _chain_cfg in chains:
+        for field in dataclasses.fields(HyperPriors):
+            assert np.array_equal(getattr(priors, field.name), getattr(default, field.name))
 
 
 def test_hb_trained_beats_constant_baseline():

@@ -426,7 +426,7 @@ def test_gibbs_sweep_draws_alpha_from_the_state_residual(tiny_tensor):
     factors = LatentFactors(*(rng.standard_normal((m, 2)) for m in (3, 3, 2)), alpha=1.0)
     hyper = FactorHyperState(np.zeros(2), np.eye(2))
     groups = gibbs.ObservationGroups(tiny_tensor)
-    residual = groups.residual(factors)
+    residual = groups.residual(factors.U, factors.V, factors.R)
     outs = [gibbs_sweep(GibbsState(factors, hyper, hyper, hyper, resid), tiny_tensor, priors,
                         np.random.default_rng(5), groups)
             for resid in (None, residual, np.zeros_like(residual))]
@@ -481,7 +481,8 @@ def test_gibbs_sweep_is_its_public_block_draws(form, sample_relations):
     factors = LatentFactors(*(0.5 * rng.standard_normal((m, 3)) for m in (n, n, t)), alpha=2.0)
     a = rng.standard_normal((3, 3))
     hyper = FactorHyperState(rng.standard_normal(3), a @ a.T + np.eye(3))
-    state = GibbsState(factors, hyper, hyper, hyper, groups.residual(factors))
+    state = GibbsState(factors, hyper, hyper, hyper,
+                       groups.residual(factors.U, factors.V, factors.R))
     for sweep in range(3):
         rng, ref_rng = np.random.default_rng(sweep), np.random.default_rng(sweep)
         out = gibbs_sweep(state, tensor, priors, rng, groups, sample_relations)
@@ -497,7 +498,7 @@ def test_gibbs_sweep_is_its_public_block_draws(form, sample_relations):
         if not sample_relations:
             assert out.hyper_r is hyper and out.factors.R is factors.R
         state = out
-        state.residual = groups.residual(state.factors)
+        state.residual = groups.residual(out.factors.U, out.factors.V, out.factors.R)
 
 
 def small_chain_data(seed=5):

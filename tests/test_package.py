@@ -89,3 +89,12 @@ def test_package_and_cli_import_no_scipy():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_benchmark_selftest_passes():
+    # perfbench/ reads library names, TrainSettings' fixed settings among
+    # them, so a source change that drops one fails here as well as in CI
+    root = SRC.parent
+    result = subprocess.run([sys.executable, str(root / "perfbench" / "selftest.py")], cwd=root,
+                            capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stdout[-2000:] + result.stderr[-2000:]
