@@ -44,7 +44,7 @@ MISSING_TOKENS = {"?", "-", "nan", "na"}
 def read_edgelist(paths, n_objects, n_relations, closed_world, symmetrize):
     tables = []
     for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             try:
                 tables.append(_int_table(fh.readlines(), (n_objects, n_objects, n_relations)))
             except TripleParseError as exc:
@@ -64,7 +64,7 @@ def read_edgelist(paths, n_objects, n_relations, closed_world, symmetrize):
 def read_matrices(paths, n_objects):
     triples = []
     for t, path in enumerate(paths):
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             rows = [line.split() for line in fh if line.strip()]
         if len(rows) != n_objects or any(len(r) != n_objects for r in rows):
             raise SystemExit(f"{path}: expected a {n_objects}x{n_objects} matrix")

@@ -226,7 +226,7 @@ def cmd_predict(args) -> int:
     # a single factor file scores as a one-draw sample set
     samples = loaded if isinstance(loaded, SampleSet) else SampleSet.of([loaded])
     (_, n_objects, rank), T = samples.U.shape, samples.R.shape[1]
-    with open(args.pairs, "r", encoding="utf-8") as fh:
+    with open(args.pairs, "r", encoding="utf-8-sig") as fh:
         pairs = _int_table(fh.readlines(), (n_objects, n_objects))
     if not len(pairs):
         raise FormatError("pair list holds no pairs")
@@ -384,7 +384,7 @@ def build_parser() -> _Parser:
 
 def _load_config_file(path):
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for number, line in enumerate(fh, start=1):
             body = line.strip()
             if not body or body.startswith("#"):
@@ -403,29 +403,18 @@ _SWITCH_WORDS = {"1": "--", "true": "--", "yes": "--", "on": "--",
 def _expand_config(argv, subcommands):
     """Inline --config file entries as flags right after the subcommand.
 
+    argparse finds ``--config``, so ``--config FILE``, ``--config=FILE``,
+    repeats (the last wins) and abbreviations work as for any other flag.
     A key naming a switch option of the subcommand (its argparse action in
     ``subcommands`` takes no value) with a word of ``_SWITCH_WORDS`` becomes
     ``--key`` or ``--no-key``; every other key becomes ``--key=value``.
     Explicit command-line flags come later in argv, so they override the
     file (argparse keeps the last occurrence).
     """
-    path = None
-    out = []
-    skip = False
-    for idx, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if token == "--config":
-            if idx + 1 >= len(argv):
-                raise ConfigError("--config expects a path")
-            path = argv[idx + 1]
-            skip = True
-        elif token.startswith("--config="):
-            path = token.split("=", 1)[1]
-        else:
-            out.append(token)
-    if path is None:
+    finder = _Parser(prog="linkpattern", add_help=False)
+    finder.add_argument("--config")
+    found, out = finder.parse_known_args(argv)
+    if found.config is None:
         return argv
     if not out:
         raise ConfigError("--config requires a subcommand")
@@ -433,7 +422,7 @@ def _expand_config(argv, subcommands):
     switches = {option for action in (sub._actions if sub else ()) if action.nargs == 0
                 for option in action.option_strings}
     flags = []
-    for number, key, value in _load_config_file(path):
+    for number, key, value in _load_config_file(found.config):
         name = key.replace("_", "-")
         if "--" + name not in switches:
             flags.append(f"--{name}={value}")

@@ -182,9 +182,8 @@ def _score_per_slice(train, ii, jj, tt, *, rank, seed, settings):
         mask = tt == t
         if not mask.any():
             continue
-        slice_train = train.slice(t).to_tensor()
         chain_cfg = _chain_config(settings, _derived_seed(seed, "per-slice", str(t)))
-        samples = run_chain(slice_train, model_cfg, HyperPriors.default(rank), chain_cfg,
+        samples = run_chain(train.slice(t), model_cfg, HyperPriors.default(rank), chain_cfg,
                             frozen_relations=np.ones((1, rank)))
         zeros = np.zeros(int(mask.sum()), dtype=np.int64)
         scores[mask] = predictive_scores(samples, ii[mask], jj[mask], zeros, model_cfg)

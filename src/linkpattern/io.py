@@ -116,7 +116,7 @@ def _int_table(lines, bounds, first_line: int = 1) -> np.ndarray:
 
 def load_triples(path) -> RelationalTensor:
     """Parse a triple text file into a tensor."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = fh.readlines()
     header_idx = next((idx for idx, line in enumerate(lines) if _is_data(line)), None)
     if header_idx is None:

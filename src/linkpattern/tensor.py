@@ -103,11 +103,11 @@ class RelationalTensor:
                                 *(a[keep] for a in self._entries))
 
     def slice(self, t: int) -> "TensorSlice":
-        """Sparse N x N view of relation ``t`` with the same mask semantics."""
+        """Relation ``t`` as a T=1 tensor (relation index 0), same mask semantics."""
         self._check_relation(t)
         keep = self._entries[2] == t
         ii, jj, _tt, yy = (a[keep] for a in self._entries)
-        return TensorSlice(t, RelationalTensor(self.n_objects, 1, ii, jj, np.zeros_like(ii), yy))
+        return TensorSlice(self.n_objects, 1, ii, jj, np.zeros_like(ii), yy)
 
     def fiber_keys(self) -> np.ndarray:
         """Ordered pairs (i, j) with at least one observed relation: a sorted
@@ -163,25 +163,11 @@ class RelationalTensor:
                 f"n_relations={self.n_relations}, observed={self.observed_count})")
 
 
-class TensorSlice:
-    """One relation type of a tensor, viewed as a sparse masked matrix: a thin
-    view over the T=1 tensor of the slice's entries (relation index 0)."""
+class TensorSlice(RelationalTensor):
+    """One relation type of a tensor: the T=1 tensor of its entries."""
 
-    __slots__ = ("n_objects", "relation", "_tensor")
-
-    def __init__(self, relation: int, tensor: RelationalTensor):
-        self.n_objects = tensor.n_objects
-        self.relation = relation
-        self._tensor = tensor
-
-    @property
-    def observed_count(self) -> int:
-        return self._tensor.observed_count
+    __slots__ = ()
 
     def to_tensor(self) -> RelationalTensor:
-        """The slice as a standalone T=1 tensor (relation index becomes 0)."""
-        return self._tensor
-
-    def __repr__(self) -> str:
-        return (f"TensorSlice(n_objects={self.n_objects}, relation={self.relation}, "
-                f"observed={self.observed_count})")
+        # only perfbench/run.py calls this; a slice is already its tensor
+        return self

@@ -381,6 +381,49 @@ def test_config_file_defaults_and_override(data_file, tmp_path):
     assert load_factors(out).rank == 2
 
 
+def _trained_rank_and_iterations(out):
+    trace_rows = (out.parent / (out.name + ".trace.csv")).read_text().splitlines()[1:]
+    return load_factors(out).rank, int(trace_rows[-1].split(",")[0])
+
+
+def test_abbreviated_config_is_applied(data_file, tmp_path):
+    # argparse takes --conf as --config, so the file's values must apply too
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("rank=2\nmax-iterations=3\n")
+    out = tmp_path / "m.pltf"
+    assert run_cli(["fit-map", "--conf", cfg, "--input", data_file, "--out", out]) == 0
+    assert _trained_rank_and_iterations(out) == (2, 3)
+
+
+def test_config_equals_form_and_config_before_the_subcommand(data_file, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("rank=2\nmax-iterations=3\n")
+    out = tmp_path / "m.pltf"
+    rest = ["--input", data_file, "--out", out]
+    for argv in (["fit-map", f"--config={cfg}"] + rest, ["--config", cfg, "fit-map"] + rest):
+        out.unlink(missing_ok=True)
+        assert run_cli(argv) == 0
+        assert _trained_rank_and_iterations(out) == (2, 3)
+
+
+def test_config_without_a_path_exits_1(data_file, tmp_path, capsys):
+    assert run_cli(["fit-map", "--input", data_file, "--out", tmp_path / "m.pltf",
+                    "--config"]) == 1
+    assert "--config" in capsys.readouterr().err
+    assert not (tmp_path / "m.pltf").exists()
+
+
+def test_config_and_pair_files_may_start_with_a_byte_order_mark(data_file, tmp_path):
+    cfg, pairs = tmp_path / "run.cfg", tmp_path / "pairs.txt"
+    cfg.write_text("\ufeffrank=2\nmax-iterations=3\n", encoding="utf-8")
+    pairs.write_text("\ufeff1 2\n", encoding="utf-8")
+    out, preds = tmp_path / "m.pltf", tmp_path / "p.txt"
+    assert run_cli(["fit-map", "--config", cfg, "--input", data_file, "--out", out]) == 0
+    assert _trained_rank_and_iterations(out) == (2, 3)
+    assert run_cli(["predict", "--factors", out, "--pairs", pairs, "--out", preds]) == 0
+    assert preds.read_text().startswith("1 2 ")
+
+
 def test_help_lists_every_flag():
     parser = build_parser()
     subparsers = next(a for a in parser._actions

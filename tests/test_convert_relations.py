@@ -73,6 +73,19 @@ def test_matrix_drop_self_pairs_symmetrized_bytes(convert, tmp_path):
     assert out.read_bytes() == expected.encode()
 
 
+@pytest.mark.parametrize("fmt,body", [("edgelist", "0 1 0\n1 0 0\n"),
+                                      ("matrix", "? 1\n0 ?\n")], ids=["edgelist", "matrix"])
+def test_inputs_with_a_byte_order_mark_convert_as_without(convert, tmp_path, fmt, body):
+    outputs = []
+    for name, text in (("plain", body), ("marked", "\ufeff" + body)):
+        src, out = tmp_path / f"{name}.txt", tmp_path / f"{name}.tsv"
+        src.write_text(text, encoding="utf-8")
+        convert(["--format", fmt, "--n-objects", "2", "--n-relations", "1",
+                 "--out", str(out), str(src)])
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_script_runs_from_another_directory(tmp_path):
     # the script finds the package beside it, not under the working directory
     (tmp_path / "edges.txt").write_text("0 1 0\n")

@@ -10,7 +10,8 @@ from linkpattern import gibbs, model
 from linkpattern.exceptions import (ConfigError, DimensionMismatchError,
                                     NotPositiveDefiniteError)
 from linkpattern.gibbs import (ChainConfig, FactorHyperState, GibbsState,
-                               HyperPriors, SampleSet, _gaussian_wishart_posteriors,
+                               HyperPriors, SampleSet, _draw_factor_hypers,
+                               _gaussian_wishart_posteriors,
                                gibbs_sweep, predictive_scores,
                                run_chain, sample_alpha, sample_factor_hypers,
                                sample_r_rows, sample_u_rows, sample_v_rows)
@@ -127,8 +128,9 @@ def test_sample_factor_hypers_moment_oracle():
     mu_sum = np.zeros(2)
     mu_scatter = np.zeros((2, 2))
     n = 100_000
-    for _ in range(n):
-        state = sample_factor_hypers(rows, priors, priors.kappa0, rng)
+    # one stacked call, as a sweep makes: draw k is bitwise the k-th
+    # sample_factor_hypers call on the same generator
+    for state in _draw_factor_hypers([(rows, priors.kappa0)] * n, priors, rng):
         lam_sum += state.precision
         mu_sum += state.mu
         mu_scatter += np.outer(state.mu - mu_star, state.mu - mu_star)
@@ -195,7 +197,9 @@ def test_sample_u_rows_prior_fallback_and_scalar_update():
     tensor = RelationalTensor.build(2, 1, [(0, 0, 0, 1)])
     hyper = FactorHyperState(np.array([0.0]), np.array([[1.0]]))
     rng = np.random.default_rng(2)
-    draws = np.array([sample_u_rows(factors, tensor, hyper, rng) for _ in range(50_000)])
+    groups = gibbs.ObservationGroups(tensor)  # built once, as a chain builds it
+    draws = np.array([sample_u_rows(factors, tensor, hyper, rng, groups)
+                      for _ in range(50_000)])
     observed_row = draws[:, 0, 0]
     fallback_row = draws[:, 1, 0]
     assert abs(observed_row.mean() - 0.5) < 0.02   # precision 2, mean 0.5
@@ -383,19 +387,24 @@ def test_row_posterior_mean_matches_grid_oracle(sampler, designs_of, row):
     logpdf = row_log_posterior(hyper, factors.alpha, designs, targets)
     oracle_mean = grid_posterior_mean(logpdf, -6.0, 6.0)
     rng = np.random.default_rng(3)
-    draws = np.array([sampler(factors, tensor, hyper, rng)[row, 0] for _ in range(50_000)])
+    groups = gibbs.ObservationGroups(tensor)
+    draws = np.array([sampler(factors, tensor, hyper, rng, groups)[row, 0]
+                      for _ in range(50_000)])
     assert abs(draws.mean() - oracle_mean) < 1e-2
 
 
 def test_conjugacy_tv_suite():
     # empirical draws vs grid posteriors (likelihood x prior), TV <= 0.02
     factors, tensor, priors, hyper = conjugacy_instance()
+    groups = gibbs.ObservationGroups(tensor)
     rng = np.random.default_rng(42)
-    alpha_draws = np.array([sample_alpha(factors, tensor, priors, rng) for _ in range(50_000)])
+    alpha_draws = np.array([sample_alpha(factors, tensor, priors, rng, groups)
+                            for _ in range(50_000)])
     assert tv_binned(alpha_draws, alpha_log_posterior(factors, tensor, priors)) <= 0.02
 
     rng = np.random.default_rng(43)
-    u_draws = np.array([sample_u_rows(factors, tensor, hyper, rng)[0, 0] for _ in range(50_000)])
+    u_draws = np.array([sample_u_rows(factors, tensor, hyper, rng, groups)[0, 0]
+                        for _ in range(50_000)])
     designs, targets = u_row_designs(factors, tensor, 0)
     assert tv_binned(u_draws, row_log_posterior(hyper, factors.alpha, designs, targets)) <= 0.02
 

@@ -26,6 +26,15 @@ def test_load_triples_basic(tmp_path):
     assert tensor.observed_count == 1
 
 
+def test_load_triples_reads_a_byte_order_mark_as_plain_utf8(tmp_path):
+    body = "3 2\n0 1 0 1\n1 2 1 0\n"
+    plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+    plain.write_text(body, encoding="utf-8")
+    marked.write_text("\ufeff" + body, encoding="utf-8")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_triples(marked) == load_triples(plain)
+
+
 def test_load_triples_comments_and_blanks(tmp_path):
     path = tmp_path / "t.tsv"
     path.write_text("# a comment\n\n3 2\n0 1 0 1\n# another\n\n1 2 1 0\n")

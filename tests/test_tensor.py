@@ -1,9 +1,13 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkpattern.exceptions import DataConflictError
+from linkpattern.gibbs import ChainConfig, HyperPriors, run_chain
+from linkpattern.model import ModelConfig
 from linkpattern.tensor import RelationalTensor
 
 from conftest import TINY_TRIPLES, dense_values
@@ -100,6 +104,28 @@ def test_slice_to_tensor_roundtrip(tiny_tensor):
     assert as_tensor.observed_count == sl.observed_count
     np.testing.assert_array_equal(dense_values(as_tensor)[:, :, 0],
                                   dense_values(tiny_tensor)[:, :, 1])
+
+
+def test_slice_is_the_t1_tensor_itself(tiny_tensor):
+    sl = tiny_tensor.slice(1)
+    assert isinstance(sl, RelationalTensor) and not hasattr(sl, "__dict__")
+    assert sl.to_tensor() is sl
+    ii, jj, _tt, yy = (a[tiny_tensor.entry_arrays()[2] == 1] for a in tiny_tensor.entry_arrays())
+    plain = RelationalTensor(tiny_tensor.n_objects, 1, ii, jj, np.zeros_like(ii), yy)
+    assert sl == plain
+    restored = pickle.loads(pickle.dumps(sl))
+    assert type(restored) is RelationalTensor and restored == sl
+
+
+def test_run_chain_takes_a_slice(tiny_tensor):
+    sl = tiny_tensor.slice(0)
+    plain = RelationalTensor(sl.n_objects, 1, *sl.entry_arrays())
+    model_cfg, priors = ModelConfig(2, use_logistic=False), HyperPriors.default(2)
+    chain_cfg = ChainConfig(num_samples=4, burn_in=1, seed=3)
+    draws = [run_chain(tensor, model_cfg, priors, chain_cfg, frozen_relations=np.ones((1, 2)))
+             for tensor in (sl, plain)]
+    for name in ("U", "V", "R", "alpha", "log_likelihoods"):
+        np.testing.assert_array_equal(*(getattr(s, name) for s in draws))
 
 
 def test_fiber_keys_sorted_int64_array(tiny_tensor):
