@@ -44,11 +44,10 @@ MISSING_TOKENS = {"?", "-", "nan", "na"}
 def read_edgelist(paths, n_objects, n_relations, closed_world, symmetrize):
     tables = []
     for path in paths:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            try:
-                tables.append(_int_table(fh.readlines(), (n_objects, n_objects, n_relations)))
-            except TripleParseError as exc:
-                raise SystemExit(f"{path}: {exc}") from None
+        try:
+            tables.append(_int_table(path, (n_objects, n_objects, n_relations)))
+        except TripleParseError as exc:
+            raise SystemExit(f"{path}: {exc}") from None
     links = np.concatenate(tables)
     if not closed_world:
         return np.column_stack((links, np.ones(len(links), dtype=np.int64)))

@@ -50,6 +50,8 @@ def _sha256(path) -> str:
 
 def _write_manifest(primary_out, subcommand, args, inputs, outputs) -> str:
     config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    # a --config file is read like any input; its flags are in "config" too
+    inputs = ([args.config] if args.config else []) + list(inputs)
     manifest = {
         "tool": "linkpattern",
         "version": __version__,
@@ -226,8 +228,7 @@ def cmd_predict(args) -> int:
     # a single factor file scores as a one-draw sample set
     samples = loaded if isinstance(loaded, SampleSet) else SampleSet.of([loaded])
     (_, n_objects, rank), T = samples.U.shape, samples.R.shape[1]
-    with open(args.pairs, "r", encoding="utf-8-sig") as fh:
-        pairs = _int_table(fh.readlines(), (n_objects, n_objects))
+    pairs = _int_table(args.pairs, (n_objects, n_objects))
     if not len(pairs):
         raise FormatError("pair list holds no pairs")
     ii, jj = np.repeat(pairs[:, 0], T), np.repeat(pairs[:, 1], T)
@@ -409,7 +410,8 @@ def _expand_config(argv, subcommands):
     ``subcommands`` takes no value) with a word of ``_SWITCH_WORDS`` becomes
     ``--key`` or ``--no-key``; every other key becomes ``--key=value``.
     Explicit command-line flags come later in argv, so they override the
-    file (argparse keeps the last occurrence).
+    file (argparse keeps the last occurrence).  ``--config=FILE`` follows the
+    file's flags, so ``args.config`` names the file that was read.
     """
     finder = _Parser(prog="linkpattern", add_help=False)
     finder.add_argument("--config")
@@ -431,7 +433,7 @@ def _expand_config(argv, subcommands):
         else:
             raise ConfigError(f"config line {number}: switch {key} takes one of "
                               f"{', '.join(_SWITCH_WORDS)}, got {value!r}")
-    return [out[0]] + flags + out[1:]
+    return [out[0]] + flags + [f"--config={found.config}"] + out[1:]
 
 
 _INPUT_ERRORS = (FileNotFoundError, IsADirectoryError, PermissionError, ConfigError,

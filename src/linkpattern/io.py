@@ -4,7 +4,9 @@ Two on-disk formats are owned here:
 
 * Triple text files: a ``N T`` header line followed by ``i j t v`` lines
   of whitespace-separated decimal integers, v in {0, 1}.  Blank lines and
-  whole-line ``#`` comments are allowed; errors name the 1-based line.
+  whole-line ``#`` comments are allowed; errors name the 1-based line.  A
+  file without ``#`` is parsed straight from disk; comment lines cost a
+  second pass over its line strings.
 
 * Factor binaries: magic ``PLTF``, version byte 1, little-endian
   throughout.  Layout after the magic and version:
@@ -53,24 +55,26 @@ def _is_data(line: str) -> bool:
     return line.lstrip()[:1] not in ("", "#")
 
 
-def _parse_table(lines, bounds) -> np.ndarray:
-    """``lines`` as an int64 (rows, len(bounds)) array.
+def _parse_table(source, bounds, skiprows: int = 0) -> np.ndarray:
+    """``source``, a list of lines or a file path read from line
+    ``skiprows + 1`` on, as an int64 (rows, len(bounds)) array.
 
-    Raises ValueError unless every line holds ``len(bounds)`` decimal
-    integers with field k in [0, bounds[k]).
+    Blank lines parse as no rows.  Raises ValueError unless every other line
+    holds ``len(bounds)`` decimal integers with field k in [0, bounds[k]).
     """
     width = len(bounds)
-    if not lines:
-        return np.empty((0, width), dtype=np.int64)
     try:
         with warnings.catch_warnings():
             # NumPy releases that still read "1.0" as an integer warn first
             warnings.simplefilter("error", DeprecationWarning)
             # blank lines alone parse as an empty table of the wrong width
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
+            table = np.loadtxt(source, dtype=np.int64, ndmin=2, comments=None,
+                               skiprows=skiprows, encoding="utf-8-sig")
     except (ValueError, DeprecationWarning):
         table = None
+    if table is not None and not table.size:
+        return np.empty((0, width), dtype=np.int64)
     if table is None or table.shape[1] != width:
         raise ValueError(f"expected {width} integer fields")
     outside = ((table < 0) | (table >= np.asarray(bounds))).any(axis=0)
@@ -80,21 +84,13 @@ def _parse_table(lines, bounds) -> np.ndarray:
     return table
 
 
-def _int_table(lines, bounds, first_line: int = 1) -> np.ndarray:
-    """The data lines of a text input as an int64 (rows, len(bounds)) array.
+def _table_of_lines(lines, bounds, first_line: int) -> np.ndarray:
+    """The data lines among ``lines`` as an int64 (rows, len(bounds)) array.
 
-    Blank lines and whole-line ``#`` comments are skipped; every other line
-    holds ``len(bounds)`` whitespace-separated decimal integers, field k in
-    [0, bounds[k]).  Raises :class:`TripleParseError` naming the first bad
-    line, counting ``lines[0]`` as line ``first_line``.
+    Blank lines and whole-line ``#`` comments are skipped.  Raises
+    :class:`TripleParseError` naming the first bad line, counting ``lines[0]``
+    as line ``first_line``.
     """
-    if "#" not in "".join(lines):
-        # loadtxt skips blank lines itself; errors take the filtered path
-        # below, which names the line
-        try:
-            return _parse_table(lines, bounds)
-        except ValueError:
-            pass
     data = [line for line in lines if _is_data(line)]
     try:
         return _parse_table(data, bounds)
@@ -114,19 +110,45 @@ def _int_table(lines, bounds, first_line: int = 1) -> np.ndarray:
     raise TripleParseError(f"{error}, got {data[good].strip()!r}", number)
 
 
-def load_triples(path) -> RelationalTensor:
-    """Parse a triple text file into a tensor."""
+def _int_table(path, bounds, first_line: int = 1) -> np.ndarray:
+    """The data lines of a text file from line ``first_line`` on, as an int64
+    (rows, len(bounds)) array.
+
+    Blank lines and whole-line ``#`` comments are skipped; every other line
+    holds ``len(bounds)`` whitespace-separated decimal integers, field k in
+    [0, bounds[k]).  Raises :class:`TripleParseError` naming the first bad
+    line.  Without a ``#`` in those lines the file is parsed straight from
+    disk; only comments and errors split it into line strings, a second pass.
+    """
     with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = fh.readlines()
-    header_idx = next((idx for idx, line in enumerate(lines) if _is_data(line)), None)
-    if header_idx is None:
+        for _ in range(first_line - 1):
+            fh.readline()
+        rest = fh.read()
+    if "#" not in rest:
+        try:
+            return _parse_table(path, bounds, skiprows=first_line - 1)
+        except ValueError:
+            pass  # the line strings below name the bad line
+    # text mode reads every line ending as "\n"
+    return _table_of_lines(rest.split("\n"), bounds, first_line)
+
+
+def load_triples(path) -> RelationalTensor:
+    """Parse a triple text file into a tensor.
+
+    The header is the first data line; the triples after it are read by
+    :func:`_int_table`, straight from disk when no ``#`` follows the header.
+    """
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        header = next(((number, line) for number, line in enumerate(fh, start=1)
+                       if _is_data(line)), None)
+    if header is None:
         raise TripleParseError("no header line found")
-    header = _int_table([lines[header_idx]], (np.inf, np.inf), first_line=header_idx + 1)
-    n_objects, n_relations = header[0].tolist()
+    number, line = header
+    n_objects, n_relations = _table_of_lines([line], (np.inf, np.inf), number)[0].tolist()
     if n_objects < 1 or n_relations < 1:
-        raise TripleParseError("header dimensions must be positive", header_idx + 1)
-    triples = _int_table(lines[header_idx + 1:], (n_objects, n_objects, n_relations, 2),
-                         first_line=header_idx + 2)
+        raise TripleParseError("header dimensions must be positive", number)
+    triples = _int_table(path, (n_objects, n_objects, n_relations, 2), first_line=number + 1)
     return RelationalTensor.build(n_objects, n_relations, triples)
 
 

@@ -9,8 +9,12 @@ prediction throughout the package.
 Storage is the coordinate layout of Kolda & Bader 2009: four read-only
 arrays ``(ii, jj, tt, yy)``, int64 coordinates and float64 0/1 values of
 the observed entries, sorted by ``(i, j, t)`` without duplicates.  Every
-tensor is made by one validating constructor, and every "mutation" returns
-a new tensor, so instances are safe to share across workers.
+tensor is made by one validating constructor, which checks every input and
+stores only arrays of its own, so a tensor never aliases or freezes a
+caller's array.  Input whose keys already increase strictly (a sorted file,
+or any tensor's entries filtered or unpickled) skips only the sort.  Every
+"mutation" returns a new tensor, so instances are safe to share across
+workers.
 """
 
 from typing import Iterable, Sequence
@@ -56,7 +60,8 @@ class RelationalTensor:
     The constructor is the one validation: it raises IndexError for a
     coordinate out of range, ValueError for a dimension or field that is not
     an exact integer or a value outside {0, 1}, and :class:`DataConflictError` for
-    duplicates that disagree; agreeing duplicates are merged.
+    duplicates that disagree; agreeing duplicates are merged.  The stored
+    arrays are the tensor's own, read-only copies.
     """
 
     __slots__ = ("n_objects", "n_relations", "_entries")
@@ -72,15 +77,22 @@ class RelationalTensor:
         if ii.ndim != 1 or not ii.shape == jj.shape == tt.shape == yy.shape:
             raise ValueError("coordinate and value arrays must be 1-D of equal length")
         key = (ii * n + jj) * T + tt
-        order = np.argsort(key, kind="stable")
-        ii, jj, tt, yy, key = ii[order], jj[order], tt[order], yy[order], key[order]
-        first = np.diff(key, prepend=-1) != 0
-        clash = ~first[1:] & (yy[1:] != yy[:-1])
-        if clash.any():
-            k = np.argmax(clash)
-            raise DataConflictError(f"conflicting values for entry ({ii[k]}, {jj[k]}, {tt[k]}): "
-                                    f"{yy[k]} vs {yy[k + 1]}")
-        self._entries = (ii[first], jj[first], tt[first], yy[first].astype(np.float64))
+        if (key[1:] > key[:-1]).all():
+            # sorted without repeats: no sort, but the arrays may be the
+            # caller's (the float64 values are a new array anyway)
+            ii, jj, tt = ii.copy(), jj.copy(), tt.copy()
+        else:
+            # out of order or repeated: sort, then merge agreeing duplicates
+            order = np.argsort(key, kind="stable")
+            ii, jj, tt, yy, key = ii[order], jj[order], tt[order], yy[order], key[order]
+            first = np.diff(key, prepend=-1) != 0
+            clash = ~first[1:] & (yy[1:] != yy[:-1])
+            if clash.any():
+                k = np.argmax(clash)
+                raise DataConflictError(f"conflicting values for entry ({ii[k]}, {jj[k]}, "
+                                        f"{tt[k]}): {yy[k]} vs {yy[k + 1]}")
+            ii, jj, tt, yy = ii[first], jj[first], tt[first], yy[first]
+        self._entries = (ii, jj, tt, yy.astype(np.float64))
         for arr in self._entries:
             arr.flags.writeable = False
 
@@ -88,7 +100,9 @@ class RelationalTensor:
     def build(cls, n_objects: int, n_relations: int,
               triples: Iterable[Sequence[int]]) -> "RelationalTensor":
         """Assemble a tensor from (i, j, t, value) triples, checked as above."""
-        return cls(n_objects, n_relations, *_rows(triples, 4, "triples").T)
+        # contiguous columns: the checks run slower on strided views of the rows
+        columns = np.ascontiguousarray(_rows(triples, 4, "triples").T)
+        return cls(n_objects, n_relations, *columns)
 
     @property
     def observed_count(self) -> int:
@@ -112,7 +126,9 @@ class RelationalTensor:
     def fiber_keys(self) -> np.ndarray:
         """Ordered pairs (i, j) with at least one observed relation: a sorted
         (F, 2) int64 array.  Directed: (i, j) and (j, i) are distinct."""
-        pairs = np.unique(self._entries[0] * self.n_objects + self._entries[1])
+        # entries are sorted by (i, j, t), so each fiber is one run of keys
+        pairs = self._entries[0] * self.n_objects + self._entries[1]
+        pairs = pairs[np.diff(pairs, prepend=-1) != 0]
         return np.stack(np.divmod(pairs, self.n_objects), axis=1)
 
     def observed_keys(self) -> list:

@@ -123,6 +123,24 @@ def test_comment_only_pair_list_exits_1(data_file, tmp_path):
                     "--out", tmp_path / "p.txt"]) == 1
 
 
+def test_pair_lists_read_alike_with_and_without_a_comment(data_file, tmp_path):
+    # without "#" the pair list is parsed from disk, with one through its line strings
+    model = tmp_path / "m.pltf"
+    assert run_cli(["fit-map", "--input", data_file, "--rank", 2, "--max-iterations", 3,
+                    "--out", model]) == 0
+    outputs = []
+    for name, text in (("plain", "\n0 1\n3\t4\n\n7 0\n"),
+                       ("crlf", "\ufeff\r\n0 1\r\n3\t4\r\n\r\n7 0"),
+                       ("commented", "# pairs\r\n0 1\r\n3\t4\r\n# last\r\n7 0")):
+        pairs, preds = tmp_path / f"{name}.txt", tmp_path / f"{name}.out"
+        with open(pairs, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        assert run_cli(["predict", "--factors", model, "--pairs", pairs, "--out", preds]) == 0
+        outputs.append(preds.read_bytes())
+    assert outputs[0].startswith(b"0 1 ") and outputs[0].count(b"\n") == 3
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 def test_predict_oversized_factor_header_exits_1(tmp_path):
     factors = tmp_path / "m.pltf"
     factors.write_bytes(b"PLTF" + struct.pack("<BBIIIII", 1, 0, 2 ** 31, 1, 2 ** 31, 1, 0)
@@ -379,6 +397,17 @@ def test_config_file_defaults_and_override(data_file, tmp_path):
     assert run_cli(["fit-map", "--config", cfg, "--input", data_file, "--out", out,
                     "--rank", 2]) == 0
     assert load_factors(out).rank == 2
+
+
+def test_manifest_names_and_hashes_the_config_file(data_file, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("rank=2\nmax-iterations=3\n")
+    out = tmp_path / "m.pltf"
+    assert run_cli(["fit-map", "--config", cfg, "--input", data_file, "--out", out]) == 0
+    manifest = json.loads((tmp_path / "m.pltf.manifest.json").read_text())
+    assert manifest["config"]["config"] == str(cfg)
+    assert manifest["config"]["rank"] == 2
+    assert manifest["inputs"] == {str(p): cli._sha256(p) for p in (cfg, data_file)}
 
 
 def _trained_rank_and_iterations(out):

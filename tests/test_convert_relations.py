@@ -86,6 +86,21 @@ def test_inputs_with_a_byte_order_mark_convert_as_without(convert, tmp_path, fmt
     assert outputs[0] == outputs[1]
 
 
+def test_edge_lists_convert_alike_with_and_without_a_comment(convert, tmp_path):
+    # without "#" the edge list is parsed from disk, with one through its line strings
+    outputs = []
+    for name, text in (("plain", "0 1 0\n2\t0 1\n"),
+                       ("crlf", "\ufeff\r\n0 1 0\r\n\r\n2\t0 1"),
+                       ("commented", "# i j t\r\n0 1 0\r\n# next\r\n2\t0 1")):
+        src, out = tmp_path / f"{name}.txt", tmp_path / f"{name}.tsv"
+        with open(src, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        convert(["--format", "edgelist", "--n-objects", "3", "--n-relations", "2",
+                 "--out", str(out), str(src)])
+        outputs.append(out.read_bytes())
+    assert outputs == [b"3 2\n0 1 0 1\n2 0 1 1\n"] * 3
+
+
 def test_script_runs_from_another_directory(tmp_path):
     # the script finds the package beside it, not under the working directory
     (tmp_path / "edges.txt").write_text("0 1 0\n")

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from linkpattern import gibbs, model
+from linkpattern import io as io_module
 from linkpattern.exceptions import DimensionMismatchError, FormatError, TripleParseError
 from linkpattern.gibbs import HyperPriors, SampleSet
-from linkpattern.io import (SynthSpec, _generate, generate_synthetic,
-                            load_factors, load_triples, save_factors,
+from linkpattern.io import (SynthSpec, _generate, _table_of_lines as table_of_lines,
+                            generate_synthetic, load_factors, load_triples, save_factors,
                             save_triples)
 from linkpattern.model import LatentFactors
 from linkpattern.tensor import RelationalTensor
@@ -100,6 +101,34 @@ def test_load_triples_names_the_first_of_several_bad_lines(tmp_path, seed):
         load_triples(path)
     assert err.value.line_number == 1 + next(k for k, line in enumerate(lines)
                                              if line in bad_lines)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("mark", ["", "\ufeff"], ids=["plain", "bom"])
+@pytest.mark.parametrize("last", ["\n", ""], ids=["final-newline", "no-final-newline"])
+def test_load_triples_reads_alike_with_and_without_a_comment(tmp_path, monkeypatch,
+                                                              newline, mark, last):
+    # without "#" the file is parsed from disk; a comment sends it through the
+    # line strings, which must give the same tensor
+    lines = ["", " ", "3 2", "0\t1 0 1", "", "1 2\t1  0", "2 0 1 1"]
+    commented = lines[:4] + ["# a comment"] + lines[4:]
+    split = []
+
+    def counted(lines, *rest):
+        split.append(len(lines))
+        return table_of_lines(lines, *rest)
+
+    monkeypatch.setattr(io_module, "_table_of_lines", counted)
+    tensors = []
+    for name, body in (("plain", lines), ("commented", commented)):
+        path = tmp_path / f"{name}.tsv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(mark + newline.join(body) + last)
+        tensors.append(load_triples(path))
+        # the header is one line; only the commented body is split into lines
+        assert (max(split) > 1) == (name == "commented")
+    assert tensors[0] == tensors[1] == RelationalTensor.build(
+        3, 2, [(0, 1, 0, 1), (1, 2, 1, 0), (2, 0, 1, 1)])
 
 
 def test_load_triples_bad_header(tmp_path):

@@ -212,6 +212,62 @@ def test_slice_fiber_consistency(triples):
                                       patterns[:, :, t])
 
 
+keyed_triples_strategy = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2), st.integers(0, 1)),
+    max_size=30)
+
+
+@settings(max_examples=80, deadline=None)
+@given(triples=keyed_triples_strategy, seed=st.integers(0, 2**32 - 1))
+def test_sorted_and_shuffled_input_give_the_same_tensor(triples, seed):
+    # the first value of each key wins, so repeats agree; sorted input with
+    # repeats does not increase strictly and must take the sort path too
+    first = {}
+    rows = np.array([(i, j, t, first.setdefault((i, j, t), v)) for i, j, t, v in triples],
+                    dtype=np.int64).reshape(-1, 4)
+    shuffled = np.random.default_rng(seed).permutation(rows)
+    in_order = rows[np.lexsort(rows[:, 2::-1].T)]
+    distinct = np.unique(rows, axis=0)
+    tensors = [RelationalTensor.build(4, 3, table) for table in (shuffled, in_order, distinct)]
+    for tensor in tensors[1:]:
+        assert [(a.dtype, a.tobytes()) for a in tensor.entry_arrays()] == \
+               [(a.dtype, a.tobytes()) for a in tensors[0].entry_arrays()]
+    assert tensors[0].observed_count == len(first)
+
+
+def test_sorted_input_merges_agreeing_and_rejects_conflicting_repeats():
+    ii, jj, tt = [0, 0, 1], [1, 1, 0], [0, 0, 1]
+    assert entry_lists(RelationalTensor(2, 2, ii, jj, tt, [1, 1, 0])) == \
+        [[0, 1], [1, 0], [0, 1], [1.0, 0.0]]
+    with pytest.raises(DataConflictError):
+        RelationalTensor(2, 2, ii, jj, tt, [1, 0, 0])
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@pytest.mark.parametrize("order", [[0, 1, 2], [2, 0, 1]], ids=["sorted", "unsorted"])
+def test_constructor_never_aliases_the_callers_arrays(dtype, order):
+    given_arrays = [np.array(a, dtype=dtype)[order]
+                    for a in ([0, 1, 2], [1, 2, 0], [0, 1, 1], [1, 0, 1])]
+    tensor = RelationalTensor(3, 2, *given_arrays)
+    stored = [a.copy() for a in tensor.entry_arrays()]
+    for arr in given_arrays:
+        assert arr.flags.writeable
+        assert not any(np.shares_memory(arr, own) for own in tensor.entry_arrays())
+        arr[:] = 0
+    assert all(map(np.array_equal, tensor.entry_arrays(), stored))
+
+
+@settings(max_examples=60, deadline=None)
+@given(triples=triples_strategy)
+def test_fiber_keys_equal_the_unique_pairs(triples):
+    tensor = RelationalTensor.build(4, 3, triples)
+    ii, jj, _tt, _yy = tensor.entry_arrays()
+    expected = np.stack(np.divmod(np.unique(ii * 4 + jj), 4), axis=1)
+    keys = tensor.fiber_keys()
+    assert keys.dtype == expected.dtype and keys.shape == expected.shape
+    np.testing.assert_array_equal(keys, expected)
+
+
 def test_immutability_via_constructors(tiny_tensor):
     before = set(tiny_tensor.observed_keys())
     train, test = tiny_tensor.hide_fibers([(0, 1)])
