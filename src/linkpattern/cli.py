@@ -48,7 +48,9 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(primary_out, subcommand, args, inputs, outputs) -> str:
+def _write_manifest(primary_out, subcommand, args, inputs, outputs, fit=None) -> str:
+    """Write ``<primary_out>.manifest.json``: the resolved flags, the SHA-256
+    of every input and output, and for a MAP fit its ``fit`` summary."""
     config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     # a --config file is read like any input; its flags are in "config" too
     inputs = ([args.config] if args.config else []) + list(inputs)
@@ -61,6 +63,8 @@ def _write_manifest(primary_out, subcommand, args, inputs, outputs) -> str:
         "outputs": {str(p): _sha256(p) for p in outputs},
         "created_unix": time.time(),
     }
+    if fit is not None:
+        manifest["fit"] = fit
     path = str(primary_out) + ".manifest.json"
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
@@ -111,7 +115,9 @@ def cmd_fit_map(args) -> int:
                      f"{trace.gradient_norms[k]:.17g}", f"{trace.step_sizes[k]:.17g}",
                      str(trace.trials[k])])
     _write_trace_csv(trace_path, "iteration,objective,gradient_norm,step_size,trials", rows)
-    _write_manifest(args.out, "fit-map", args, [args.input], [args.out, trace_path])
+    _write_manifest(args.out, "fit-map", args, [args.input], [args.out, trace_path],
+                    fit={"termination": trace.termination, "iterations": trace.iterations,
+                         "restarts": trace.restarts, "trials": sum(trace.trials)})
     print(f"fit-map: {trace.termination} after {trace.iterations} iterations "
           f"({trace.restarts} restarts), objective {trace.objectives[-1]:.6g} -> {args.out}")
     return 0

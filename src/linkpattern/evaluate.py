@@ -14,8 +14,8 @@ from typing import Callable, ClassVar, Optional, Union
 import numpy as np
 
 from .exceptions import DegenerateSplitError, UndefinedMetricError
-from .gibbs import ChainConfig, HyperPriors, predictive_scores, run_chain
-from .model import ModelConfig, predict_entries
+from .gibbs import ChainConfig, HyperPriors, SampleSet, predictive_scores, run_chain
+from .model import ModelConfig
 from .optimize import MapConfig, fit_map
 from .rng import _check_seed, substream
 from .tensor import RelationalTensor
@@ -149,9 +149,11 @@ def _map_config(settings, seed):
 
 
 def _score_pltf(train, ii, jj, tt, *, rank, seed, settings):
+    """The MAP point scored as a one-draw sample set, as ``cli predict`` scores
+    a MAP file; bitwise ``predict_entries`` under the logistic link."""
     model_cfg = ModelConfig(rank)
     factors, _ = fit_map(train, model_cfg, _map_config(settings, seed))
-    return predict_entries(factors, ii, jj, tt, model_cfg)
+    return predictive_scores(SampleSet.of([factors]), ii, jj, tt, model_cfg)
 
 
 def _chain_config(settings, seed, init_factors=None):

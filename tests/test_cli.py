@@ -410,6 +410,33 @@ def test_manifest_names_and_hashes_the_config_file(data_file, tmp_path):
     assert manifest["inputs"] == {str(p): cli._sha256(p) for p in (cfg, data_file)}
 
 
+@pytest.mark.parametrize("flags", [["--max-iterations", "60"], ["--max-iterations", "200"],
+                                   ["--identity-link", "--max-iterations", "20"]],
+                         ids=["logistic-capped", "logistic-converged", "identity"])
+def test_fit_map_manifest_records_the_fit(data_file, tmp_path, monkeypatch, flags):
+    # termination, iterations, restarts and total trials, as fit_map returned
+    # them: here CG restarts and backtracks, and stops at its cap or converges
+    traces = []
+
+    def recording_fit_map(*args):
+        factors, trace = fit_map(*args)
+        traces.append(trace)
+        return factors, trace
+
+    fit_map = cli.fit_map
+    monkeypatch.setattr(cli, "fit_map", recording_fit_map)
+    out = tmp_path / "m.pltf"
+    assert run_cli(["fit-map", "--input", data_file, "--rank", 2, "--seed", 3, "--out", out,
+                    *flags]) == 0
+    [trace] = traces
+    manifest = json.loads((tmp_path / "m.pltf.manifest.json").read_text())
+    assert manifest["fit"] == {"termination": trace.termination,
+                               "iterations": trace.iterations, "restarts": trace.restarts,
+                               "trials": sum(trace.trials)}
+    if "--identity-link" not in flags:
+        assert trace.restarts > 0 and sum(trace.trials) > trace.iterations
+
+
 def _trained_rank_and_iterations(out):
     trace_rows = (out.parent / (out.name + ".trace.csv")).read_text().splitlines()[1:]
     return load_factors(out).rank, int(trace_rows[-1].split(",")[0])

@@ -12,7 +12,7 @@ from linkpattern.evaluate import (METHOD_NAMES, METHOD_SCORERS, ExperimentResult
 from linkpattern.exceptions import DegenerateSplitError, UndefinedMetricError
 from linkpattern.gibbs import HyperPriors
 from linkpattern.io import SynthSpec, generate_synthetic
-from linkpattern.model import ModelConfig
+from linkpattern.model import ModelConfig, predict_entries
 from linkpattern.optimize import MapConfig
 from linkpattern.tensor import RelationalTensor
 
@@ -177,6 +177,23 @@ class CountingTensor(RelationalTensor):
     def fiber_keys(self):
         self.calls["fiber_keys"] += 1
         return super().fiber_keys()
+
+
+@pytest.mark.parametrize("coordinates", ["test-split", "every-cell"])
+def test_pltf_scores_are_the_map_fits_predict_entries(coordinates):
+    # The pltf cell scores its MAP fit as a one-draw sample set: bitwise
+    # predict_entries of that fit, on the gathered test coordinates and on
+    # every cell, which takes the grid form.
+    tensor = grid_tensor(n=8, t=2, seed=3)
+    train, test = split_fibers(tensor, SplitSpec(0.25, seed=0))
+    if coordinates == "test-split":
+        ii, jj, tt, _ = test.entry_arrays()
+    else:
+        ii, jj, tt = (a.ravel() for a in np.indices((8, 8, 2)))
+    settings = TrainSettings(map_max_iterations=30)
+    scores = METHOD_SCORERS["pltf"](train, ii, jj, tt, rank=2, seed=5, settings=settings)
+    factors, _ = evaluate.fit_map(train, ModelConfig(2), evaluate._map_config(settings, 5))
+    assert scores.tobytes() == predict_entries(factors, ii, jj, tt, ModelConfig(2)).tobytes()
 
 
 def test_no_test_leakage_into_training():

@@ -743,6 +743,27 @@ def test_grid_form_matches_gather_bitwise(n, t, d, use_logistic, monkeypatch):
             assert np.clip(scores, 0.0, 1.0).tobytes() == one_draw.tobytes()
 
 
+def test_grid_form_scores_saturated_cells_bitwise(monkeypatch):
+    # Rank-1 draws whose cells, in one (rows, N, T) grid block, mix
+    # in-range logistic arguments with ones in [-746, -700), where
+    # exp is subnormal, and below -746, where it underflows, with no NaN
+    n = 20
+    U = (1.0 + 0.002 * np.arange(n))[:, None]
+    V = (1.0 + 0.001 * np.arange(n))[:, None]
+    R = np.array([[-700.0], [0.5], [-720.0], [730.0], [-5.0], [-745.5]])
+    draw = LatentFactors(U, V, R)
+    config = ModelConfig(1, use_logistic=True)
+    ii, jj, tt = (a.ravel() for a in np.indices((n, n, R.shape[0])))
+    s = (U[ii] * V[jj] * R[tt]).ravel()
+    assert ((s >= -746.0) & (s < -700.0)).sum() > 100 and (s < -746.0).any()
+    want = reference_predictive_scores(SampleSet.of([draw]), ii, jj, tt, config).tobytes()
+    assert np.frombuffer(want)[(s > -745.0) & (s < -708.5)].min() > 0.0  # subnormal lanes kept
+    for share in (0.0, np.inf):  # the grid form, then the gather
+        monkeypatch.setattr(model, "GRID_SHARE", share)
+        assert predictive_scores(SampleSet.of([draw]), ii, jj, tt, config).tobytes() == want
+    assert np.clip(predict_entries(draw, ii, jj, tt, config), 0.0, 1.0).tobytes() == want
+
+
 @pytest.mark.parametrize("use_logistic", [False, True])
 @pytest.mark.parametrize("n, t", [(7, 3), (50, 26)])
 def test_grid_form_starts_at_the_switch(n, t, use_logistic, monkeypatch):

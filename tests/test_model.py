@@ -167,12 +167,34 @@ def test_logistic_matches_masked_reference_bitwise():
     arrays = [rng.standard_normal(225_000) * scale for scale in (0.3, 3.0, 50.0, 800.0)]
     arrays += [specials, specials.reshape(3, 4), np.arange(-40, 41), np.array([], dtype=float),
                np.zeros((0, 3)), np.array(-2.5), np.array(0), np.array(np.nan)]
+    # Dense grids across the clamp at -700, the subnormal edge near -708.4,
+    # the underflow near -745.13 and the zero cut at -746, on both signs,
+    # with the float64 neighbours of each edge
+    grid = np.linspace(690.0, 760.0, 70_001)
+    edges = np.array([700.0, 708.3964185322641, 745.1332191019411, 746.0])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    arrays += [grid, -grid, edges, -edges, grid[1:].reshape(7, 10_000),
+               -grid[1:].reshape(25, 40, 70)]
+    # saturated lanes mixed with in-range ones, in one to three dimensions,
+    # without NaN and then with NaN and infinities; a saturated array with
+    # no lane below -700
+    mixed = rng.standard_normal(10_000) * 3.0
+    mixed[::7] = -rng.uniform(690.0, 760.0, mixed[::7].size)
+    mixed[3::11] = rng.uniform(690.0, 760.0, mixed[3::11].size)
+    arrays += [mixed, mixed.reshape(100, 100), mixed.reshape(10, 40, 25),
+               np.array([[-720.0, 0.0]]), np.array([[0.0, -720.0]]),
+               np.array([[[0.0], [-720.0], [-750.0], [3.0]]])]
+    mixed = mixed.copy()
+    mixed[5::97] = np.nan
+    mixed[6::101] = -np.inf
+    arrays += [mixed, mixed.reshape(100, 100), np.concatenate([specials, -grid[::1000]]),
+               np.array([-0.5, -701.0]), np.array([0.5, 701.0]), np.array([np.nan, -750.0])]
     for x in arrays:
         got, want = logistic(x), reference_logistic(x)
         assert np.shape(got) == np.shape(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
     for x in [0.0, -0.0, 3.7, -3.7, 1e-320, -745.0, 800.0, float("inf"), float("-inf"),
-              float("nan"), 2, -3, True, np.float64(-1.5)]:
+              float("nan"), 2, -3, True, np.float64(-1.5), -700.5, -720.0, -745.5, -746.5]:
         got, want = logistic(x), reference_logistic(x)
         assert type(got) is float and type(want) is float
         assert np.float64(got).tobytes() == np.float64(want).tobytes()

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -145,7 +146,8 @@ def test_gradients_agree_in_masked_and_row_forms(use_logistic, layout, monkeypat
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
-def square(x):
+def square(x, bound=math.inf):
+    """An objective for the line search; like the loss, it takes the Armijo bound."""
     return float(x @ x)
 
 
@@ -164,6 +166,87 @@ def test_line_search_rejects_ascent_direction():
         optimize._backtrack(square, current, 4.0, grad, grad)
 
 
+def fit_with_trial_block(tensor, model_cfg, map_cfg, block, monkeypatch):
+    """fit_map with ``block`` entries per trial block; returns the factors,
+    the trace and every objective value the loss returned."""
+    monkeypatch.setattr(optimize, "_TRIAL_BLOCK", block)
+    values, _gradients, _reconstructions = record_loss_calls(monkeypatch)
+    factors, trace = fit_map(tensor, model_cfg, map_cfg)
+    monkeypatch.undo()
+    return factors, trace, values
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["masked", "row"])
+def test_bounded_trials_leave_the_fit_bitwise(dense, monkeypatch):
+    # Scored 5 entries at a time, most rejected trials stop after a few
+    # blocks and return inf; the accepted ones, the trace and the factors
+    # are bitwise those of trials scored as one whole block.
+    tensor, _ = generate_synthetic(SynthSpec(8, 3, 2, seed=3))
+    model_cfg = ModelConfig(4, use_logistic=True)
+    map_cfg = MapConfig(seed=5, max_iterations=40)
+    runs = []
+    for block in (tensor.observed_count, 5):
+        if not dense:
+            monkeypatch.setattr(model, "DENSE_CELLS_PER_ENTRY", 0)
+        assert optimize._Loss(tensor, model_cfg, map_cfg).groups.dense is dense
+        runs.append(fit_with_trial_block(tensor, model_cfg, map_cfg, block, monkeypatch))
+    (whole_factors, whole, whole_values), (factors, trace, values) = runs
+    assert math.inf not in whole_values
+    assert values.count(math.inf) >= 20
+    assert trace == whole and trace.iterations == 40
+    assert flat(factors).tobytes() == flat(whole_factors).tobytes()
+    for value, whole_value in zip(values, whole_values):
+        assert value == whole_value or value == math.inf > whole_value
+
+
+@pytest.mark.parametrize("use_logistic", [False, True])
+def test_bounded_value_is_the_value_or_inf(use_logistic, monkeypatch):
+    # value(x, bound) is bitwise value(x), or inf when value(x) > bound:
+    # bounds at, just above and just below the value, and far from it, at
+    # points from the start scale to saturated ones
+    monkeypatch.setattr(optimize, "_TRIAL_BLOCK", 3)
+    tensor, _ = random_instance(seed=21, n=5, t=3)
+    model_cfg = ModelConfig(2, use_logistic=use_logistic)
+    loss = optimize._Loss(tensor, model_cfg, MapConfig(gamma_u=0.05, gamma_v=0.02,
+                                                       gamma_r=0.08))
+    assert tensor.observed_count > 3 * optimize._TRIAL_BLOCK
+    rng = np.random.default_rng(22)
+    cut = 0
+    for scale in (0.1, 1.0, 10.0, 1e3):
+        for _ in range(20):
+            x = scale * rng.standard_normal((2 * loss.n + loss.t) * loss.d)
+            whole = loss.value(x)
+            for bound in (whole, np.nextafter(whole, np.inf), np.nextafter(whole, -np.inf),
+                          whole * (1 + 1e-9), whole * (1 - 1e-9), 0.9 * whole, 0.5 * whole,
+                          0.1 * whole, 2.0 * whole, 0.0, -1.0, math.inf):
+                value = loss.value(x, bound)
+                assert value == whole or (value == math.inf and whole > bound)
+                cut += value == math.inf
+    assert cut > 100
+
+
+def test_nan_past_the_exit_point_still_diverges(monkeypatch):
+    # From the ninth iteration on, each trial's reconstruction misfits
+    # every label in its first block, which proves the trial rejected
+    # there, and holds a NaN only in its last entry.  The NaN is found in
+    # the unscored rest, so the search ends on a NaN objective and the fit
+    # raises, as it does when the NaN comes first.
+    monkeypatch.setattr(optimize, "_TRIAL_BLOCK", 4)
+    tensor, _ = random_instance(seed=9, n=4, t=2)
+    _factors8, trace8 = fit_map(tensor, LOGISTIC_RANK2, MapConfig(seed=7, max_iterations=8))
+
+    def misfit_then_nan(groups, _s):
+        s = 1e3 * (0.5 - groups.y)
+        s[-1] = np.nan
+        return s
+
+    assert tensor.observed_count > optimize._TRIAL_BLOCK
+    reconstructions_after(monkeypatch, 1 + sum(trace8.trials), misfit_then_nan)
+    with pytest.raises(DivergenceError, match="non-finite") as raised:
+        fit_map(tensor, LOGISTIC_RANK2, MapConfig(seed=7, max_iterations=60))
+    assert raised.value.iteration == 8
+
+
 def record_loss_calls(monkeypatch):
     """Record every objective value, gradient and reconstruction of the loss
     kernel; returns the three lists."""
@@ -171,8 +254,8 @@ def record_loss_calls(monkeypatch):
     value, gradient = optimize._Loss.value, optimize._Loss.gradient
     reconstruct = model.ObservationGroups.reconstruct
 
-    def recording_value(self, x):
-        values.append(value(self, x))
+    def recording_value(self, x, bound=math.inf):
+        values.append(value(self, x, bound))
         return values[-1]
 
     def recording_gradient(self):
