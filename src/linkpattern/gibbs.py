@@ -7,7 +7,10 @@ order: the noise precision, the (mean, precision) hyperparameters of U, V
 and R, then the rows of U, the rows of V given the new U, and the rows of
 R given the new U and V.  The three hyperparameter draws are one stacked
 Gaussian-Wishart draw, which takes its noise from the chain's generator in
-the U, V, R order; the rows come from the public samplers
+the U, V, R order; their posteriors are one stacked computation per run of
+factors with equal row counts (U and V always share one), and the factors
+are checked once per sweep, when the sweep returns them.  Each draw is
+bitwise that of one factor at a time.  The rows come from the public samplers
 :func:`sample_u_rows`, :func:`sample_v_rows` and :func:`sample_r_rows`.
 Predictions average the per-draw model means over the retained samples,
 which a :class:`SampleSet` holds as stacked arrays with a leading draw axis.
@@ -20,7 +23,9 @@ The samplers take it as ``groups``; it must have been built over the very
 tensor object passed with it, and ValueError is raised otherwise.
 """
 
+import copy
 import functools
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -260,7 +265,9 @@ def _sample_gaussian_wishart(rng: np.random.Generator, mu: np.ndarray, kappa: np
     takes one solve with M^T.
 
     The generator gives the problems their noise one after another: the
-    chi-square diagonal, then the normals below it and z, in one call.  The
+    chi-square diagonal, one scalar call per entry (the numbers one call on
+    the length-D array would give, at under half its cost for small D),
+    then the normals below it and z, in one call.  The
     Cholesky factors, the products and the solve are one stacked call each,
     which numpy makes matrix by matrix with the LAPACK or BLAS call of one
     matrix, so draw k is bitwise a K = 1 draw after the draws before it.
@@ -269,11 +276,10 @@ def _sample_gaussian_wishart(rng: np.random.Generator, mu: np.ndarray, kappa: np
     """
     k_count, d = mu.shape
     below = _strict_lower(d)
-    steps = np.arange(d)
     chi2 = np.empty((k_count, d))
     normals = np.empty((k_count, below.size + d))
-    for k in range(k_count):
-        chi2[k] = rng.chisquare(df[k] - steps)
+    for k, df_k in enumerate(df.tolist()):
+        chi2[k] = [rng.chisquare(df_k - c) for c in range(d)]
         rng.standard_normal(out=normals[k])
     A = np.zeros((k_count, d * d))
     A[:, ::d + 1] = np.sqrt(chi2)
@@ -330,36 +336,42 @@ def _gaussian_wishart_posteriors(blocks, priors: HyperPriors):
     """Posterior Gaussian-Wishart parameters given the factor rows of each
     ``(rows, kappa)`` in ``blocks``, stacked over a leading problem axis.
 
-    Returns ``(mu_star, kappa_star, nu_star, w_star)``: (K, D) means, (K,)
-    kappa* and nu*, and (K, D, D) Wishart scales, which already hold the
-    scatter and mean-shift terms and are inverted from their inverses in
-    one call.  Raises DimensionMismatchError unless each ``rows`` is 2-D
-    with ``priors.rank`` columns, and ValueError when one has no rows.
+    Returns ``(mu_star, kappa_star, nu_star, w_star)`` in block order: (K, D)
+    means, (K,) kappa* and nu*, and (K, D, D) Wishart scales, which already
+    hold the scatter and mean-shift terms and are inverted from their
+    inverses in one call.  Each run of consecutive blocks with one row
+    count m is one (K_m, m, D) stack (U and V, N rows each, always form
+    one): its means sum each block's rows in order, and its scatters are
+    numpy's per-matrix products ``centered^T centered``, so each value is
+    bitwise what the block's own (m, D) arithmetic gives.  The mean-shift
+    terms and the other elementwise steps act on the whole K stack.  Raises
+    DimensionMismatchError unless each ``rows`` is 2-D with ``priors.rank``
+    columns, and ValueError when one has no rows.
     """
-    mu_star, kappa_star, nu_star, w_inv = zip(*(_scale_inverse(rows, priors, kappa)
-                                                for rows, kappa in blocks))
-    w_star = np.linalg.inv(np.array(w_inv))
-    return (np.array(mu_star), np.array(kappa_star), np.array(nu_star),
-            0.5 * (w_star + w_star.mT))
-
-
-def _scale_inverse(rows, priors: HyperPriors, kappa: float):
-    """``(mu_star, kappa_star, nu_star, w_star^-1)`` of one factor's rows."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != priors.rank:
-        raise DimensionMismatchError(
-            f"rows {rows.shape} do not match hyperprior rank {priors.rank}")
-    m = rows.shape[0]
-    if m < 1:
-        raise ValueError("need at least one row")
-    mean = rows.mean(axis=0)
-    centered = rows - mean
-    scatter = centered.T @ centered
+    rows = [np.asarray(r, dtype=np.float64) for r, _k in blocks]
+    for r in rows:
+        if r.ndim != 2 or r.shape[1] != priors.rank:
+            raise DimensionMismatchError(
+                f"rows {r.shape} do not match hyperprior rank {priors.rank}")
+        if r.shape[0] < 1:
+            raise ValueError("need at least one row")
+    means, scatters = [], []
+    for m, run in itertools.groupby(rows, len):
+        stack = np.array(list(run))
+        mean = np.add.reduce(stack, axis=1) / m
+        centered = stack - mean[:, None]
+        means.append(mean)
+        scatters.append(centered.mT @ centered)
+    mean, scatter = np.concatenate(means), np.concatenate(scatters)
+    kappa = np.array([k for _r, k in blocks], dtype=np.float64)
+    m = np.array([len(r) for r in rows], dtype=np.float64)
     kappa_star = kappa + m
-    mu_star = (kappa * priors.mu0 + m * mean) / kappa_star
+    mu_star = (kappa[:, None] * priors.mu0 + m[:, None] * mean) / kappa_star[:, None]
     shift = mean - priors.mu0
-    w_inv = priors.w0_inv + scatter + (kappa * m / kappa_star) * (shift[:, None] * shift)
-    return mu_star, kappa_star, priors.nu0 + m, 0.5 * (w_inv + w_inv.T)
+    w_inv = (priors.w0_inv + scatter
+             + (kappa * m / kappa_star)[:, None, None] * (shift[:, :, None] * shift[:, None]))
+    w_star = np.linalg.inv(0.5 * (w_inv + w_inv.mT))
+    return mu_star, kappa_star, priors.nu0 + m, 0.5 * (w_star + w_star.mT)
 
 
 def sample_factor_hypers(rows: np.ndarray, priors: HyperPriors, kappa: float,
@@ -470,9 +482,11 @@ def gibbs_sweep(state: GibbsState, tensor: RelationalTensor, priors: HyperPriors
     the stack holds U and V alone.  The noise precision is drawn from
     ``state.residual`` when it is set (a chain's last log-likelihood
     residual), by :func:`sample_alpha` otherwise; the returned state has no
-    residual.  The returned factors are checked whole, the new draws with
-    them.  Raises DimensionMismatchError when the factors do not fit the
-    tensor, or a residual is not one value per observed entry.
+    residual.  The working state that takes each block's draw in turn is a
+    copy of ``state.factors``, which were checked when they were made, and
+    is not checked again; the returned factors are checked whole, the new
+    draws with them.  Raises DimensionMismatchError when the factors do not
+    fit the tensor, or a residual is not one value per observed entry.
     """
     f = state.factors
     groups = _groups(f, tensor, groups)
@@ -488,8 +502,8 @@ def gibbs_sweep(state: GibbsState, tensor: RelationalTensor, priors: HyperPriors
     hyper_u, hyper_v = hypers[:2]
     hyper_r = hypers[2] if sample_relations else state.hyper_r
 
-    # one working state takes each block's draw in turn
-    current = LatentFactors(f.U, f.V, f.R, alpha)
+    current = copy.copy(f)  # no second check; the result is checked below
+    current.alpha = alpha
     current.U = sample_u_rows(current, tensor, hyper_u, rng, groups)
     current.V = sample_v_rows(current, tensor, hyper_v, rng, groups)
     if sample_relations:
@@ -568,10 +582,12 @@ def predictive_scores(samples: SampleSet, ii, jj, tt,
     (``model._takes_grid``):
 
     * below ``model.GRID_SHARE`` of the N x N x T cells, the blocked gather
-      (``model._gather_blocks``): each draw's factor rows for a block are
-      gathered into three reused (block, D) buffers and that draw's clamped
-      prediction is added to the block's running total, so memory beyond
-      the result stays O(block D);
+      (``model._gather_blocks``): each block takes its draws in chunks of
+      at most ``model._SCORE_BLOCK`` / block.  A chunk's factor rows are
+      gathered into three reused (chunk, block, D) buffers, one ``take``
+      per factor, and its clamped predictions, one ``einsum`` and one clamp
+      for the chunk, are added to the block's running total one draw at a
+      time, in draw order, so memory beyond the result stays O(block D);
     * from there up, the grid form (``model._grid_blocks``): each draw's
       clamped prediction of every cell is added, a block of sender rows at
       a time, into one (N, N, T) total, from which the coordinates are then
@@ -599,9 +615,13 @@ def predictive_scores(samples: SampleSet, ii, jj, tt,
         scores = _grid_cells(total, ii, jj, tt)
     else:
         scores = np.zeros(ii.size)
-        for rows, block in _gather_blocks(ii, jj, tt, rank):
+        for rows, block in _gather_blocks(ii, jj, tt, rank, len(samples)):
             block_total = scores[rows]
-            for U, V, R in zip(samples.U, samples.V, samples.R):
-                block_total += clamped(_gathered_sums(U, V, R, *block))
+            chunk = len(block[-1])
+            for start in range(0, len(samples), chunk):
+                draws = slice(start, start + chunk)
+                for s in clamped(_gathered_sums(samples.U[draws], samples.V[draws],
+                                                samples.R[draws], *block)):
+                    block_total += s
     scores /= len(samples)
     return scores

@@ -126,6 +126,22 @@ def reference_predictive_scores(samples, ii, jj, tt, model_config):
     return total / len(samples)
 
 
+def reference_gaussian_wishart_posterior(rows, priors, kappa):
+    """One factor's posterior ``(mu_star, kappa_star, nu_star, w_star)`` in
+    its own (m, D) arithmetic: the row mean, the scatter ``centered.T @
+    centered``, and scalar kappa and m."""
+    m = rows.shape[0]
+    mean = rows.mean(axis=0)
+    centered = rows - mean
+    kappa_star = kappa + m
+    shift = mean - priors.mu0
+    w_inv = (priors.w0_inv + centered.T @ centered
+             + (kappa * m / kappa_star) * (shift[:, None] * shift))
+    w_star = np.linalg.inv(0.5 * (w_inv + w_inv.T))
+    return ((kappa * priors.mu0 + m * mean) / kappa_star, kappa_star, priors.nu0 + m,
+            0.5 * (w_star + w_star.T))
+
+
 def reference_factor_hypers(rows, priors, kappa, rng):
     """(mean, precision) draw that factorises twice.
 

@@ -23,8 +23,8 @@ from linkpattern.tensor import RelationalTensor
 
 from oracles import (TRIPLES, alpha_log_posterior, conjugacy_instance, grid_posterior_mean,
                      r_row_designs, reference_factor_hypers, reference_factor_rows,
-                     reference_gibbs_sweep, reference_predictive_scores, row_log_posterior,
-                     tv_binned, u_row_designs)
+                     reference_gaussian_wishart_posterior, reference_gibbs_sweep,
+                     reference_predictive_scores, row_log_posterior, tv_binned, u_row_designs)
 
 IDENTITY1 = ModelConfig(1, use_logistic=False)
 
@@ -188,6 +188,35 @@ def test_stacked_gaussian_wishart_draw_is_k_single_draws(d, singular, caplog):
     assert stacked_log == single_log
     assert len(stacked_log) == (0 if singular is None else 1)
     assert np.all(np.isfinite(mean)) and np.all(np.isfinite(precision))
+
+
+@pytest.mark.parametrize("counts, d, kappas", [
+    ((4, 7, 4, 1, 7, 7), 3, (2.0, 2.0, 0.5, 2.0, 1.0, 3.0)),
+    ((50, 50, 5), 1, (2.0, 2.0, 1.0)),
+    ((3, 3, 8), 2, (2.0, 2.0, 1.0)),
+    ((6, 6, 6), 4, (2.0, 2.0, 0.3)),
+], ids=["mixed-counts-one-row", "D1", "T>N", "T==N"])
+def test_stacked_hyper_draws_are_per_block_draws_bitwise(counts, d, kappas):
+    # blocks as a sweep stacks them: runs of equal row counts share one
+    # stacked posterior, and at T == N the R rows join U and V in one run
+    # with their own kappa; each block must come out as its own K = 1 call
+    # and as its own (m, D) arithmetic, in block order
+    rng = np.random.default_rng(sum(counts) + d)
+    priors = HyperPriors.default(d, mu0=rng.standard_normal(d), nu0=d + 2.0)
+    blocks = [(rng.standard_normal((m, d)) + rng.standard_normal(d), kappa)
+              for m, kappa in zip(counts, kappas)]
+    posteriors = _gaussian_wishart_posteriors(blocks, priors)
+    for k, (rows, kappa) in enumerate(blocks):
+        want = reference_gaussian_wishart_posterior(rows, priors, kappa)
+        for got, value in zip(posteriors, want):
+            assert np.array_equal(got[k], value)
+    stacked_rng, single_rng = np.random.default_rng(3), np.random.default_rng(3)
+    stacked = _draw_factor_hypers(blocks, priors, stacked_rng)
+    for state, (rows, kappa) in zip(stacked, blocks, strict=True):
+        single = sample_factor_hypers(rows, priors, kappa, single_rng)
+        assert np.array_equal(state.mu, single.mu)
+        assert np.array_equal(state.precision, single.precision)
+    assert stacked_rng.standard_normal() == single_rng.standard_normal()
 
 
 def test_sample_u_rows_prior_fallback_and_scalar_update():
@@ -687,13 +716,26 @@ def random_sample_set(n, t, d, n_draws, seed=0):
 
 @pytest.mark.parametrize("use_logistic", [False, True])
 @pytest.mark.parametrize("d", [1, 2, 5, 11])
-@pytest.mark.parametrize("blocks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)],
-                         ids=["1", "block-1", "block", "block+1", "3block+7"])
-def test_predictive_scores_match_whole_array_reference_bitwise(blocks, extra, d, use_logistic,
-                                                               monkeypatch):
+@pytest.mark.parametrize("blocks, extra, n_draws, r_scale", [
+    (0, 1, 3, 1.0), (1, -1, 3, 1.0), (1, 0, 3, 1.0), (1, 1, 3, 1.0), (3, 7, 3, 1.0),
+    # gather chunks of _SCORE_BLOCK // block draws: 7 draws over 1500
+    # coordinates in chunks of 2, 2, 2 and 1; 250 draws over one block of 17
+    # in chunks of 240 and 10; a one-coordinate block of 7 draws after a
+    # whole block of one-draw chunks
+    (0, 1500, 7, 1.0), (0, 17, 250, 1.0), (1, 1, 7, 1.0),
+    # a chunk whose logistic lanes reach below -700 and -746
+    (0, 1500, 7, 300.0),
+], ids=["1", "block-1", "block", "block+1", "3block+7", "chunks-of-2", "chunks-of-240",
+        "block+1-7-draws", "saturated"])
+def test_predictive_scores_match_whole_array_reference_bitwise(blocks, extra, n_draws, r_scale,
+                                                               d, use_logistic, monkeypatch):
     n_coords = blocks * model._SCORE_BLOCK + extra
     rng = np.random.default_rng(n_coords + d)
-    samples = random_sample_set(7, 3, d, 3, seed=d)
+    samples = random_sample_set(7, 3, d, n_draws, seed=d)
+    samples = SampleSet(samples.U, samples.V, r_scale * samples.R, samples.alpha)
+    if r_scale > 1.0:
+        sums = np.einsum("sid,sjd,std->sijt", samples.U, samples.V, samples.R)
+        assert (sums < -746.0).any() and ((sums >= -746.0) & (sums < -700.0)).any()
     # Random coordinates: unsorted, and repeated whenever n_coords > 7 * 7 * 3.
     ii, jj = rng.integers(0, 7, (2, n_coords))
     tt = rng.integers(0, 3, n_coords)
