@@ -4,9 +4,10 @@ Two on-disk formats are owned here:
 
 * Triple text files: a ``N T`` header line followed by ``i j t v`` lines
   of whitespace-separated decimal integers, v in {0, 1}.  Blank lines and
-  whole-line ``#`` comments are allowed; errors name the 1-based line.  A
-  file without ``#`` is parsed straight from disk; comment lines cost a
-  second pass over its line strings.
+  whole-line ``#`` comments are allowed; errors name the 1-based line.
+  ``np.loadtxt`` parses the file straight from disk first; only when that
+  fails, on a comment line or a bad line, is its text split into line
+  strings, a second pass.
 
 * Factor binaries: magic ``PLTF``, version byte 1, little-endian
   throughout.  Layout after the magic and version:
@@ -61,6 +62,8 @@ def _parse_table(source, bounds, skiprows: int = 0) -> np.ndarray:
 
     Blank lines parse as no rows.  Raises ValueError unless every other line
     holds ``len(bounds)`` decimal integers with field k in [0, bounds[k]).
+    The array is Fortran-ordered, the transpose of its contiguous columns, so
+    that :meth:`RelationalTensor.build` takes those columns without a copy.
     """
     width = len(bounds)
     try:
@@ -77,11 +80,12 @@ def _parse_table(source, bounds, skiprows: int = 0) -> np.ndarray:
         return np.empty((0, width), dtype=np.int64)
     if table is None or table.shape[1] != width:
         raise ValueError(f"expected {width} integer fields")
-    outside = ((table < 0) | (table >= np.asarray(bounds))).any(axis=0)
-    if outside.any():
-        k = int(np.argmax(outside))
-        raise ValueError(f"field {k + 1} must lie in [0, {bounds[k]})")
-    return table
+    # one transposing copy, then each check reads one contiguous column
+    columns = np.ascontiguousarray(table.T)
+    for k, (column, bound) in enumerate(zip(columns, bounds)):
+        if column.min() < 0 or column.max() >= bound:
+            raise ValueError(f"field {k + 1} must lie in [0, {bound})")
+    return columns.T
 
 
 def _table_of_lines(lines, bounds, first_line: int) -> np.ndarray:
@@ -117,27 +121,26 @@ def _int_table(path, bounds, first_line: int = 1) -> np.ndarray:
     Blank lines and whole-line ``#`` comments are skipped; every other line
     holds ``len(bounds)`` whitespace-separated decimal integers, field k in
     [0, bounds[k]).  Raises :class:`TripleParseError` naming the first bad
-    line.  Without a ``#`` in those lines the file is parsed straight from
-    disk; only comments and errors split it into line strings, a second pass.
+    line.  ``np.loadtxt`` reads the file from disk first; only when it fails,
+    on a comment line or a bad line, is the text split into line strings, a
+    second pass that skips the comments and names the bad line.
     """
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        for _ in range(first_line - 1):
-            fh.readline()
-        rest = fh.read()
-    if "#" not in rest:
-        try:
-            return _parse_table(path, bounds, skiprows=first_line - 1)
-        except ValueError:
-            pass  # the line strings below name the bad line
+    try:
+        return _parse_table(path, bounds, skiprows=first_line - 1)
+    except ValueError:
+        pass  # a comment or a bad line: the line strings below skip or name it
     # text mode reads every line ending as "\n"
-    return _table_of_lines(rest.split("\n"), bounds, first_line)
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        lines = fh.read().split("\n")[first_line - 1:]
+    return _table_of_lines(lines, bounds, first_line)
 
 
 def load_triples(path) -> RelationalTensor:
     """Parse a triple text file into a tensor.
 
     The header is the first data line; the triples after it are read by
-    :func:`_int_table`, straight from disk when no ``#`` follows the header.
+    :func:`_int_table`, by ``np.loadtxt`` straight from disk unless a comment
+    or a bad line follows the header.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
         header = next(((number, line) for number, line in enumerate(fh, start=1)

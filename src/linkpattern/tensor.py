@@ -12,9 +12,14 @@ the observed entries, sorted by ``(i, j, t)`` without duplicates.  Every
 tensor is made by one validating constructor, which checks every input and
 stores only arrays of its own, so a tensor never aliases or freezes a
 caller's array.  Input whose keys already increase strictly (a sorted file,
-or any tensor's entries filtered or unpickled) skips only the sort.  Every
-"mutation" returns a new tensor, so instances are safe to share across
-workers.
+or any tensor's entries filtered or unpickled) skips only the sort.  Values
+are checked as 0 or 1 in their own dtype, so the float values of a derived
+tensor take one pass of comparisons.  A triple file is parsed by
+``np.loadtxt`` first, range-checked on its columns, and handed to
+:meth:`RelationalTensor.build` as those columns; only a comment line or a
+bad line sends it through the line-string reader (see ``io._int_table``).
+Every "mutation" returns a new tensor, so instances are safe to share
+across workers.
 """
 
 from typing import Iterable, Sequence
@@ -39,9 +44,24 @@ def _checked(values, bound: int, what: str, error=IndexError) -> np.ndarray:
     """``values`` as int64 exact integers (:func:`_integers`).  Raises
     ``error`` unless every entry lies in [0, bound)."""
     arr = _integers(values, what)
-    if arr.size and (arr.min() < 0 or arr.max() >= bound):
+    # one pass: read as unsigned, a negative entry is larger than any bound
+    if arr.size and arr.view(np.uint64).max() >= bound:
         raise error(f"{what} must lie in [0, {bound})")
     return arr
+
+
+def _ones(values) -> np.ndarray:
+    """Which of the 0/1 ``values`` are 1, as a new bool array, from one pass
+    of comparisons in the values' own dtype, so -0.0 counts as 0.  Raises
+    ValueError unless every entry is 0 or 1, worded as :func:`_checked`
+    words it."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        _integers(arr, "relation values")  # raises: not numbers
+    ones = arr == 1
+    if not (ones | (arr == 0)).all():
+        _checked(arr, 2, "relation values", ValueError)  # raises: not an integer or out of range
+    return ones
 
 
 def _rows(items, width: int, what: str) -> np.ndarray:
@@ -64,7 +84,7 @@ class RelationalTensor:
     arrays are the tensor's own, read-only copies.
     """
 
-    __slots__ = ("n_objects", "n_relations", "_entries")
+    __slots__ = ("n_objects", "n_relations", "_entries", "_relation_runs")
 
     def __init__(self, n_objects: int, n_relations: int, ii, jj, tt, yy):
         self.n_objects, self.n_relations = n, T = _integers(
@@ -73,13 +93,13 @@ class RelationalTensor:
             raise ValueError("tensor dimensions must be positive")
         ii, jj = (_checked(a, n, "object indices") for a in (ii, jj))
         tt = _checked(tt, T, "relation indices")
-        yy = _checked(yy, 2, "relation values", ValueError)
+        yy = _ones(yy)
         if ii.ndim != 1 or not ii.shape == jj.shape == tt.shape == yy.shape:
             raise ValueError("coordinate and value arrays must be 1-D of equal length")
         key = (ii * n + jj) * T + tt
         if (key[1:] > key[:-1]).all():
-            # sorted without repeats: no sort, but the arrays may be the
-            # caller's (the float64 values are a new array anyway)
+            # sorted without repeats: no sort, but the index arrays may be
+            # the caller's (the values are a new array anyway)
             ii, jj, tt = ii.copy(), jj.copy(), tt.copy()
         else:
             # out of order or repeated: sort, then merge agreeing duplicates
@@ -90,17 +110,19 @@ class RelationalTensor:
             if clash.any():
                 k = np.argmax(clash)
                 raise DataConflictError(f"conflicting values for entry ({ii[k]}, {jj[k]}, "
-                                        f"{tt[k]}): {yy[k]} vs {yy[k + 1]}")
+                                        f"{tt[k]}): {int(yy[k])} vs {int(yy[k + 1])}")
             ii, jj, tt, yy = ii[first], jj[first], tt[first], yy[first]
         self._entries = (ii, jj, tt, yy.astype(np.float64))
         for arr in self._entries:
             arr.flags.writeable = False
+        self._relation_runs = None  # built by the first slice()
 
     @classmethod
     def build(cls, n_objects: int, n_relations: int,
               triples: Iterable[Sequence[int]]) -> "RelationalTensor":
         """Assemble a tensor from (i, j, t, value) triples, checked as above."""
-        # contiguous columns: the checks run slower on strided views of the rows
+        # contiguous columns: the checks run slower on strided views of the
+        # rows; the F-ordered tables of io._int_table transpose without a copy
         columns = np.ascontiguousarray(_rows(triples, 4, "triples").T)
         return cls(n_objects, n_relations, *columns)
 
@@ -119,8 +141,17 @@ class RelationalTensor:
     def slice(self, t: int) -> "TensorSlice":
         """Relation ``t`` as a T=1 tensor (relation index 0), same mask semantics."""
         self._check_relation(t)
-        keep = self._entries[2] == t
-        ii, jj, _tt, yy = (a[keep] for a in self._entries)
+        if self._relation_runs is None:
+            # one stable sort of the relation indices, kept, puts each relation's
+            # positions in one run in key order; 8- and 16-bit codes radix-sort
+            tt = self._entries[2]
+            order = np.argsort(tt.astype(np.min_scalar_type(self.n_relations - 1)),
+                               kind="stable")
+            ends = np.cumsum(np.bincount(tt, minlength=self.n_relations)).tolist()
+            self._relation_runs = order, [0] + ends
+        order, starts = self._relation_runs
+        rows = order[starts[t]:starts[t + 1]]
+        ii, jj, yy = (self._entries[k][rows] for k in (0, 1, 3))
         return TensorSlice(self.n_objects, 1, ii, jj, np.zeros_like(ii), yy)
 
     def fiber_keys(self) -> np.ndarray:

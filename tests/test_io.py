@@ -77,6 +77,13 @@ def test_load_triples_errors_after_blank_lines_name_the_line(tmp_path, body, lin
     ("0 1 0 1.5", 2),
     ("0 1 0 1 # note", 2),  # comments take whole lines
     ("# note\n\n0 1 0 2", 4),  # comment and blank lines are counted
+    ("-1 1 0 1", 2),       # each field negative or past its bound
+    ("3 1 0 1", 2),
+    ("0 -1 0 1", 2),
+    ("0 3 0 1", 2),
+    ("0 1 -1 1", 2),
+    ("0 1 2 1", 2),
+    ("0 1 0 -1", 2),
 ])
 def test_load_triples_parse_errors_name_the_line(tmp_path, body, line):
     path = tmp_path / "bad.tsv"
@@ -85,6 +92,46 @@ def test_load_triples_parse_errors_name_the_line(tmp_path, body, line):
         load_triples(path)
     assert err.value.line_number == line
     assert f"line {line}" in str(err.value)
+
+
+def write_with_bad_last_line(path, lines, bad, layout):
+    """Write ``lines`` then ``bad`` as the last line, in ``layout``; returns
+    the bad line's number."""
+    lines = lines + ["# a comment"] * (layout == "after-comment") + [bad]
+    mark = "\ufeff" * (layout == "bom")
+    last = "" if layout == "no-final-newline" else "\n"
+    path.write_text(mark + "\n".join(lines) + last, encoding="utf-8")
+    return len(lines)
+
+
+LAYOUTS = ["no-final-newline", "bom", "after-comment"]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("field,bad", [
+    (1, "-1 1 0 1"), (1, "3 1 0 1"), (2, "0 -1 0 1"), (2, "0 3 0 1"),
+    (3, "0 1 -1 1"), (3, "0 1 2 1"), (4, "0 1 0 -1"), (4, "0 1 0 2"),
+])
+def test_load_triples_range_errors_name_the_line_in_every_layout(tmp_path, layout, field, bad):
+    # a range error found by the checks on whole columns still names its line
+    path = tmp_path / "bad.tsv"
+    line = write_with_bad_last_line(path, ["3 2", "0 1 0 1", "2 2 1 0"], bad, layout)
+    with pytest.raises(TripleParseError) as err:
+        load_triples(path)
+    assert err.value.line_number == line
+    assert f"line {line}" in str(err.value) and f"field {field} must lie in" in str(err.value)
+
+
+@pytest.mark.parametrize("layout", ["plain"] + LAYOUTS)
+@pytest.mark.parametrize("field,bad", [(1, "-1 0"), (1, "3 0"), (2, "0 -1"), (2, "0 3")])
+def test_pair_list_range_errors_name_the_line(tmp_path, layout, field, bad):
+    # the reader behind ``predict --pairs``, with N = 3
+    path = tmp_path / "pairs.txt"
+    line = write_with_bad_last_line(path, ["0 1", "2 2"], bad, layout)
+    with pytest.raises(TripleParseError) as err:
+        io_module._int_table(path, (3, 3))
+    assert err.value.line_number == line
+    assert f"line {line}" in str(err.value) and f"field {field} must lie in" in str(err.value)
 
 
 @pytest.mark.parametrize("seed", range(3))

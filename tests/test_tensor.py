@@ -75,6 +75,52 @@ def test_constructor_sorts_merges_and_accepts_exact_floats():
         RelationalTensor(3, 2, [1, 1], [2, 2], [1, 1], [0, 1])
 
 
+def stored_bytes(tensor):
+    return [(a.dtype, a.tobytes()) for a in tensor.entry_arrays()]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.int8, bool])
+def test_constructor_stores_0_1_values_of_any_dtype_bitwise_alike(dtype):
+    coords = ([0, 0, 1, 2], [1, 2, 0, 2], [0, 1, 1, 0])
+    reference = RelationalTensor(3, 2, *coords, np.array([1, 0, 0, 1], dtype=np.int64))
+    tensor = RelationalTensor(3, 2, *coords, np.array([1, 0, 0, 1], dtype=dtype))
+    assert stored_bytes(tensor) == stored_bytes(reference)
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2], [2, 0, 1]], ids=["sorted", "unsorted"])
+def test_constructor_stores_negative_zero_as_positive_zero(order):
+    coords = [np.array(a)[order] for a in ([0, 1, 2], [1, 2, 0], [0, 1, 1])]
+    values = np.array([-0.0, 1.0, -0.0])[order]
+    tensor = RelationalTensor(3, 2, *coords, values)
+    assert not np.signbit(tensor.entry_arrays()[3]).any()
+    assert stored_bytes(tensor) == stored_bytes(RelationalTensor(3, 2, *coords, values != 0))
+
+
+@pytest.mark.parametrize("value,message", [
+    (0.5, "relation values must be exact integers"),
+    (np.nan, "relation values must be exact integers"),
+    (np.inf, "relation values must be exact integers"),
+    (-np.inf, "relation values must be exact integers"),
+    (-1.0, "relation values must lie in [0, 2)"),
+    (2.0, "relation values must lie in [0, 2)"),
+    (2, "relation values must lie in [0, 2)"),
+    ("1", "relation values must be exact integers"),
+])
+def test_constructor_rejects_values_outside_0_1(value, message):
+    values = np.array([1.0, value, 0.0]) if isinstance(value, float) else [1, value, 0]
+    with pytest.raises(ValueError) as err:
+        RelationalTensor(3, 2, [0, 1, 2], [1, 2, 0], [0, 1, 1], values)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("values,shown", [([0.0, 1.0], "0 vs 1"), ([1.0, -0.0], "1 vs 0"),
+                                          ([0, 1], "0 vs 1")])
+def test_conflicting_duplicates_name_their_values_as_integers(values, shown):
+    with pytest.raises(DataConflictError) as err:
+        RelationalTensor(3, 2, [1, 1], [2, 2], [1, 1], np.array(values))
+    assert str(err.value) == f"conflicting values for entry (1, 2, 1): {shown}"
+
+
 def test_entry_arrays_are_read_only(tiny_tensor):
     for arr in tiny_tensor.entry_arrays():
         with pytest.raises(ValueError):
@@ -115,6 +161,26 @@ def test_slice_is_the_t1_tensor_itself(tiny_tensor):
     assert sl == plain
     restored = pickle.loads(pickle.dumps(sl))
     assert type(restored) is RelationalTensor and restored == sl
+
+
+@pytest.mark.parametrize("n_relations,empty", [(4, 2), (1, None)], ids=["empty-relation", "T1"])
+def test_slices_equal_the_boolean_mask_selections(n_relations, empty):
+    rng = np.random.default_rng(5)
+    n = 6
+    ii, jj = rng.integers(0, n, size=(2, 80))
+    tt = rng.integers(0, n_relations, size=80)
+    tensor = RelationalTensor(n, n_relations, ii, jj, tt, (ii + jj + tt) % 2)
+    if empty is not None:
+        tensor = tensor.without_relation(empty)
+    ii, jj, tt, yy = tensor.entry_arrays()
+    for _repeat in range(2):  # the first slice() builds the relation runs, the rest reuse them
+        for t in range(n_relations):
+            keep = tt == t
+            expected = RelationalTensor(n, 1, ii[keep], jj[keep], np.zeros(keep.sum(), np.int64),
+                                        yy[keep])
+            assert stored_bytes(tensor.slice(t)) == stored_bytes(expected)
+            assert (expected.observed_count == 0) == (t == empty)
+    assert pickle.loads(pickle.dumps(tensor)).slice(0) == tensor.slice(0)
 
 
 def test_run_chain_takes_a_slice(tiny_tensor):
